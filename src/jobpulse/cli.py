@@ -13,14 +13,12 @@ Errors print as single-line diagnostics on standard error.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import hashlib
-import io
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from . import employers as employers_mod
 from . import matcher as matcher_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .corpus import CollectionWindow, Corpus, Posting, Region
+from .corpus import CollectionWindow, Corpus, Posting, Region, csv_text
 from .errors import ContractError, InputError, JobPulseError
 from .taxonomy import JobFunction, Taxonomy, load_taxonomy
 
@@ -42,13 +40,6 @@ MANIFEST_NAME = "manifest.txt"
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_TAXONOMY = _DATA_DIR / "taxonomy.csv"
 DEFAULT_DICTIONARY = _DATA_DIR / "name_dictionary.txt"
-
-_FUNCTION_SLUGS = {
-    JobFunction.SCIENTIST: "scientist",
-    JobFunction.ENGINEER: "engineer",
-    JobFunction.TECHNICIAN: "technician",
-    JobFunction.OPERATIONAL_SUPPORT: "operational_support",
-}
 
 
 @dataclass(frozen=True)
@@ -87,33 +78,13 @@ class PipelineConfig:
         matcher_mod.validate_industry_token(self.industry_token)
 
     def as_manifest_items(self) -> list[tuple[str, str]]:
-        return [
-            ("config.taxonomy", self.taxonomy_path),
-            ("config.dictionary", self.dictionary_path),
-            ("config.industry_token", self.industry_token),
-            ("config.filter_mode", self.filter_mode),
-            ("config.regions", ",".join(r.value for r in self.regions)),
-            ("config.window_start", self.window_start.isoformat()),
-            ("config.window_end", self.window_end.isoformat()),
-            ("config.format", self.format),
-            ("config.min_count", str(self.min_count)),
-            ("config.top_k", str(self.top_k)),
-        ]
-
-
-CONFIG_FILE_KEYS = (
-    "taxonomy",
-    "dictionary",
-    "industry_token",
-    "filter_mode",
-    "regions",
-    "window_start",
-    "window_end",
-    "out_dir",
-    "format",
-    "min_count",
-    "top_k",
-)
+        items = []
+        for key, _, field, _, in_manifest in CONFIG_TABLE:
+            if in_manifest:
+                value = getattr(self, field)
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                items.append((f"config.{key}", text))
+        return items
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -123,6 +94,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    keys = {row[0] for row in CONFIG_TABLE}
     values: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -132,13 +104,17 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise InputError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in CONFIG_FILE_KEYS:
+        if key not in keys:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
-def _parse_regions(text: str) -> tuple[Region, ...]:
+def _keep_text(text: str, label: str) -> str:
+    return text
+
+
+def _parse_regions(text: str, label: str) -> tuple[Region, ...]:
     regions = []
     for part in text.split(","):
         part = part.strip()
@@ -163,56 +139,41 @@ def _parse_int(text: str, label: str) -> int:
         raise InputError(f"{label} must be an integer, got {text!r}") from None
 
 
+# One row per PipelineConfig field: config-file key (also the manifest key
+# after "config."), argparse dest, field, parser(text, key), and whether the
+# value is recorded in the manifest.
+CONFIG_TABLE = (
+    ("taxonomy", "taxonomy", "taxonomy_path", _keep_text, True),
+    ("dictionary", "dictionary", "dictionary_path", _keep_text, True),
+    ("industry_token", "industry_token", "industry_token", _keep_text, True),
+    ("filter_mode", "filter_mode", "filter_mode", _keep_text, True),
+    ("regions", "regions", "regions", _parse_regions, True),
+    ("window_start", "window_start", "window_start", _parse_date, True),
+    ("window_end", "window_end", "window_end", _parse_date, True),
+    ("out_dir", "out", "out_dir", _keep_text, False),
+    ("format", "format", "format", _keep_text, True),
+    ("min_count", "min_count", "min_count", _parse_int, True),
+    ("top_k", "top_k", "top_k", _parse_int, True),
+)
+
+
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, the config file, and command-line flags."""
-    config = PipelineConfig()
+    """Merge defaults, the config file, and command-line flags.
+
+    Every file value is parsed before any flag. A flag applies when it is
+    given and not empty (``--min-count`` and ``--top-k`` are already ints).
+    """
     config_path = args.config or os.environ.get(ENV_CONFIG)
-    if config_path:
-        values = parse_config_file(config_path)
-        if "taxonomy" in values:
-            config = replace(config, taxonomy_path=values["taxonomy"])
-        if "dictionary" in values:
-            config = replace(config, dictionary_path=values["dictionary"])
-        if "industry_token" in values:
-            config = replace(config, industry_token=values["industry_token"])
-        if "filter_mode" in values:
-            config = replace(config, filter_mode=values["filter_mode"])
-        if "regions" in values:
-            config = replace(config, regions=_parse_regions(values["regions"]))
-        if "window_start" in values:
-            config = replace(config, window_start=_parse_date(values["window_start"], "window_start"))
-        if "window_end" in values:
-            config = replace(config, window_end=_parse_date(values["window_end"], "window_end"))
-        if "out_dir" in values:
-            config = replace(config, out_dir=values["out_dir"])
-        if "format" in values:
-            config = replace(config, format=values["format"])
-        if "min_count" in values:
-            config = replace(config, min_count=_parse_int(values["min_count"], "min_count"))
-        if "top_k" in values:
-            config = replace(config, top_k=_parse_int(values["top_k"], "top_k"))
-    if getattr(args, "taxonomy", None):
-        config = replace(config, taxonomy_path=args.taxonomy)
-    if getattr(args, "dictionary", None):
-        config = replace(config, dictionary_path=args.dictionary)
-    if getattr(args, "industry_token", None):
-        config = replace(config, industry_token=args.industry_token)
-    if getattr(args, "filter_mode", None):
-        config = replace(config, filter_mode=args.filter_mode)
-    if getattr(args, "regions", None):
-        config = replace(config, regions=_parse_regions(args.regions))
-    if getattr(args, "window_start", None):
-        config = replace(config, window_start=_parse_date(args.window_start, "window_start"))
-    if getattr(args, "window_end", None):
-        config = replace(config, window_end=_parse_date(args.window_end, "window_end"))
-    if getattr(args, "out", None):
-        config = replace(config, out_dir=args.out)
-    if getattr(args, "format", None):
-        config = replace(config, format=args.format)
-    if getattr(args, "min_count", None) is not None:
-        config = replace(config, min_count=args.min_count)
-    if getattr(args, "top_k", None) is not None:
-        config = replace(config, top_k=args.top_k)
+    file_values = parse_config_file(config_path) if config_path else {}
+    fields = {}
+    for key, _, field, parse, _ in CONFIG_TABLE:
+        if key in file_values:
+            fields[field] = parse(file_values[key], key)
+    for key, dest, field, parse, _ in CONFIG_TABLE:
+        flag = getattr(args, dest, None)
+        if flag is not None and flag != "":
+            fields[field] = parse(flag, key)
+    config = PipelineConfig(**fields)
     config.validate()
     return config
 
@@ -221,12 +182,10 @@ class _Run:
     """Accumulates artifacts, counts, and inputs for one subcommand run."""
 
     def __init__(self, subcommand: str, config: PipelineConfig) -> None:
-        self.subcommand = subcommand
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.items: list[tuple[str, str]] = [("subcommand", subcommand)]
         self.items.extend(config.as_manifest_items())
-        self._artifact_names: list[str] = []
 
     def record_inputs(self, paths: list[str]) -> None:
         for i, path in enumerate(paths):
@@ -239,20 +198,15 @@ class _Run:
     def note(self, name: str, value) -> None:
         self.items.append((name, str(value)))
 
-    def write_artifact(self, name: str, content: str) -> Path:
-        path = self.out_dir / name
-        report_mod.write_text_atomic(path, content)
+    def write_artifact(self, name: str, content: str) -> None:
+        report_mod.write_text_atomic(self.out_dir / name, content)
         self.items.append((f"artifact.{name}.sha256", _sha256_text(content)))
-        self._artifact_names.append(name)
-        return path
 
-    def finish(self) -> Path:
+    def finish(self) -> None:
         config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config.as_manifest_items()))
-        self.items.append(("config_hash", hashlib.sha256(config_block.encode("utf-8")).hexdigest()))
+        self.items.append(("config_hash", _sha256_text(config_block)))
         body = "".join(f"{key} = {value}\n" for key, value in sorted(self.items))
-        path = self.out_dir / MANIFEST_NAME
-        report_mod.write_text_atomic(path, body)
-        return path
+        report_mod.write_text_atomic(self.out_dir / MANIFEST_NAME, body)
 
 
 def _sha256_file(path: str) -> str:
@@ -270,35 +224,23 @@ def _sha256_text(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
-def _load_corpus(config: PipelineConfig, inputs: list[str], run: _Run):
+def _load_corpus(run: _Run, inputs: list[str]) -> tuple[Corpus, list[corpus_mod.Diagnostic]]:
+    config = run.config
     corpus, diagnostics = corpus_mod.load_postings(
         inputs, CollectionWindow(config.window_start, config.window_end)
     )
     wanted = set(config.regions)
     kept = [p for p in corpus.postings if p.region in wanted]
-    out_of_scope = len(corpus.postings) - len(kept)
     run.count("postings_ingested", len(kept))
     run.count("records_rejected", len(diagnostics))
-    run.count("postings_out_of_scope", out_of_scope)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "line", "reason"])
-    writer.writerows([d.source, d.line_no, d.reason] for d in diagnostics)
-    run.write_artifact("diagnostics.csv", buf.getvalue())
+    run.count("postings_out_of_scope", len(corpus.postings) - len(kept))
+    rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
+    run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
     return Corpus(postings=tuple(kept), sources=corpus.sources), diagnostics
-
-
-def _csv_table(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 @dataclass
 class _PipelineData:
-    corpus: Corpus
     taxonomy: Taxonomy
     records_all: list[matcher_mod.MatchRecord]
     filtered_postings: list[Posting]
@@ -307,7 +249,8 @@ class _PipelineData:
     filtered_observations: int
 
 
-def _run_match_stages(config: PipelineConfig, corpus: Corpus, run: _Run) -> _PipelineData:
+def _run_match_stages(run: _Run, corpus: Corpus) -> _PipelineData:
+    config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
     records_all = matcher_mod.match_corpus(corpus, taxonomy)
     filtered_postings = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
@@ -318,7 +261,6 @@ def _run_match_stages(config: PipelineConfig, corpus: Corpus, run: _Run) -> _Pip
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
     return _PipelineData(
-        corpus=corpus,
         taxonomy=taxonomy,
         records_all=records_all,
         filtered_postings=filtered_postings,
@@ -342,7 +284,7 @@ def _render_matches_csv(records: list[matcher_mod.MatchRecord]) -> str:
                 )
             )
     entries.sort()
-    return _csv_table(["job_id", "region", "phrase", "level", "in_title"], entries)
+    return csv_text(["job_id", "region", "phrase", "level", "in_title"], entries)
 
 
 def _render_cross_region_csv(report: dedup_mod.CrossRegionReport) -> str:
@@ -350,119 +292,87 @@ def _render_cross_region_csv(report: dedup_mod.CrossRegionReport) -> str:
     for group_no, group in enumerate(report.groups, start=1):
         for job_id, region in group.members:
             rows.append([group_no, job_id, region.value, group.title, group.employer_name])
-    return _csv_table(["group", "job_id", "region", "title", "employer_name"], rows)
+    return csv_text(["group", "job_id", "region", "title", "employer_name"], rows)
 
 
-def _ext(config: PipelineConfig) -> str:
-    return "csv" if config.format == "csv" else "txt"
+# Each input subcommand gets the run, the in-scope corpus and the load
+# diagnostics, runs its own stages, and returns the summary it prints.
 
 
-def _demand_content(table, config: PipelineConfig) -> str:
-    if config.format == "csv":
-        return report_mod.render_demand_csv(table)
-    return report_mod.render_demand_text(table)
+def cmd_ingest(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    return f"ingested {len(corpus.postings)} postings, rejected {len(diagnostics)} records"
 
 
-def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("ingest", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
-    run.finish()
-    print(f"ingested {len(corpus.postings)} postings, rejected {len(diagnostics)} records")
-    return 2 if diagnostics else 0
-
-
-def cmd_match(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("match", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
-    data = _run_match_stages(config, corpus, run)
+def cmd_match(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    data = _run_match_stages(run, corpus)
     run.count("matched_postings", len(data.records_all))
     run.write_artifact("matches.csv", _render_matches_csv(data.records_all))
-    run.finish()
-    print(f"matched {len(data.records_all)} of {len(corpus.postings)} postings")
-    return 2 if diagnostics else 0
+    return f"matched {len(data.records_all)} of {len(corpus.postings)} postings"
 
 
-def cmd_dedup(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("dedup", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
-    data = _run_match_stages(config, corpus, run)
+def cmd_dedup(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    data = _run_match_stages(run, corpus)
     ledger = dedup_mod.weight_assignments(data.records_filtered)
     cross = dedup_mod.cross_region_report(data.filtered_postings)
     run.count("demand_units", ledger.unit_count)
     run.count("cross_region_groups", len(cross))
     run.write_artifact("ledger.csv", dedup_mod.render_ledger_csv(ledger))
     run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
-    run.finish()
-    print(f"{ledger.unit_count} demand units from {data.filtered_observations} observations")
-    return 2 if diagnostics else 0
+    return f"{ledger.unit_count} demand units from {data.filtered_observations} observations"
 
 
-def cmd_disambiguate(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("disambiguate", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
+def cmd_disambiguate(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    config = run.config
     filtered = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
     dictionary = employers_mod.load_dictionary(config.dictionary_path)
     names = [p.employer_name for p in filtered]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
-    raw_count = len({p.employer_name for p in filtered} - set(rejected))
+    raw_count = len(set(names) - set(rejected))
     canonical_count = len({e.canonical_name for e in mapping.values()})
     run.count("employers_raw", raw_count)
     run.count("employers_canonical", canonical_count)
     run.count("employer_names_rejected", len(rejected))
     run.write_artifact("employer_mapping.csv", employers_mod.render_mapping_csv(mapping))
-    run.finish()
-    print(f"disambiguated {raw_count} raw employer names into {canonical_count}")
-    return 2 if diagnostics else 0
+    return f"disambiguated {raw_count} raw employer names into {canonical_count}"
 
 
-def cmd_discover(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("discover", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
+def cmd_discover(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
     filtered = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
-    run.write_artifact("discovery.csv", _csv_table(["phrase", "count"], candidates))
-    run.finish()
-    print(f"{len(candidates)} candidate titles at min_count={config.min_count}")
-    return 2 if diagnostics else 0
+    run.write_artifact("discovery.csv", csv_text(["phrase", "count"], candidates))
+    return f"{len(candidates)} candidate titles at min_count={config.min_count}"
 
 
-def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("report", config)
-    run.record_inputs(args.input)
-    corpus, diagnostics = _load_corpus(config, args.input, run)
-    data = _run_match_stages(config, corpus, run)
+def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+    config = run.config
+    data = _run_match_stages(run, corpus)
     ledger = dedup_mod.weight_assignments(data.records_filtered)
     cross = dedup_mod.cross_region_report(data.filtered_postings)
     run.count("demand_units", ledger.unit_count)
     run.count("cross_region_groups", len(cross))
 
+    # Tables render through render_<table>_<format>; csv files end in .csv, text in .txt.
+    ext = {"csv": "csv", "text": "txt"}[config.format]
+
+    def render(module, table: str, value) -> str:
+        return getattr(module, f"render_{table}_{config.format}")(value)
+
     funnel = report_mod.build_funnel(
         [data.raw_observations, data.filtered_observations, ledger.unit_count]
     )
-    ext = _ext(config)
-    if config.format == "csv":
-        run.write_artifact(f"funnel.{ext}", report_mod.render_funnel_csv(funnel))
-    else:
-        run.write_artifact(f"funnel.{ext}", report_mod.render_funnel_text(funnel))
+    run.write_artifact(f"funnel.{ext}", render(report_mod, "funnel", funnel))
 
-    function_table = report_mod.demand_by("function", ledger, data.taxonomy)
-    run.write_artifact(f"demand_function.{ext}", _demand_content(function_table, config))
-    family_table = report_mod.demand_by("family", ledger, data.taxonomy)
-    run.write_artifact(f"demand_family.{ext}", _demand_content(family_table, config))
-    region_table = report_mod.demand_by("region", ledger, data.taxonomy)
-    run.write_artifact(f"demand_region.{ext}", _demand_content(region_table, config))
-    for function, slug in _FUNCTION_SLUGS.items():
-        table = report_mod.demand_by("title", ledger, data.taxonomy, function=function)
-        run.write_artifact(f"demand_{slug}.{ext}", _demand_content(table, config))
+    slices = [(level, level, None) for level in ("function", "family", "region")]
+    slices += [(function.name.lower(), "title", function) for function in JobFunction]
+    tables = {}
+    for name, level, function in slices:
+        tables[name] = report_mod.demand_by(level, ledger, data.taxonomy, function=function)
+        run.write_artifact(f"demand_{name}.{ext}", render(report_mod, "demand", tables[name]))
 
-    totals = {row.label: row.total for row in function_table.rows}
+    totals = {row.label: row.total for row in tables["function"].rows}
     tech = totals.get(JobFunction.TECHNICIAN.value, Fraction(0))
     eng = totals.get(JobFunction.ENGINEER.value, Fraction(0))
     if tech > 0 and eng > 0:
@@ -484,23 +394,17 @@ def cmd_report(config: PipelineConfig, args: argparse.Namespace) -> int:
     run.count("employer_names_rejected", len(rejected))
     run.note("employers.mean_units", stats.mean_label)
     run.note("employers.top_share", stats.top_share_label)
-    if config.format == "csv":
-        run.write_artifact("employers.csv", employers_mod.render_employers_csv(stats))
-    else:
-        run.write_artifact("employers.txt", employers_mod.render_employers_text(stats))
+    run.write_artifact(f"employers.{ext}", render(employers_mod, "employers", stats))
     run.write_artifact("employer_mapping.csv", employers_mod.render_mapping_csv(mapping))
     run.write_artifact("ledger.csv", dedup_mod.render_ledger_csv(ledger))
     run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
-    run.finish()
 
-    print(report_mod.render_funnel_text(funnel), end="")
-    print(ratio_line)
-    print(
+    employer_line = (
         f"{stats.employer_count} employers, mean {stats.mean_label} units each, "
         f"top {stats.top_k} hold {stats.top_share_label}"
     )
-    print(f"artifacts written to {run.out_dir}")
-    return 2 if diagnostics else 0
+    lines = [ratio_line, employer_line, f"artifacts written to {run.out_dir}"]
+    return report_mod.render_funnel_text(funnel) + "\n".join(lines)
 
 
 def _parse_fraction(text: str, label: str) -> Fraction:
@@ -510,8 +414,8 @@ def _parse_fraction(text: str, label: str) -> Fraction:
         raise InputError(f"{label} must be a fraction like 1/3, got {text!r}") from None
 
 
-def cmd_synth(config: PipelineConfig, args: argparse.Namespace) -> int:
-    run = _Run("synth", config)
+def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
+    config = run.config
     plants = []
     for plant_arg in args.plant or []:
         phrase, sep, count = plant_arg.rpartition("=")
@@ -534,12 +438,9 @@ def cmd_synth(config: PipelineConfig, args: argparse.Namespace) -> int:
     result = synth_mod.generate(synth_config, taxonomy, config.out_dir)
     run.note("synth.seed", synth_config.seed)
     run.count("postings_generated", _count_lines(result.posting_paths.values()))
-    for path in result.posting_paths.values():
+    for path in [*result.posting_paths.values(), result.truth_path]:
         run.items.append((f"artifact.{path.name}.sha256", _sha256_file(str(path))))
-    run.items.append((f"artifact.{result.truth_path.name}.sha256", _sha256_file(str(result.truth_path))))
-    run.finish()
-    print(f"synthetic corpus written to {config.out_dir} (seed {synth_config.seed})")
-    return 0
+    return f"synthetic corpus written to {config.out_dir} (seed {synth_config.seed})"
 
 
 def _count_lines(paths) -> int:
@@ -573,22 +474,14 @@ def _build_parser() -> _Parser:
     common.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name: str, help_text: str, with_input: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    subparsers = {}
+    for name, (_, help_text, with_input) in _COMMANDS.items():
+        subparsers[name] = p = sub.add_parser(name, parents=[common], help=help_text)
         if with_input:
             p.add_argument("--input", nargs="+", required=True, help="posting files (JSONL)")
-        return p
-
-    add("ingest", "validate posting files and emit diagnostics")
-    add("match", "match postings against the taxonomy")
-    add("dedup", "build the fractional demand ledger")
-    add("disambiguate", "canonicalize employer names")
-    discover = add("discover", "report out-of-taxonomy title candidates")
-    discover.add_argument("--min-count", dest="min_count", type=int, help="minimum occurrences")
-    report = add("report", "full pipeline: funnel, demand tables, employer stats")
-    report.add_argument("--top-k", dest="top_k", type=int, help="top employers to summarize")
-    synth = add("synth", "generate a synthetic corpus with ground truth", with_input=False)
+    subparsers["discover"].add_argument("--min-count", dest="min_count", type=int, help="minimum occurrences")
+    subparsers["report"].add_argument("--top-k", dest="top_k", type=int, help="top employers to summarize")
+    synth = subparsers["synth"]
     synth.add_argument("--seed", type=int, default=42, help="generator seed")
     synth.add_argument("--n-postings", dest="n_postings", type=int, default=5300)
     synth.add_argument("--cross-region-repeats", dest="cross_region_repeats", type=int, default=0)
@@ -602,14 +495,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# subcommand -> (function, help, whether it reads --input posting files)
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "match": cmd_match,
-    "dedup": cmd_dedup,
-    "disambiguate": cmd_disambiguate,
-    "discover": cmd_discover,
-    "report": cmd_report,
-    "synth": cmd_synth,
+    "ingest": (cmd_ingest, "validate posting files and emit diagnostics", True),
+    "match": (cmd_match, "match postings against the taxonomy", True),
+    "dedup": (cmd_dedup, "build the fractional demand ledger", True),
+    "disambiguate": (cmd_disambiguate, "canonicalize employer names", True),
+    "discover": (cmd_discover, "report out-of-taxonomy title candidates", True),
+    "report": (cmd_report, "full pipeline: funnel, demand tables, employer stats", True),
+    "synth": (cmd_synth, "generate a synthetic corpus with ground truth", False),
 }
 
 
@@ -623,7 +517,18 @@ def main(argv: list[str] | None = None) -> int:
             stream=sys.stderr,
         )
         config = build_config(args)
-        return _COMMANDS[args.subcommand](config, args)
+        command, _, with_input = _COMMANDS[args.subcommand]
+        run = _Run(args.subcommand, config)
+        diagnostics = []
+        if with_input:
+            run.record_inputs(args.input)
+            corpus, diagnostics = _load_corpus(run, args.input)
+            summary = command(run, corpus, diagnostics)
+        else:
+            summary = command(run, args)
+        run.finish()
+        print(summary)
+        return 2 if diagnostics else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

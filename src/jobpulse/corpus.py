@@ -12,12 +12,14 @@ silently.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import enum
+import io
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -59,6 +61,15 @@ def parse_region(label: str) -> Region:
         return Region(label)
     except ValueError:
         raise InputError(f"unknown region {label!r}: expected one of LA, SB, SD") from None
+
+
+def csv_text(header, rows) -> str:
+    """Render a header row and data rows as CSV text with '\\n' line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def normalize_text(s: str) -> tuple[str, ...]:
@@ -117,7 +128,6 @@ class Corpus:
 
     postings: tuple[Posting, ...]
     sources: tuple[str, ...] = ()
-    loaded_at: dt.datetime = field(default_factory=dt.datetime.now)
 
     def __len__(self) -> int:
         return len(self.postings)

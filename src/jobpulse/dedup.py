@@ -13,13 +13,11 @@ groups for transparency.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import Posting, Region
+from .corpus import Posting, Region, csv_text
 from .errors import ContractError
 from .matcher import MatchRecord
 from .taxonomy import Jst, JstLevel
@@ -130,29 +128,18 @@ def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
     return CrossRegionReport(groups=tuple(groups))
 
 
-def cross_region_expand(
-    records: list[MatchRecord], postings: list[Posting]
-) -> tuple[list[MatchRecord], CrossRegionReport]:
-    """Pass records through unchanged, counting cross-region repeats for transparency."""
-    return records, cross_region_report(postings)
-
-
 def render_ledger_csv(ledger: DemandLedger) -> str:
     """Ledger export: job_id,region,function,family,title,weight_num,weight_den."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LEDGER_HEADER)
-    for a in ledger.assignments:
-        title = a.jst.title.name if a.jst.level is JstLevel.TITLE and a.jst.title else ""
-        writer.writerow(
-            [
-                a.job_id,
-                a.region.value,
-                a.jst.family.function.value,
-                a.jst.family.name,
-                title,
-                a.weight.numerator,
-                a.weight.denominator,
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        [
+            a.job_id,
+            a.region.value,
+            a.jst.family.function.value,
+            a.jst.family.name,
+            a.jst.title.name if a.jst.level is JstLevel.TITLE and a.jst.title else "",
+            a.weight.numerator,
+            a.weight.denominator,
+        ]
+        for a in ledger.assignments
+    )
+    return csv_text(LEDGER_HEADER, rows)

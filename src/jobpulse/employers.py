@@ -23,13 +23,11 @@ member (the parent), ties broken lexicographically.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import Region, normalize_text
+from .corpus import Region, csv_text, normalize_text
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
@@ -84,7 +82,6 @@ class CanonicalEmployer:
 
     canonical_name: str
     members: frozenset[str]
-    posting_count: Fraction = Fraction(0)
 
 
 def normalize_name(
@@ -253,15 +250,13 @@ def employer_stats(
 
 def render_employers_csv(report: EmployerReport) -> str:
     """Per-employer export: canonical_name,units,units_num,units_den,share_pct."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["canonical_name", "units", "units_num", "units_den", "share_pct"])
+    rows = []
     for name, count in report.ranked:
         share = count / report.unit_total if report.unit_total else Fraction(0)
-        writer.writerow(
+        rows.append(
             [name, render_decimal(count), count.numerator, count.denominator, render_pct(share)]
         )
-    return buf.getvalue()
+    return csv_text(["canonical_name", "units", "units_num", "units_den", "share_pct"], rows)
 
 
 def render_employers_text(report: EmployerReport) -> str:
@@ -283,9 +278,5 @@ def render_employers_text(report: EmployerReport) -> str:
 
 def render_mapping_csv(mapping: dict[str, CanonicalEmployer]) -> str:
     """Mapping export: raw_name,canonical_name (sorted by raw name)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["raw_name", "canonical_name"])
-    for raw in sorted(mapping):
-        writer.writerow([raw, mapping[raw].canonical_name])
-    return buf.getvalue()
+    rows = ([raw, mapping[raw].canonical_name] for raw in sorted(mapping))
+    return csv_text(["raw_name", "canonical_name"], rows)

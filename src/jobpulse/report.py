@@ -9,16 +9,14 @@ atomically (temp + rename).
 
 from __future__ import annotations
 
-import csv
-import io
+import contextlib
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import Region
+from .corpus import Region, csv_text
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .taxonomy import JobFunction, Taxonomy
@@ -212,13 +210,11 @@ def ratio(a: Fraction | int, b: Fraction | int) -> RatioResult:
 
 
 def render_funnel_csv(report: FunnelReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage", "count", "reduction_pct"])
+    rows = []
     for i, (label, count) in enumerate(report.stages):
         reduction = render_pct(report.reductions[i - 1]) if i > 0 else ""
-        writer.writerow([label, count, reduction])
-    return buf.getvalue()
+        rows.append([label, count, reduction])
+    return csv_text(["stage", "count", "reduction_pct"], rows)
 
 
 def render_funnel_text(report: FunnelReport) -> str:
@@ -231,15 +227,13 @@ def render_funnel_text(report: FunnelReport) -> str:
 
 
 def render_demand_csv(table: DemandTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([table.level, "la", "sb", "sd", "total", "total_num", "total_den"])
+    rows = []
     for row in list(table.rows) + [None]:
         if row is None:
             label, by_region, total = "TOTAL", table.grand_by_region, table.grand_total
         else:
             label, by_region, total = row.label, row.by_region, row.total
-        writer.writerow(
+        rows.append(
             [
                 label,
                 render_decimal(by_region.get(Region.LA, Fraction(0))),
@@ -250,7 +244,7 @@ def render_demand_csv(table: DemandTable) -> str:
                 total.denominator,
             ]
         )
-    return buf.getvalue()
+    return csv_text([table.level, "la", "sb", "sd", "total", "total_num", "total_den"], rows)
 
 
 def render_demand_text(table: DemandTable) -> str:
@@ -277,17 +271,22 @@ def render_demand_text(table: DemandTable) -> str:
 
 
 def write_text_atomic(path: str | Path, content: str) -> None:
-    """Write a file atomically: temp file in the target directory, then rename."""
+    """Write a file atomically: temp file in the target directory, then rename.
+
+    The temp file is created exclusively under a name holding the process id,
+    so the file gets the permissions the umask allows (``mkstemp`` would make
+    it 0600).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(tmp)  # left over by a dead process that had this process id
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.write(content)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import logging
 import random
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .corpus import (
     DEFAULT_WINDOW_START,
     Posting,
     Region,
+    csv_text,
     normalize_text,
     posting_to_json,
 )
@@ -677,22 +677,19 @@ def build_corpus(config: SynthConfig, taxonomy: Taxonomy) -> tuple[list[Posting]
 
 
 def render_truth_csv(truth: GroundTruth) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRUTH_HEADER)
-    for row in truth.rows:
-        writer.writerow(
-            [
-                row.job_id,
-                row.region.value,
-                "1" if row.off_industry else "0",
-                "|".join(row.jsts),
-                row.employer_name,
-                row.employer_identity,
-                row.cross_region_group if row.cross_region_group is not None else "",
-            ]
-        )
-    return buf.getvalue()
+    rows = (
+        [
+            row.job_id,
+            row.region.value,
+            "1" if row.off_industry else "0",
+            "|".join(row.jsts),
+            row.employer_name,
+            row.employer_identity,
+            row.cross_region_group if row.cross_region_group is not None else "",
+        ]
+        for row in truth.rows
+    )
+    return csv_text(TRUTH_HEADER, rows)
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:

@@ -1,8 +1,14 @@
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jobpulse.cli import main
+import jobpulse
+from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Region
 
 from conftest import make_record, write_jsonl
@@ -291,3 +297,112 @@ def test_report_when_nothing_matches(tmp_path):
     manifest = _manifest(out / "manifest.txt")
     assert manifest["count.demand_units"] == "0"
     assert manifest["count.filtered_observations"] == "0"
+
+
+# -- config keys: file, flags, manifest ---------------------------------------
+
+# key, flag, subcommand that has the flag, file value, flag value, whether
+# argparse accepts an empty flag (an accepted empty flag is ignored), and a bad
+# file value with its error message.
+_CONFIG_KEYS = [
+    ("taxonomy", "--taxonomy", "discover", "{tmp}/tax_file.csv", "{tmp}/tax_flag.csv", True, None),
+    ("dictionary", "--dictionary", "discover", "{tmp}/dict_file.txt", "{tmp}/dict_flag.txt", True, None),
+    ("industry_token", "--industry-token", "discover", "wafer", "fab", True, None),
+    ("filter_mode", "--filter-mode", "discover", "all_fields", "any_field", False, None),
+    ("regions", "--regions", "discover", "SB,LA", "SD", True,
+     ("XX", "unknown region 'XX': expected one of LA, SB, SD")),
+    ("window_start", "--window-start", "discover", "2025-03-20", "2025-03-25", True,
+     ("2025-13-01", "window_start must be YYYY-MM-DD, got '2025-13-01'")),
+    ("window_end", "--window-end", "discover", "2025-06-01", "2025-05-30", True,
+     ("June", "window_end must be YYYY-MM-DD, got 'June'")),
+    ("out_dir", "--out", "discover", "{tmp}/out_file", "{tmp}/out_flag", True, None),
+    ("format", "--format", "discover", "text", "csv", False, None),
+    ("min_count", "--min-count", "discover", "4", "6", False, ("x", "min_count must be an integer, got 'x'")),
+    ("top_k", "--top-k", "report", "4", "6", False, ("2.5", "top_k must be an integer, got '2.5'")),
+]
+
+
+@pytest.mark.parametrize("row", _CONFIG_KEYS, ids=[row[0] for row in _CONFIG_KEYS])
+def test_config_key_file_flag_and_manifest(tmp_path, row, capsys):
+    key, flag, subcommand, file_value, flag_value, empty_accepted, bad = row
+    file_value = file_value.format(tmp=tmp_path)
+    flag_value = flag_value.format(tmp=tmp_path)
+    for name in ("tax_file.csv", "tax_flag.csv"):
+        (tmp_path / name).write_bytes(DEFAULT_TAXONOMY.read_bytes())
+    for name in ("dict_file.txt", "dict_flag.txt"):
+        (tmp_path / name).write_bytes(DEFAULT_DICTIONARY.read_bytes())
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    config = tmp_path / "jobpulse.conf"
+    default_out = tmp_path / "out_default"
+
+    def run(*flags: str, value: str = file_value) -> int:
+        config.write_text(f"{key} = {value}\n", encoding="utf-8")
+        args = [subcommand, "--config", str(config), "--input", str(empty), *flags]
+        if key != "out_dir":
+            args += ["--out", str(default_out)]
+        return main(args)
+
+    def manifest_value(out: Path):
+        manifest = _manifest(out / "manifest.txt")
+        assert not any(k.startswith("config.out") for k in manifest)
+        return manifest.get(f"config.{key}")
+
+    # out_dir is not in the manifest; where the run writes shows its value.
+    if key == "out_dir":
+        file_out, flag_out = Path(file_value), Path(flag_value)
+        file_value_seen = flag_value_seen = None
+    else:
+        file_out = flag_out = default_out
+        file_value_seen, flag_value_seen = file_value, flag_value
+
+    # The file value reaches the manifest.
+    assert run() == 0, capsys.readouterr().err
+    assert manifest_value(file_out) == file_value_seen
+    shutil.rmtree(file_out)
+
+    # A flag beats the file value.
+    assert run(flag, flag_value) == 0, capsys.readouterr().err
+    assert manifest_value(flag_out) == flag_value_seen
+    assert not file_out.exists() or file_out == flag_out
+
+    # An empty flag is ignored where argparse accepts it, rejected otherwise.
+    capsys.readouterr()
+    rc = run(flag, "")
+    if empty_accepted:
+        assert rc == 0, capsys.readouterr().err
+        assert manifest_value(file_out) == file_value_seen
+    else:
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: argument ")
+
+    # A bad file value exits 1 with a one-line message.
+    if bad is not None:
+        bad_value, message = bad
+        capsys.readouterr()
+        assert run(value=bad_value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_artifacts_identical_across_hash_seeds(tmp_path):
+    """synth + report in fresh processes give the same bytes under any PYTHONHASHSEED."""
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    src = str(Path(jobpulse.__file__).parents[1])
+    snapshots = []
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        for args in (
+            ["synth", "--n-postings", "3000", "--out", str(fixture)],
+            ["report", "--input", *inputs, "--out", str(out)],
+        ):
+            subprocess.run([sys.executable, "-m", "jobpulse.cli", *args], env=env, check=True, capture_output=True)
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        snapshots.append({p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in files})
+        shutil.rmtree(fixture)
+        shutil.rmtree(out)
+    assert "out/manifest.txt" in snapshots[0] and "out/ledger.csv" in snapshots[0]
+    for snapshot in snapshots[1:]:
+        assert snapshot.keys() == snapshots[0].keys()
+        for name, content in snapshot.items():
+            assert content == snapshots[0][name], name

@@ -7,7 +7,6 @@ from jobpulse.corpus import Region
 from jobpulse.dedup import (
     LEDGER_HEADER,
     WeightedAssignment,
-    cross_region_expand,
     cross_region_report,
     render_ledger_csv,
     weight_assignments,
@@ -142,8 +141,7 @@ def test_cross_region_pair_is_two_units_and_one_group(shipped_taxonomy):
         _record(shipped_taxonomy, "J1", ["etch engineer"], Region.LA),
         _record(shipped_taxonomy, "J2", ["etch engineer"], Region.SD),
     ]
-    passed_through, report = cross_region_expand(records, postings)
-    assert passed_through == records
+    report = cross_region_report(postings)
     assert len(report) == 1
     assert report.groups[0].members == (("J1", Region.LA), ("J2", Region.SD))
     assert weight_assignments(records).unit_count == 2

@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
@@ -289,3 +291,31 @@ def test_write_text_atomic_replaces_and_cleans_up(tmp_path):
     assert target.read_text(encoding="utf-8") == "second\n"
     leftovers = [p for p in target.parent.iterdir() if p.name != "table.csv"]
     assert leftovers == []
+
+
+def test_write_text_atomic_honours_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_text_atomic(tmp_path / "a.csv", "x\n")
+        os.umask(0o027)
+        write_text_atomic(tmp_path / "b.csv", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == 0o644
+    assert stat.S_IMODE((tmp_path / "b.csv").stat().st_mode) == 0o640
+
+
+def test_write_text_atomic_replaces_stale_temp_file(tmp_path):
+    target = tmp_path / "table.csv"
+    stale = tmp_path / f".table.csv.{os.getpid()}.tmp"
+    stale.write_text("left over by a dead process\n", encoding="utf-8")
+    write_text_atomic(target, "fresh\n")
+    assert target.read_text(encoding="utf-8") == "fresh\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+def test_write_text_atomic_cleans_up_on_failure(tmp_path):
+    target = tmp_path / "table.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(target, "lone surrogate \udc80")
+    assert list(tmp_path.iterdir()) == []
