@@ -40,6 +40,9 @@ MANIFEST_NAME = "manifest.txt"
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_TAXONOMY = _DATA_DIR / "taxonomy.csv"
 DEFAULT_DICTIONARY = _DATA_DIR / "name_dictionary.txt"
+# Config keys that name data files: the manifest records each file's sha256,
+# and the bundled default as "bundled:<name>", the same in every checkout.
+_DATA_FILE_DEFAULTS = {"taxonomy": DEFAULT_TAXONOMY, "dictionary": DEFAULT_DICTIONARY}
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,10 @@ class PipelineConfig:
             if in_manifest:
                 value = getattr(self, field)
                 text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                default = _DATA_FILE_DEFAULTS.get(key)
+                if default is not None:
+                    items.append((f"config.{key}.sha256", _sha256_file(text)))
+                    text = f"bundled:{default.name}" if text == str(default) else text
                 items.append((f"config.{key}", text))
         return items
 

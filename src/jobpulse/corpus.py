@@ -51,6 +51,8 @@ class Region(enum.Enum):
     SB = "SB"
     SD = "SD"
 
+    __hash__ = object.__hash__  # members compare by identity; skips Enum's Python-level hash
+
     def __str__(self) -> str:
         return self.value
 

@@ -2,8 +2,9 @@
 
 A posting matched by k terms contributes k assignments of weight 1/k, so
 every distinct (job_id, region) carries exactly one unit of demand no
-matter how many terms describe it. Weights are exact rationals internally;
-decimal rendering happens only at report time, confining rounding to
+matter how many terms describe it. Weights are exact rationals; the ledger
+sums them once, as integers over the common denominator of all weights,
+and decimal rendering happens only at report time, confining rounding to
 presentation.
 
 Content-identical postings listed in several regions under different job
@@ -14,8 +15,10 @@ groups for transparency.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .corpus import Posting, Region, csv_text
 from .errors import ContractError
@@ -37,7 +40,7 @@ class WeightedAssignment:
     weight: Fraction
 
     def __post_init__(self) -> None:
-        if not (0 < self.weight <= 1):
+        if not (0 < self.weight.numerator <= self.weight.denominator):
             raise ContractError(f"weight {self.weight} for {self.job_id} outside (0, 1]")
 
 
@@ -49,10 +52,23 @@ class DemandLedger:
     unit_count: int
 
     def total_weight(self) -> Fraction:
-        return sum((a.weight for a in self.assignments), start=Fraction(0))
+        denominator, sums = self.term_sums
+        return Fraction(sum(sum(per_region.values()) for per_region in sums.values()), denominator)
 
-    def units(self) -> set[tuple[str, Region]]:
-        return {(a.job_id, a.region) for a in self.assignments}
+    @cached_property
+    def term_sums(self) -> tuple[int, dict[Jst, dict[Region, int]]]:
+        """(L, sums): weights summed per term and region, in units of 1/L.
+
+        L is the least common multiple of the weight denominators, so every
+        sum is an exact integer numerator over L.
+        """
+        denominator = math.lcm(*{a.weight.denominator for a in self.assignments})
+        sums: dict[Jst, dict[Region, int]] = {}
+        for a in self.assignments:
+            per_region = sums.setdefault(a.jst, {})
+            units = a.weight.numerator * (denominator // a.weight.denominator)
+            per_region[a.region] = per_region.get(a.region, 0) + units
+        return denominator, sums
 
 
 def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
@@ -65,6 +81,7 @@ def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
     """
     seen: set[tuple[str, Region]] = set()
     assignments: list[WeightedAssignment] = []
+    shares: dict[int, Fraction] = {}
     for record in records:
         key = (record.job_id, record.region)
         if key in seen:
@@ -73,11 +90,9 @@ def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
             )
         seen.add(key)
         k = len(record.matched_jsts)
-        share = Fraction(1, k)
+        share = shares.get(k) or shares.setdefault(k, Fraction(1, k))
         for jst in record.matched_jsts:
-            assignments.append(
-                WeightedAssignment(job_id=record.job_id, region=record.region, jst=jst, weight=share)
-            )
+            assignments.append(WeightedAssignment(record.job_id, record.region, jst, share))
     assignments.sort(key=lambda a: (a.job_id, a.region.value, a.jst.phrase))
     ledger = DemandLedger(assignments=tuple(assignments), unit_count=len(seen))
     total = ledger.total_weight()
@@ -130,16 +145,17 @@ def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
 
 def render_ledger_csv(ledger: DemandLedger) -> str:
     """Ledger export: job_id,region,function,family,title,weight_num,weight_den."""
+    _, sums = ledger.term_sums  # keyed by the ledger's distinct terms
+    term_columns = {
+        jst: (
+            jst.family.function.value,
+            jst.family.name,
+            jst.title.name if jst.level is JstLevel.TITLE and jst.title else "",
+        )
+        for jst in sums
+    }
     rows = (
-        [
-            a.job_id,
-            a.region.value,
-            a.jst.family.function.value,
-            a.jst.family.name,
-            a.jst.title.name if a.jst.level is JstLevel.TITLE and a.jst.title else "",
-            a.weight.numerator,
-            a.weight.denominator,
-        ]
+        [a.job_id, a.region.value, *term_columns[a.jst], a.weight.numerator, a.weight.denominator]
         for a in ledger.assignments
     )
     return csv_text(LEDGER_HEADER, rows)

@@ -182,16 +182,12 @@ class EmployerReport:
 
     raw_name_count: int
     employer_count: int
-    unit_total: Fraction
+    unit_total: int
     mean_units: Fraction
-    ranked: tuple[tuple[str, Fraction], ...]
+    ranked: tuple[tuple[str, int], ...]
     top_k: int
-    top_total: Fraction
+    top_total: int
     top_share: Fraction
-
-    @property
-    def top(self) -> tuple[tuple[str, Fraction], ...]:
-        return self.ranked[: self.top_k]
 
     @property
     def mean_label(self) -> str:
@@ -201,6 +197,9 @@ class EmployerReport:
     def top_share_label(self) -> str:
         return render_pct(self.top_share, 1)
 
+    def share(self, units: int) -> Fraction:
+        return Fraction(units, self.unit_total) if self.unit_total else Fraction(0)
+
 
 def employer_stats(
     ledger: DemandLedger,
@@ -208,19 +207,17 @@ def employer_stats(
     unit_employers: dict[tuple[str, Region], str],
     top_k: int = 3,
 ) -> EmployerReport:
-    """Aggregate demand units per canonical employer.
+    """Count demand units per canonical employer.
 
+    Every unit of a ledger built by ``weight_assignments`` weighs exactly 1
+    (its k shares of 1/k), so an employer's demand is its number of units.
     ``unit_employers`` links each (job_id, region) demand unit to its raw
     employer name; every linked name must appear in the mapping or the
     upstream contract was violated.
     """
-    unit_weights: dict[tuple[str, Region], Fraction] = {}
-    for a in ledger.assignments:
-        key = (a.job_id, a.region)
-        unit_weights[key] = unit_weights.get(key, Fraction(0)) + a.weight
-    counts: dict[str, Fraction] = {}
+    counts: dict[str, int] = {}
     raw_seen: set[str] = set()
-    for key, weight in unit_weights.items():
+    for key in dict.fromkeys((a.job_id, a.region) for a in ledger.assignments):
         try:
             raw = unit_employers[key]
         except KeyError:
@@ -229,33 +226,29 @@ def employer_stats(
         if employer is None:
             raise ContractError(f"employer name {raw!r} missing from canonical mapping")
         raw_seen.add(raw)
-        counts[employer.canonical_name] = counts.get(employer.canonical_name, Fraction(0)) + weight
-    total = sum(counts.values(), start=Fraction(0))
+        counts[employer.canonical_name] = counts.get(employer.canonical_name, 0) + 1
+    total = sum(counts.values())
     employer_count = len(counts)
-    mean = total / employer_count if employer_count else Fraction(0)
     ranked = tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
-    top_total = sum((count for _, count in ranked[:top_k]), start=Fraction(0))
-    top_share = top_total / total if total else Fraction(0)
+    top_total = sum(count for _, count in ranked[:top_k])
     return EmployerReport(
         raw_name_count=len(raw_seen),
         employer_count=employer_count,
         unit_total=total,
-        mean_units=mean,
+        mean_units=Fraction(total, employer_count) if employer_count else Fraction(0),
         ranked=ranked,
         top_k=top_k,
         top_total=top_total,
-        top_share=top_share,
+        top_share=Fraction(top_total, total) if total else Fraction(0),
     )
 
 
 def render_employers_csv(report: EmployerReport) -> str:
     """Per-employer export: canonical_name,units,units_num,units_den,share_pct."""
-    rows = []
-    for name, count in report.ranked:
-        share = count / report.unit_total if report.unit_total else Fraction(0)
-        rows.append(
-            [name, render_decimal(count), count.numerator, count.denominator, render_pct(share)]
-        )
+    rows = (
+        [name, render_decimal(count), count, 1, render_pct(report.share(count))]
+        for name, count in report.ranked
+    )
     return csv_text(["canonical_name", "units", "units_num", "units_den", "share_pct"], rows)
 
 
@@ -271,8 +264,7 @@ def render_employers_text(report: EmployerReport) -> str:
     width = max([len(name) for name, _ in report.ranked], default=8)
     lines.append(f"{'employer'.ljust(width)}  {'units':>9}  share")
     for name, count in report.ranked:
-        share = count / report.unit_total if report.unit_total else Fraction(0)
-        lines.append(f"{name.ljust(width)}  {render_decimal(count):>9}  {render_pct(share)}")
+        lines.append(f"{name.ljust(width)}  {render_decimal(count):>9}  {render_pct(report.share(count))}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ across postings is safe with a deterministic merge in posting order.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 from .corpus import Corpus, Posting, Region, normalize_text
@@ -30,10 +31,13 @@ FILTER_ANY_FIELD = "any_field"
 FILTER_ALL_FIELDS = "all_fields"
 FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 
+# The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
+_RUN_RE = re.compile(r"[^\W_]+")
+
 
 def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
     """Split hyphenated tokens into their parts for matching."""
-    if not any("-" in t for t in tokens):
+    if "-" not in "".join(tokens):
         return tokens
     out: list[str] = []
     for t in tokens:
@@ -42,6 +46,11 @@ def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
         else:
             out.append(t)
     return tuple(out)
+
+
+def expanded_tokens(text: str) -> tuple[str, ...]:
+    """``expand_hyphens(normalize_text(text))`` in one regex pass."""
+    return tuple(_RUN_RE.findall(text.lower()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,13 +123,9 @@ class MatchIndex:
         expanded = expand_hyphens(tokens)
         hits: set[Jst] = set()
         by_first = self._by_first
-        n = len(expanded)
         for i, tok in enumerate(expanded):
             for phrase, jst in by_first.get(tok, ()):
-                if jst in hits:
-                    continue
-                end = i + len(phrase)
-                if end <= n and phrase == expanded[i:end]:
+                if expanded[i : i + len(phrase)] == phrase:
                     hits.add(jst)
         return hits
 
@@ -133,8 +138,8 @@ def match_posting(posting: Posting, taxonomy: Taxonomy, index: MatchIndex | None
     """
     if index is None:
         index = MatchIndex(taxonomy)
-    title_hits = index.scan(normalize_text(posting.title))
-    desc_hits = index.scan(normalize_text(posting.job_description))
+    title_hits = index.scan(expanded_tokens(posting.title))
+    desc_hits = index.scan(expanded_tokens(posting.job_description))
     matched = title_hits | desc_hits
     if not matched:
         return None
@@ -164,21 +169,30 @@ def industry_filter(posting: Posting, industry_token: str, mode: str = FILTER_AN
     description or the employer description; ``all_fields`` requires both.
     The title is not consulted.
     """
+    return _industry_predicate(industry_token, mode)(posting)
+
+
+def _industry_predicate(industry_token: str, mode: str):
+    """Validate the filter arguments once and return the per-posting test."""
     if mode not in FILTER_MODES:
         raise InputError(f"unknown filter mode {mode!r}: expected one of {FILTER_MODES}")
     token = validate_industry_token(industry_token)
-    in_job = token in expand_hyphens(normalize_text(posting.job_description))
-    in_employer = token in expand_hyphens(normalize_text(posting.employer_description))
+
+    def occurs(text: str) -> bool:  # token in expanded_tokens(text), checked as a substring first
+        lowered = text.lower()
+        return token in lowered and token in _RUN_RE.findall(lowered)
+
     if mode == FILTER_ALL_FIELDS:
-        return in_job and in_employer
-    return in_job or in_employer
+        return lambda p: occurs(p.job_description) and occurs(p.employer_description)
+    return lambda p: occurs(p.job_description) or occurs(p.employer_description)
 
 
 def filter_corpus(
     postings: Corpus | list[Posting], industry_token: str, mode: str = FILTER_ANY_FIELD
 ) -> list[Posting]:
     """Postings passing the industry filter, in input order."""
-    return [p for p in postings if industry_filter(p, industry_token, mode)]
+    keep = _industry_predicate(industry_token, mode)
+    return [p for p in postings if keep(p)]
 
 
 def discover_candidate_titles(
@@ -201,7 +215,7 @@ def discover_candidate_titles(
     role_set = set(role_words)
     counts: dict[str, int] = {}
     for posting in postings:
-        tokens = expand_hyphens(normalize_text(posting.title))
+        tokens = expanded_tokens(posting.title)
         if index.scan(tokens):
             continue
         grams: set[str] = set()

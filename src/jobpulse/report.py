@@ -34,12 +34,11 @@ DEFAULT_FUNNEL_LABELS = ("raw_observations", "industry_filtered", "dedup_units")
 
 def render_decimal(x: Fraction | int, places: int = 1) -> str:
     """Render an exact rational to fixed decimals, rounding half away from zero."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
+    numerator, denominator = x.as_integer_ratio()
+    sign = "-" if numerator < 0 else ""
     scale = 10**places
-    scaled = abs(x) * scale
-    n = scaled.numerator // scaled.denominator
-    if (scaled - n) >= Fraction(1, 2):
+    n, remainder = divmod(abs(numerator) * scale, denominator)
+    if 2 * remainder >= denominator:
         n += 1
     if places == 0:
         return f"{sign}{n}"
@@ -104,17 +103,25 @@ class DemandTable:
     grand_by_region: dict[Region, Fraction]
 
 
-def _labels_for(level: str, taxonomy: Taxonomy, function: JobFunction | None) -> list[str]:
+def _labels_for(level: str, taxonomy: Taxonomy | None, function: JobFunction | None) -> list[str]:
+    """The labels a table lists even at zero demand."""
+    if level == LEVEL_REGION:
+        return [r.value for r in Region]
+    if taxonomy is None:
+        return []
     if level == LEVEL_FUNCTION:
-        funcs = [function] if function else list(JobFunction)
-        return [f.value for f in funcs]
+        return [f.value for f in ([function] if function else JobFunction)]
     if level == LEVEL_FAMILY:
-        families = taxonomy.families if function is None else taxonomy.families_of(function)
-        return [f.name for f in families]
-    if level == LEVEL_TITLE:
-        jsts = taxonomy.jsts if function is None else taxonomy.jsts_of(function)
-        return [j.phrase for j in jsts]
-    return [r.value for r in Region]
+        return [f.name for f in (taxonomy.families if function is None else taxonomy.families_of(function))]
+    return [j.phrase for j in (taxonomy.jsts if function is None else taxonomy.jsts_of(function))]
+
+
+_LABEL_OF = {
+    LEVEL_FUNCTION: lambda jst, region: jst.family.function.value,
+    LEVEL_FAMILY: lambda jst, region: jst.family.name,
+    LEVEL_TITLE: lambda jst, region: jst.phrase,
+    LEVEL_REGION: lambda jst, region: region.value,
+}
 
 
 def demand_by(
@@ -125,46 +132,41 @@ def demand_by(
 ) -> DemandTable:
     """Aggregate the ledger at the requested level with exact rational sums.
 
-    With a taxonomy, every label at that level appears even at zero demand
-    (near-zero roles stay visible); ``function`` restricts rows to one job
-    function. Rows are ordered by total descending, label ascending.
+    Rolls up the ledger's per-term integer sums (``DemandLedger.term_sums``,
+    computed once per ledger), so every total is exact and becomes a
+    ``Fraction`` only here. With a taxonomy, every label at that level
+    appears even at zero demand (near-zero roles stay visible); ``function``
+    restricts rows to one job function. Rows are ordered by total
+    descending, label ascending.
     """
     if level not in LEVELS:
         raise InputError(f"unknown level {level!r}: expected one of {LEVELS}")
-    totals: dict[str, dict[Region, Fraction]] = {}
-    if taxonomy is not None or level == LEVEL_REGION:
-        seed_labels = _labels_for(level, taxonomy, function) if taxonomy else [r.value for r in Region]
-        for label in seed_labels:
-            totals[label] = {}
-    for a in ledger.assignments:
-        if function is not None and a.jst.family.function is not function:
+    totals: dict[str, dict[Region, int]] = {label: {} for label in _labels_for(level, taxonomy, function)}
+    denominator, sums = ledger.term_sums
+    label_of = _LABEL_OF[level]
+    for jst, per_term in sums.items():
+        if function is not None and jst.family.function is not function:
             continue
-        if level == LEVEL_FUNCTION:
-            label = a.jst.family.function.value
-        elif level == LEVEL_FAMILY:
-            label = a.jst.family.name
-        elif level == LEVEL_TITLE:
-            label = a.jst.phrase
-        else:
-            label = a.region.value
-        per_region = totals.setdefault(label, {})
-        per_region[a.region] = per_region.get(a.region, Fraction(0)) + a.weight
+        for region, units in per_term.items():
+            per_region = totals.setdefault(label_of(jst, region), {})
+            per_region[region] = per_region.get(region, 0) + units
+    grand: dict[Region, int] = {}
     rows = []
-    for label, per_region in totals.items():
-        total = sum(per_region.values(), start=Fraction(0))
-        rows.append(DemandRow(label=label, by_region=dict(per_region), total=total))
-    rows.sort(key=lambda r: (-r.total, r.label))
-    grand_by_region: dict[Region, Fraction] = {}
-    for row in rows:
-        for region, value in row.by_region.items():
-            grand_by_region[region] = grand_by_region.get(region, Fraction(0)) + value
-    grand_total = sum((r.total for r in rows), start=Fraction(0))
+    for label, per_region in sorted(totals.items(), key=lambda item: (-sum(item[1].values()), item[0])):
+        for region, units in per_region.items():
+            grand[region] = grand.get(region, 0) + units
+        total = Fraction(sum(per_region.values()), denominator)
+        rows.append(DemandRow(label=label, by_region=_fractions(per_region, denominator), total=total))
     return DemandTable(
         level=level,
         rows=tuple(rows),
-        grand_total=grand_total,
-        grand_by_region=grand_by_region,
+        grand_total=Fraction(sum(grand.values()), denominator),
+        grand_by_region=_fractions(grand, denominator),
     )
+
+
+def _fractions(per_region: dict[Region, int], denominator: int) -> dict[Region, Fraction]:
+    return {region: Fraction(units, denominator) for region, units in per_region.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,24 +228,16 @@ def render_funnel_text(report: FunnelReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _demand_rows(table: DemandTable):
+    """Rendered (label, la, sb, sd, total) plus the exact total, per row and for TOTAL."""
+    rows = [(r.label, r.by_region, r.total) for r in table.rows]
+    for label, by_region, total in rows + [("TOTAL", table.grand_by_region, table.grand_total)]:
+        cells = [render_decimal(by_region.get(region, 0)) for region in Region]
+        yield label, *cells, render_decimal(total), total
+
+
 def render_demand_csv(table: DemandTable) -> str:
-    rows = []
-    for row in list(table.rows) + [None]:
-        if row is None:
-            label, by_region, total = "TOTAL", table.grand_by_region, table.grand_total
-        else:
-            label, by_region, total = row.label, row.by_region, row.total
-        rows.append(
-            [
-                label,
-                render_decimal(by_region.get(Region.LA, Fraction(0))),
-                render_decimal(by_region.get(Region.SB, Fraction(0))),
-                render_decimal(by_region.get(Region.SD, Fraction(0))),
-                render_decimal(total),
-                total.numerator,
-                total.denominator,
-            ]
-        )
+    rows = ([*cells, total.numerator, total.denominator] for *cells, total in _demand_rows(table))
     return csv_text([table.level, "la", "sb", "sd", "total", "total_num", "total_den"], rows)
 
 
@@ -252,21 +246,8 @@ def render_demand_text(table: DemandTable) -> str:
     width = max(len(label) for label in labels)
     header = f"{table.level.ljust(width)}  {'LA':>9}  {'SB':>9}  {'SD':>9}  {'total':>10}"
     lines = [header, "-" * len(header)]
-    for row in table.rows:
-        lines.append(
-            f"{row.label.ljust(width)}"
-            f"  {render_decimal(row.by_region.get(Region.LA, Fraction(0))):>9}"
-            f"  {render_decimal(row.by_region.get(Region.SB, Fraction(0))):>9}"
-            f"  {render_decimal(row.by_region.get(Region.SD, Fraction(0))):>9}"
-            f"  {render_decimal(row.total):>10}"
-        )
-    lines.append(
-        f"{'TOTAL'.ljust(width)}"
-        f"  {render_decimal(table.grand_by_region.get(Region.LA, Fraction(0))):>9}"
-        f"  {render_decimal(table.grand_by_region.get(Region.SB, Fraction(0))):>9}"
-        f"  {render_decimal(table.grand_by_region.get(Region.SD, Fraction(0))):>9}"
-        f"  {render_decimal(table.grand_total):>10}"
-    )
+    for label, la, sb, sd, total, _ in _demand_rows(table):
+        lines.append(f"{label.ljust(width)}  {la:>9}  {sb:>9}  {sd:>9}  {total:>10}")
     return "\n".join(lines) + "\n"
 
 

@@ -42,7 +42,7 @@ from .corpus import (
     posting_to_json,
 )
 from .errors import ContractError, InputError
-from .matcher import DEFAULT_ROLE_WORDS, MatchIndex, expand_hyphens
+from .matcher import DEFAULT_ROLE_WORDS, MatchIndex, expand_hyphens, filter_corpus, match_posting
 from .taxonomy import JobFunction, Jst, Taxonomy
 
 logger = logging.getLogger(__name__)
@@ -651,20 +651,16 @@ class _Generator:
 
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
         """Planted truth must agree with exact matching semantics by construction."""
-        token = self.industry_token
+        on_industry = {id(p) for p in filter_corpus(postings, self.industry_token)}
         for posting, row in zip(postings, rows):
-            hits = self.index.scan(normalize_text(posting.title)) | self.index.scan(
-                normalize_text(posting.job_description)
-            )
-            if sorted(j.phrase for j in hits) != sorted(row.jsts):
+            record = match_posting(posting, self.taxonomy, self.index)
+            seen = sorted(j.phrase for j in record.matched_jsts) if record else []
+            if seen != sorted(row.jsts):
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: planted "
-                    f"{sorted(row.jsts)} but matching sees {sorted(j.phrase for j in hits)}"
+                    f"{sorted(row.jsts)} but matching sees {seen}"
                 )
-            on_industry = token in expand_hyphens(
-                normalize_text(posting.job_description)
-            ) or token in expand_hyphens(normalize_text(posting.employer_description))
-            if on_industry == row.off_industry:
+            if (id(posting) in on_industry) == row.off_industry:
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: industry token "
                     f"presence contradicts the off_industry flag"

@@ -84,12 +84,20 @@ class Jst:
     level: JstLevel
     family: JobFamily
     title: JobTitle | None = None
+    # Equality stays by value; the value hash is computed once, because
+    # matching and aggregation hash every term occurrence.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level is JstLevel.FAMILY and self.title is not None:
             raise InputError(f"family-level term {self.phrase!r} must not carry a title")
         if self.level is JstLevel.TITLE and self.title is None:
             raise InputError(f"title-level term {self.phrase!r} must carry a title")
+        value = (self.phrase, self.tokens, self.level, self.family, self.title)
+        object.__setattr__(self, "_hash", hash(value))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,12 @@ def fixture_corpus(tmp_path):
 
 
 def _manifest(path) -> dict[str, str]:
+    return _manifest_text(path.read_text(encoding="utf-8"))
+
+
+def _manifest_text(text: str) -> dict[str, str]:
     items = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         key, _, value = line.partition(" = ")
         items[key] = value
     return items
@@ -406,3 +410,41 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
         assert snapshot.keys() == snapshots[0].keys()
         for name, content in snapshot.items():
             assert content == snapshots[0][name], name
+
+
+def test_manifest_identical_across_checkouts(tmp_path):
+    """The same run from two copies of the package writes the same manifest."""
+    package = Path(jobpulse.__file__).parent
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--seed", "3", "--n-postings", "200", "--out", str(fixture)]) == 0
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    manifests = []
+    for checkout in ("a", "b"):
+        src = tmp_path / checkout / "src"
+        shutil.copytree(package, src / "jobpulse", ignore=shutil.ignore_patterns("__pycache__"))
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("JOBPULSE_CONFIG", None)
+        subprocess.run(
+            [sys.executable, "-m", "jobpulse.cli", "report", "--input", *inputs, "--out", str(out)],
+            env=env, cwd=tmp_path, check=True, capture_output=True,
+        )
+        manifests.append((out / "manifest.txt").read_bytes())
+        shutil.rmtree(out)
+    assert manifests[0] == manifests[1]
+    manifest = _manifest_text(manifests[0].decode("utf-8"))
+    assert manifest["config.taxonomy"] == "bundled:taxonomy.csv"
+    assert manifest["config.dictionary"] == "bundled:name_dictionary.txt"
+    assert manifest["config.taxonomy.sha256"] == hashlib.sha256(DEFAULT_TAXONOMY.read_bytes()).hexdigest()
+    assert manifest["config.dictionary.sha256"] == hashlib.sha256(DEFAULT_DICTIONARY.read_bytes()).hexdigest()
+
+
+def test_manifest_records_given_data_file_path_and_hash(tmp_path, fixture_corpus):
+    taxonomy = tmp_path / "my_taxonomy.csv"
+    taxonomy.write_bytes(DEFAULT_TAXONOMY.read_bytes() + b"# local copy\n")
+    out = tmp_path / "out"
+    assert main(["match", "--input", *fixture_corpus, "--taxonomy", str(taxonomy), "--out", str(out)]) in (0, 2)
+    manifest = _manifest(out / "manifest.txt")
+    assert manifest["config.taxonomy"] == str(taxonomy)
+    assert manifest["config.taxonomy.sha256"] == hashlib.sha256(taxonomy.read_bytes()).hexdigest()
+    assert manifest["config.dictionary"] == "bundled:name_dictionary.txt"

@@ -1,13 +1,16 @@
 import random
+import string
 
 import pytest
 
+from jobpulse.corpus import normalize_text
 from jobpulse.errors import InputError
 from jobpulse.matcher import (
     MatchIndex,
     build_search_phrase,
     discover_candidate_titles,
     expand_hyphens,
+    expanded_tokens,
     filter_corpus,
     industry_filter,
     match_corpus,
@@ -329,3 +332,32 @@ def test_match_index_scan_reusable(shipped_taxonomy):
     hits = index.scan(("design", "engineer"))
     assert {j.phrase for j in hits} == {"design engineer"}
     assert index.scan(()) == set()
+
+
+def _tokenizing_filter(posting, token, mode):
+    """Reference filter: tokenize both descriptions and look the token up."""
+    in_job = token in expand_hyphens(normalize_text(posting.job_description))
+    in_employer = token in expand_hyphens(normalize_text(posting.employer_description))
+    return (in_job and in_employer) if mode == "all_fields" else (in_job or in_employer)
+
+
+def test_expanded_tokens_equal_hyphen_expanded_normalized_tokens():
+    rng = random.Random(23)
+    alphabet = string.ascii_letters + string.digits + " -.,;:!?/()'\"éüñİß_" + "--  "
+    for _ in range(2000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
+        assert expanded_tokens(text) == expand_hyphens(normalize_text(text)), repr(text)
+
+
+def test_industry_filter_equals_tokenizing_filter():
+    rng = random.Random(29)
+    pieces = ["semiconductor", "Semiconductor", "semiconductors", "semi-conductor", "-semiconductor-",
+              "xsemiconductor", "semiconductor_x", "semiconductor2", "wafer", "İ", "_", "-", " ", ",", "é"]
+    for _ in range(2000):
+        job, employer = ("".join(rng.choices(pieces, k=rng.randint(0, 6))) for _ in range(2))
+        posting = make_posting(job_description=job, employer_description=employer)
+        for token in ("semiconductor", "semi-conductor", "wafer"):
+            for mode in ("any_field", "all_fields"):
+                expected = _tokenizing_filter(posting, token, mode)
+                assert industry_filter(posting, token, mode) is expected, (job, employer, token, mode)
+                assert filter_corpus([posting], token, mode) == ([posting] if expected else [])

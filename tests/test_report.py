@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import stat
@@ -319,3 +320,163 @@ def test_write_text_atomic_cleans_up_on_failure(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_text_atomic(target, "lone surrogate \udc80")
     assert list(tmp_path.iterdir()) == []
+
+
+# -- integer aggregation against a plain Fraction oracle -----------------------
+
+
+def _oracle_demand_by(level, ledger, taxonomy=None, function=None):
+    """Reference demand_by: a plain Fraction loop over the assignments, as (label, by_region, total) rows."""
+    totals = {}
+    if taxonomy is not None or level == "region":
+        if level == "function":
+            seed = [f.value for f in ([function] if function else list(JobFunction))]
+        elif level == "family":
+            families = taxonomy.families if function is None else taxonomy.families_of(function)
+            seed = [f.name for f in families]
+        elif level == "title":
+            seed = [j.phrase for j in (taxonomy.jsts if function is None else taxonomy.jsts_of(function))]
+        else:
+            seed = [r.value for r in Region]
+        totals = {label: {} for label in seed}
+    for a in ledger.assignments:
+        if function is not None and a.jst.family.function is not function:
+            continue
+        label = {
+            "function": a.jst.family.function.value,
+            "family": a.jst.family.name,
+            "title": a.jst.phrase,
+            "region": a.region.value,
+        }[level]
+        per_region = totals.setdefault(label, {})
+        per_region[a.region] = per_region.get(a.region, Fraction(0)) + a.weight
+    rows = [(label, per_region, sum(per_region.values(), Fraction(0))) for label, per_region in totals.items()]
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows
+
+
+def _oracle_employer_counts(ledger, mapping, unit_employers):
+    """Per-unit Fraction sums of the ledger weights, summed per canonical employer."""
+    counts = {}
+    for a in ledger.assignments:
+        name = mapping[unit_employers[(a.job_id, a.region)]].canonical_name
+        counts[name] = counts.get(name, Fraction(0)) + a.weight
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+
+def _assert_matches_oracle(ledger, taxonomy):
+    slices = [(level, None) for level in ("function", "family", "title", "region")]
+    slices += [("title", function) for function in JobFunction]
+    slices += [("family", function) for function in JobFunction]
+    for level, function in slices:
+        for tax in (taxonomy, None):
+            table = demand_by(level, ledger, tax, function=function)
+            expected = _oracle_demand_by(level, ledger, tax, function)
+            assert [(r.label, r.by_region, r.total) for r in table.rows] == expected, (level, function)
+            assert table.grand_total == sum((row[2] for row in expected), Fraction(0))
+            for region in Region:
+                grand = sum((row[1].get(region, Fraction(0)) for row in expected), Fraction(0))
+                assert table.grand_by_region.get(region, Fraction(0)) == grand
+            csv_lines = render_demand_csv(table).splitlines()[1:-1]
+            for line, (label, _, total) in zip(csv_lines, expected, strict=True):
+                assert line.split(",")[-2:] == [str(total.numerator), str(total.denominator)], label
+            text_lines = render_demand_text(table).splitlines()[2:-1]
+            for line, (label, per_region, total) in zip(text_lines, expected, strict=True):
+                cells = [per_region.get(r, Fraction(0)) for r in Region] + [total]
+                assert line.split()[-4:] == [render_decimal(c) for c in cells], label
+
+
+def test_integer_aggregation_matches_fraction_oracle_on_synth(shipped_taxonomy):
+    from jobpulse.employers import canonicalize, employer_stats, render_employers_csv
+    from jobpulse.matcher import filter_corpus, match_corpus
+    from jobpulse.synth import SynthConfig, build_corpus
+
+    postings, _ = build_corpus(SynthConfig(seed=7, n_postings=3000), shipped_taxonomy)
+    filtered = filter_corpus(postings, "semiconductor")
+    keys = {(p.job_id, p.region) for p in filtered}
+    ledger = weight_assignments([r for r in match_corpus(postings, shipped_taxonomy) if (r.job_id, r.region) in keys])
+    assert ledger.term_sums[0] > 1  # several k values, so the common denominator is not trivial
+    _assert_matches_oracle(ledger, shipped_taxonomy)
+
+    mapping, _ = canonicalize([p.employer_name for p in filtered])
+    unit_employers = {(p.job_id, p.region): p.employer_name for p in filtered}
+    stats = employer_stats(ledger, mapping, unit_employers)
+    expected = _oracle_employer_counts(ledger, mapping, unit_employers)
+    assert list(stats.ranked) == expected
+    total = sum((count for _, count in expected), Fraction(0))
+    assert stats.unit_total == total == ledger.unit_count
+    assert stats.mean_units == total / len(expected)
+    rows = render_employers_csv(stats).splitlines()[1:]
+    for row, (name, count) in zip(rows, expected, strict=True):
+        assert row == f"{name},{render_decimal(count)},{count.numerator},{count.denominator},{render_pct(count / total)}"
+
+
+def test_integer_aggregation_reduces_totals(shipped_taxonomy):
+    # k in {1, 2, 3, 4, 5, 7}: the common denominator is 420, yet every
+    # rendered total_num/total_den must be the reduced fraction.
+    pool = [j.phrase for j in shipped_taxonomy.jsts]
+    rng = random.Random(5)
+    spec = []
+    for i, k in enumerate([1, 2, 3, 4, 5, 7] * 6):
+        spec.append((f"J{i}", list(Region)[i % 3], rng.sample(pool, k)))
+    ledger = _ledger(shipped_taxonomy, spec)
+    assert ledger.term_sums[0] == 420
+    _assert_matches_oracle(ledger, shipped_taxonomy)
+    assert ledger.total_weight() == len(spec)
+    for level in ("function", "family", "title", "region"):
+        for line in render_demand_csv(demand_by(level, ledger, shipped_taxonomy)).splitlines()[1:]:
+            num, den = (int(x) for x in line.split(",")[-2:])
+            assert Fraction(num, den).denominator == den and math.gcd(num, den) == 1
+
+
+# -- rounding of the integer render path ------------------------------------------
+
+
+def _fraction_render_decimal(x, places=1):
+    """Reference rounding, half away from zero, in Fraction arithmetic."""
+    x = Fraction(x)
+    sign = "-" if x < 0 else ""
+    scale = 10**places
+    scaled = abs(x) * scale
+    n = scaled.numerator // scaled.denominator
+    if (scaled - n) >= Fraction(1, 2):
+        n += 1
+    if places == 0:
+        return f"{sign}{n}"
+    return f"{sign}{n // scale}.{n % scale:0{places}d}"
+
+
+@pytest.mark.parametrize(
+    "value, places, expected",
+    [
+        (Fraction(5, 100), 1, "0.1"),  # exact .x5 ties round away from zero
+        (Fraction(-5, 100), 1, "-0.1"),
+        (Fraction(25, 10), 0, "3"),
+        (Fraction(-25, 10), 0, "-3"),
+        (Fraction(1, 2), 0, "1"),
+        (Fraction(-1, 2), 0, "-1"),
+        (Fraction(1005, 1000), 2, "1.01"),
+        (Fraction(-1005, 1000), 2, "-1.01"),
+        (Fraction(1004, 1000), 2, "1.00"),
+        (Fraction(-1, 30), 1, "-0.0"),  # a negative that rounds to zero keeps its sign
+        (Fraction(0), 0, "0"),
+        (Fraction(0), 1, "0.0"),
+        (Fraction(0), 2, "0.00"),
+        (0, 1, "0.0"),
+        (7, 2, "7.00"),
+    ],
+)
+def test_render_decimal_ties_negatives_and_places(value, places, expected):
+    assert render_decimal(value, places) == expected == _fraction_render_decimal(value, places)
+
+
+def test_render_decimal_and_pct_match_fraction_rounding():
+    rng = random.Random(17)
+    values = [Fraction(n, d) for n in range(-60, 61) for d in (1, 2, 3, 4, 8, 20, 40, 200, 420)]
+    values += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(2000)]
+    for value in values:
+        for places in (0, 1, 2):
+            assert render_decimal(value, places) == _fraction_render_decimal(value, places), (value, places)
+            assert render_pct(value, places) == _fraction_render_decimal(value * 100, places) + "%"
+    assert render_pct(Fraction(0)) == "0.0%"
+    assert render_pct(0, 0) == "0%"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jobpulse.cli import DEFAULT_TAXONOMY
 from jobpulse.errors import InputError
 from jobpulse.taxonomy import (
     JobFamily,
@@ -319,3 +320,14 @@ def test_parse_function_aliases():
 def test_normalize_phrase():
     assert normalize_phrase("  Design   Engineer, ") == ("design", "engineer")
     assert normalize_phrase("RF-Engineer") == ("rf-engineer",)
+
+
+def test_term_hash_is_by_value_and_cached():
+    # Two loads give distinct but equal term objects: equal hashes, one set entry.
+    first = load_taxonomy(str(DEFAULT_TAXONOMY))
+    second = load_taxonomy(str(DEFAULT_TAXONOMY))
+    for a, b in zip(first.jsts, second.jsts, strict=True):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.phrase, a.tokens, a.level, a.family, a.title))
+    assert len(set(first.jsts) | set(second.jsts)) == len(first.jsts)
+    assert "_hash" not in repr(first.jsts[0])
