@@ -128,18 +128,23 @@ def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
     by_content: dict[tuple[str, str, str], list[Posting]] = {}
     for p in postings:
         by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(p)
+    spanning = {
+        key: members
+        for key, members in by_content.items()
+        if len(members) > 1 and len({p.region for p in members}) > 1
+    }
     groups = []
-    for (title, desc, employer), members in sorted(by_content.items()):
-        regions = {p.region for p in members}
-        if len(members) > 1 and len(regions) > 1:
-            groups.append(
-                CrossRegionGroup(
-                    title=title,
-                    job_description=desc,
-                    employer_name=employer,
-                    members=tuple(sorted((p.job_id, p.region) for p in members)),
-                )
+    for title, desc, employer in sorted(spanning):
+        # One job id may be listed in several regions, and Regions do not order.
+        members = sorted(spanning[title, desc, employer], key=lambda p: (p.job_id, p.region.value))
+        groups.append(
+            CrossRegionGroup(
+                title=title,
+                job_description=desc,
+                employer_name=employer,
+                members=tuple((p.job_id, p.region) for p in members),
             )
+        )
     return CrossRegionReport(groups=tuple(groups))
 
 

@@ -6,19 +6,24 @@ distinct companies. The remedy implemented here:
 
 - normalize names and strip legal suffixes (inc, llc, ...), which never
   count as distinguishing tokens;
-- block by first token and compare token by token, so "Advanced Micro
-  Devices" and "Advanced Systems" split at the second word, and
-  "University of California Los Angeles" / "... Santa Barbara" split at
-  the fourth;
 - merge a name into another only when its full token sequence is a proper
   prefix of the other (a corporate division extending the parent's name),
-  guarded by the common-word dictionary: a name made entirely of
-  dictionary tokens ("Advanced") never absorbs longer names.
+  so "Advanced Micro Devices" and "Advanced Systems" stay apart, as do
+  "University of California Los Angeles" / "... Santa Barbara";
+- guard the merge with the common-word dictionary: a name made entirely of
+  dictionary tokens ("Advanced", "University of") never absorbs longer
+  names.
+
+Each name looks up only its own prefixes: its group is rooted at its
+shortest proper prefix that is itself a name and is longer than its
+leading run of dictionary tokens. Every such prefix has the same root, so
+grouping costs one set lookup per name token, however many names share a
+first word.
 
 Net effect: merges happen exactly for identical normalized names and for
 guarded prefix extensions, nothing else. The mapping is deterministic and
-input-order-invariant; the canonical name of a group is its shortest
-member (the parent), ties broken lexicographically.
+input-order-invariant; the canonical name of a group is its root, which is
+its shortest member (the parent), ties broken lexicographically.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class NameDictionary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.common_tokens
-
-    def all_common(self, tokens: tuple[str, ...]) -> bool:
-        return all(t in self.common_tokens for t in tokens)
 
 
 def default_dictionary() -> NameDictionary:
@@ -85,44 +87,23 @@ class CanonicalEmployer:
 
 
 def normalize_name(
-    raw: str, suffixes: tuple[str, ...] = DEFAULT_LEGAL_SUFFIXES
+    raw: str, suffixes: tuple[str, ...] | frozenset[str] = DEFAULT_LEGAL_SUFFIXES
 ) -> tuple[str, ...]:
     """Normalize a raw employer name to comparison tokens.
 
     Lowercase tokenization, then trailing legal suffixes are stripped
     ("Amazon Inc" compares as "amazon"). A name made only of suffixes keeps
-    its tokens rather than vanishing.
+    its tokens rather than vanishing. Pass a frozenset to reuse it across
+    calls (``frozenset`` of a frozenset is the same object).
     """
     tokens = normalize_text(raw)
-    suffix_set = set(suffixes)
-    stripped = list(tokens)
-    while len(stripped) > 1 and stripped[-1] in suffix_set:
-        stripped.pop()
-    if len(stripped) == 1 and stripped[0] in suffix_set and len(tokens) > 1:
+    suffix_set = frozenset(suffixes)
+    end = len(tokens)
+    while end > 1 and tokens[end - 1] in suffix_set:
+        end -= 1
+    if end == 1 and tokens[0] in suffix_set:
         return tokens
-    return tuple(stripped)
-
-
-class _UnionFind:
-    def __init__(self, items: list[tuple[str, ...]]) -> None:
-        self.parent = {item: item for item in items}
-
-    def find(self, item: tuple[str, ...]) -> tuple[str, ...]:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: tuple[str, ...], b: tuple[str, ...]) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic: shorter (then lexicographically smaller) name roots.
-            if (len(ra), ra) <= (len(rb), rb):
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+    return tokens[:end]
 
 
 def canonicalize(
@@ -136,41 +117,31 @@ def canonicalize(
     Empty or token-less names are rejected with a diagnostic. Names whose
     first tokens differ are never merged.
     """
-    dictionary = dictionary or default_dictionary()
+    common = (dictionary or default_dictionary()).common_tokens
+    suffix_set = frozenset(suffixes)
     rejected: list[str] = []
     by_sequence: dict[tuple[str, ...], set[str]] = {}
     for raw in names:
-        tokens = normalize_name(raw, suffixes)
+        tokens = normalize_name(raw, suffix_set)
         if not tokens:
             rejected.append(raw)
             logger.warning("employer name %r normalizes to nothing; excluded", raw)
             continue
         by_sequence.setdefault(tokens, set()).add(raw)
 
-    sequences = sorted(by_sequence)
-    uf = _UnionFind(sequences)
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for seq in sequences:
-        by_first.setdefault(seq[0], []).append(seq)
-    for block in by_first.values():
-        # Sorted order guarantees a prefix immediately precedes its extensions.
-        for short in block:
-            if dictionary.all_common(short):
-                continue
-            n = len(short)
-            for other in block:
-                if len(other) > n and other[:n] == short:
-                    uf.union(short, other)
-
+    # Sorted, so the mapping's order does not depend on the input order.
     groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for seq in sequences:
-        groups.setdefault(uf.find(seq), []).append(seq)
+    for seq in sorted(by_sequence):
+        head = 0  # length of the leading run of dictionary tokens
+        while head < len(seq) and seq[head] in common:
+            head += 1
+        root = next((seq[:i] for i in range(head + 1, len(seq)) if seq[:i] in by_sequence), seq)
+        groups.setdefault(root, []).append(seq)
 
     mapping: dict[str, CanonicalEmployer] = {}
-    for member_seqs in groups.values():
-        canonical_seq = min(member_seqs, key=lambda s: (len(s), s))
+    for root, member_seqs in groups.items():
         members = frozenset(raw for seq in member_seqs for raw in by_sequence[seq])
-        employer = CanonicalEmployer(canonical_name=" ".join(canonical_seq), members=members)
+        employer = CanonicalEmployer(canonical_name=" ".join(root), members=members)
         for raw in members:
             mapping[raw] = employer
     return mapping, rejected

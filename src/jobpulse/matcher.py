@@ -68,9 +68,13 @@ class SearchPhrase:
 
 
 def validate_industry_token(industry_token: str) -> str:
-    """Normalize and validate the industry token (exactly one token)."""
+    """Normalize and validate the industry token (exactly one token).
+
+    The filter looks the token up among hyphen-split runs, so a token the
+    filter would split ("semi-conductor") could never match and is rejected.
+    """
     tokens = normalize_text(industry_token)
-    if len(tokens) != 1:
+    if len(tokens) != 1 or expanded_tokens(tokens[0]) != tokens:
         raise InputError(f"industry token must be a single token, got {industry_token!r}")
     return tokens[0]
 

@@ -260,6 +260,14 @@ def test_bad_regions_flag_exits_1(tmp_path, fixture_corpus):
     assert rc == 1
 
 
+def test_hyphenated_industry_token_exits_1_before_writing(tmp_path, fixture_corpus, capsys):
+    out = tmp_path / "o"
+    rc = main(["report", "--input", *fixture_corpus, "--out", str(out), "--industry-token", "semi-conductor"])
+    assert rc == 1
+    assert "industry token must be a single token, got 'semi-conductor'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_region_subset_restricts_scope(tmp_path, fixture_corpus):
     out = tmp_path / "la_only"
     rc = main(["ingest", "--input", *fixture_corpus, "--out", str(out), "--regions", "LA"])

@@ -147,6 +147,15 @@ def test_cross_region_pair_is_two_units_and_one_group(shipped_taxonomy):
     assert weight_assignments(records).unit_count == 2
 
 
+def test_cross_region_group_may_repeat_a_job_id():
+    postings = [
+        make_posting(job_id=job_id, title="A", job_description="x", region=region)
+        for job_id, region in (("J2", Region.LA), ("J1", Region.SD), ("J1", Region.LA))
+    ]
+    (group,) = cross_region_report(postings).groups
+    assert group.members == (("J1", Region.LA), ("J1", Region.SD), ("J2", Region.LA))
+
+
 def test_cross_region_report_empty_without_repeats(shipped_taxonomy):
     postings = [
         make_posting(job_id="J1", title="A", job_description="x", region=Region.LA),

@@ -6,6 +6,8 @@ import pytest
 from jobpulse.corpus import Region
 from jobpulse.dedup import weight_assignments
 from jobpulse.employers import (
+    DEFAULT_LEGAL_SUFFIXES,
+    CanonicalEmployer,
     NameDictionary,
     canonicalize,
     default_dictionary,
@@ -182,6 +184,122 @@ def test_planted_stock_recovers_exactly():
     predicted = sorted(sorted(g) for g in _groups(mapping).values())
     expected = sorted(sorted(g) for g in truth_groups.values())
     assert predicted == expected
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {item: item for item in items}
+
+    def find(self, item):
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if (len(ra), ra) <= (len(rb), rb):
+                self.parent[rb] = ra
+            else:
+                self.parent[ra] = rb
+
+
+def _pairwise_canonicalize(names, dictionary=None, suffixes=DEFAULT_LEGAL_SUFFIXES):
+    """Reference grouping: union every guarded prefix pair within a first-token block."""
+    common = (dictionary or default_dictionary()).common_tokens
+    rejected = []
+    by_sequence = {}
+    for raw in names:
+        tokens = normalize_name(raw, suffixes)
+        if not tokens:
+            rejected.append(raw)
+            continue
+        by_sequence.setdefault(tokens, set()).add(raw)
+    sequences = sorted(by_sequence)
+    uf = _UnionFind(sequences)
+    by_first = {}
+    for seq in sequences:
+        by_first.setdefault(seq[0], []).append(seq)
+    for block in by_first.values():
+        for short in block:
+            if all(t in common for t in short):
+                continue
+            for other in block:
+                if len(other) > len(short) and other[: len(short)] == short:
+                    uf.union(short, other)
+    groups = {}
+    for seq in sequences:
+        groups.setdefault(uf.find(seq), []).append(seq)
+    mapping = {}
+    for member_seqs in groups.values():
+        canonical_seq = min(member_seqs, key=lambda s: (len(s), s))
+        members = frozenset(raw for seq in member_seqs for raw in by_sequence[seq])
+        employer = CanonicalEmployer(" ".join(canonical_seq), members)
+        for raw in members:
+            mapping[raw] = employer
+    return mapping, rejected
+
+
+_HEADS = [("advanced",), ("university", "of"), ("american",), ("of",), ("apex",), ("zenith",), ("co",)]
+_WORDS = ["micro", "devices", "systems", "california", "los", "angeles", "labs", "of", "advanced", "co", "web"]
+_JUNK = ["", "   ", "!!!", "Inc", "Co Ltd", "LLC, Inc."]
+
+
+def _random_names(rng):
+    """Names sharing heads and prefixes: parents, divisions, orphan divisions, variants."""
+    stock = [
+        rng.choice(_HEADS) + tuple(rng.choices(_WORDS, k=rng.randint(0, 4)))
+        for _ in range(rng.randint(1, 12))
+    ]
+    names = []
+    for seq in stock:
+        for end in range(1, len(seq) + 1):  # each prefix maybe present: a withheld one orphans its divisions
+            if end == len(seq) or rng.random() < 0.4:
+                text = " ".join(seq[:end])
+                text = rng.choice([text, text.title(), text.upper(), "  " + text.replace(" ", "  ")])
+                if rng.random() < 0.3:
+                    text += rng.choice([" Inc", ", LLC", " Co Ltd", " corp."])
+                names.append(text)
+    names += rng.choices(_JUNK, k=rng.randint(0, 2))
+    rng.shuffle(names)
+    return names
+
+
+def test_canonicalize_matches_pairwise_oracle_on_random_name_sets():
+    rng = random.Random(67)
+    dictionaries = [None, default_dictionary(), NameDictionary(frozenset({"apex", "micro", "of"}))]
+    for _ in range(2000):
+        names = _random_names(rng)
+        dictionary = rng.choice(dictionaries)
+        mapping, rejected = canonicalize(names, dictionary)
+        expected, expected_rejected = _pairwise_canonicalize(names, dictionary)
+        assert rejected == expected_rejected, names
+        assert list(mapping) == list(expected), names
+        assert {raw: e.canonical_name for raw, e in mapping.items()} == {
+            raw: e.canonical_name for raw, e in expected.items()
+        }, names
+        assert {raw: e.members for raw, e in mapping.items()} == {
+            raw: e.members for raw, e in expected.items()
+        }, names
+
+
+def test_one_block_of_twenty_thousand_names_groups_by_prefix():
+    parents = [f"University of P{i}" for i in range(4000)]
+    divisions = [f"{p} Medical{tail}" for p in parents for tail in ("", " Center")]
+    orphans = [f"University of Q{j} Labs{tail}" for j in range(3999) for tail in ("", " West")]
+    names = parents + divisions + orphans + ["University", "University of"]
+    assert len(names) == 20_000
+    mapping, rejected = canonicalize(names)
+    assert rejected == []
+    sizes = sorted(len(group) for group in _groups(mapping).values())
+    assert sizes == [1] * 2 + [2] * 3999 + [3] * 4000
+    assert mapping["University of P7 Medical Center"].canonical_name == "university of p7"
+    assert mapping["University of Q7 Labs West"].canonical_name == "university of q7 labs"
+    assert mapping["University"].members == frozenset({"University"})
+    assert mapping["University of"].members == frozenset({"University of"})
 
 
 def _ledger_units(n_units, shipped_taxonomy):
