@@ -158,6 +158,9 @@ def _parse_record(obj: object, window: CollectionWindow) -> Posting:
         raise InputError(
             f"retrieved_at {retrieved} outside collection window {window.start}..{window.end}"
         )
+    # Checked last, so a record with any other fault is rejected for that fault.
+    if len(obj) != len(POSTING_FIELDS):
+        raise InputError(f"unexpected field {min(set(obj) - set(POSTING_FIELDS))!r}")
     return Posting(
         job_id=obj["job_id"],
         title=obj["title"],
@@ -169,6 +172,15 @@ def _parse_record(obj: object, window: CollectionWindow) -> Posting:
     )
 
 
+def _numbered_lines(path: str):
+    """Stream (line number, line) pairs of a UTF-8 file; an unreadable file is fatal."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except OSError as exc:
+        raise InputError(f"cannot read posting file {path}: {exc}") from exc
+
+
 def load_postings(
     paths: list[str] | tuple[str, ...],
     window: CollectionWindow | None = None,
@@ -176,8 +188,9 @@ def load_postings(
     """Load posting files into a validated Corpus.
 
     Each file is UTF-8, one JSON record per line; blank lines and lines
-    starting with '#' are skipped. Invalid records become diagnostics with
-    file and line number. A duplicate (job_id, region) keeps the first
+    starting with '#' are skipped. A record must hold exactly the seven
+    string fields of ``POSTING_FIELDS``. Invalid records become diagnostics
+    with file and line number. A duplicate (job_id, region) keeps the first
     occurrence and rejects the rest. An unreadable file is fatal.
     """
     window = window or CollectionWindow()
@@ -185,12 +198,7 @@ def load_postings(
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, Region]] = set()
     for path in paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise InputError(f"cannot read posting file {path}: {exc}") from exc
-        for line_no, line in enumerate(lines, start=1):
+        for line_no, line in _numbered_lines(path):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

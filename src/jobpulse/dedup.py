@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .corpus import Posting, Region, csv_text
 from .errors import ContractError
@@ -80,8 +81,6 @@ def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
     ledger, and the sum of all weights equals the unit count exactly.
     """
     seen: set[tuple[str, Region]] = set()
-    assignments: list[WeightedAssignment] = []
-    shares: dict[int, Fraction] = {}
     for record in records:
         key = (record.job_id, record.region)
         if key in seen:
@@ -89,11 +88,16 @@ def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
                 f"two match records for (job_id, region) ({record.job_id}, {record.region})"
             )
         seen.add(key)
+    # Built in ledger order: records by (job_id, region code), terms by phrase.
+    region_code = {region: region.value for region in Region}
+    by_phrase = attrgetter("phrase")
+    assignments: list[WeightedAssignment] = []
+    shares: dict[int, Fraction] = {}
+    for record in sorted(records, key=lambda r: (r.job_id, region_code[r.region])):
         k = len(record.matched_jsts)
         share = shares.get(k) or shares.setdefault(k, Fraction(1, k))
-        for jst in record.matched_jsts:
+        for jst in sorted(record.matched_jsts, key=by_phrase):
             assignments.append(WeightedAssignment(record.job_id, record.region, jst, share))
-    assignments.sort(key=lambda a: (a.job_id, a.region.value, a.jst.phrase))
     ledger = DemandLedger(assignments=tuple(assignments), unit_count=len(seen))
     total = ledger.total_weight()
     if total != ledger.unit_count:

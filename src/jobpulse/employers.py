@@ -119,15 +119,17 @@ def canonicalize(
     """
     common = (dictionary or default_dictionary()).common_tokens
     suffix_set = frozenset(suffixes)
-    rejected: list[str] = []
+    empty: set[str] = set()
     by_sequence: dict[tuple[str, ...], set[str]] = {}
-    for raw in names:
+    for raw in dict.fromkeys(names):  # each distinct name once, in first-seen order
         tokens = normalize_name(raw, suffix_set)
-        if not tokens:
-            rejected.append(raw)
-            logger.warning("employer name %r normalizes to nothing; excluded", raw)
-            continue
-        by_sequence.setdefault(tokens, set()).add(raw)
+        if tokens:
+            by_sequence.setdefault(tokens, set()).add(raw)
+        else:
+            empty.add(raw)
+    rejected = [raw for raw in names if raw in empty]  # every occurrence, in input order
+    for raw in rejected:
+        logger.warning("employer name %r normalizes to nothing; excluded", raw)
 
     # Sorted, so the mapping's order does not depend on the input order.
     groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}

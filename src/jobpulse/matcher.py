@@ -111,10 +111,16 @@ class MatchRecord:
 
 
 class MatchIndex:
-    """First-token index over a taxonomy's terms for fast contiguous-run scans."""
+    """First-token index over a taxonomy's terms for fast contiguous-run scans.
+
+    Titles repeat across postings far more than descriptions do, so the
+    index also remembers the terms found in each distinct title string for
+    as long as the index lives.
+    """
 
     def __init__(self, taxonomy: Taxonomy) -> None:
         self.taxonomy = taxonomy
+        self._title_hits: dict[str, frozenset[Jst]] = {}
         self._by_first: dict[str, list[tuple[tuple[str, ...], Jst]]] = {}
         for jst in taxonomy.jsts:
             expanded = expand_hyphens(jst.tokens)
@@ -133,6 +139,13 @@ class MatchIndex:
                     hits.add(jst)
         return hits
 
+    def title_hits(self, title: str) -> frozenset[Jst]:
+        """``scan(expanded_tokens(title))``, computed once per distinct title."""
+        hits = self._title_hits.get(title)
+        if hits is None:
+            hits = self._title_hits[title] = frozenset(self.scan(expanded_tokens(title)))
+        return hits
+
 
 def match_posting(posting: Posting, taxonomy: Taxonomy, index: MatchIndex | None = None) -> MatchRecord | None:
     """Match one posting against the taxonomy's terms.
@@ -142,16 +155,15 @@ def match_posting(posting: Posting, taxonomy: Taxonomy, index: MatchIndex | None
     """
     if index is None:
         index = MatchIndex(taxonomy)
-    title_hits = index.scan(expanded_tokens(posting.title))
-    desc_hits = index.scan(expanded_tokens(posting.job_description))
-    matched = title_hits | desc_hits
+    title_hits = index.title_hits(posting.title)
+    matched = title_hits | index.scan(expanded_tokens(posting.job_description))
     if not matched:
         return None
     return MatchRecord(
         job_id=posting.job_id,
         region=posting.region,
-        matched_jsts=frozenset(matched),
-        matched_in_title=frozenset(title_hits),
+        matched_jsts=matched,
+        matched_in_title=title_hits,
     )
 
 

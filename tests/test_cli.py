@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import jobpulse
+from jobpulse import corpus as corpus_mod
 from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Region
 
@@ -456,3 +458,73 @@ def test_manifest_records_given_data_file_path_and_hash(tmp_path, fixture_corpus
     assert manifest["config.taxonomy"] == str(taxonomy)
     assert manifest["config.taxonomy.sha256"] == hashlib.sha256(taxonomy.read_bytes()).hexdigest()
     assert manifest["config.dictionary"] == "bundled:name_dictionary.txt"
+
+
+def _dirty_lines(n_good: int) -> list:
+    """n_good valid records followed by one reject of each kind per 50 of them."""
+    lines = [make_record(job_id=f"J{i}", title="Design Engineer") for i in range(n_good)]
+    for i in range(n_good // 50):
+        lines += [
+            "not json",
+            make_record(job_id=f"J{i}"),
+            make_record(job_id=f"B{i}", region="NY"),
+            make_record(job_id=f"X{i}", extra="x"),
+            {"job_id": f"M{i}"},
+        ]
+    return lines
+
+
+def test_pipeline_leaves_no_reference_cycles(tmp_path, capsys):
+    """Runs free their data by reference counting alone: the cyclic collector
+    finds no more garbage after a large run than after a small one, so running
+    without it cannot grow memory with the input."""
+
+    def leftover_after(argv) -> int:
+        gc.collect()
+        assert main(argv) in (0, 2)
+        return gc.collect()
+
+    runs = {}
+    for size in (300, 500, 2000):
+        fixture = tmp_path / f"fixture{size}"
+        assert main(["synth", "--seed", "5", "--n-postings", str(size), "--out", str(fixture)]) == 0
+        dirty = tmp_path / f"dirty{size}.jsonl"
+        write_jsonl(dirty, _dirty_lines(size))
+        inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+        runs[size] = [
+            ["report", "--input", *inputs, "--out", str(tmp_path / f"report{size}")],
+            ["ingest", "--input", str(dirty), "--out", str(tmp_path / f"ingest{size}")],
+        ]
+    for argv in runs.pop(300):  # warm-up: first-use caches of the interpreter and the stdlib
+        leftover_after(argv)
+    small, large = ([leftover_after(argv) for argv in argvs] for argvs in runs.values())
+    assert small == large
+    capsys.readouterr()
+
+
+def test_main_runs_without_cyclic_gc_and_restores_its_state(tmp_path, fixture_corpus, monkeypatch, capsys):
+    seen = []
+    load_postings = corpus_mod.load_postings
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return load_postings(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "load_postings", spy)
+    dirty = tmp_path / "dirty.jsonl"
+    write_jsonl(dirty, [make_record(), "not json"])
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for argv, rc in (
+                (["ingest", "--input", *fixture_corpus, "--out", str(tmp_path / "ok")], 0),
+                (["ingest", "--input", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "x")], 1),
+                (["ingest", "--input", str(dirty), "--out", str(tmp_path / "dirty")], 2),
+            ):
+                assert main(argv) == rc
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False] * 4
+    capsys.readouterr()

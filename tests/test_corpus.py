@@ -1,10 +1,12 @@
 import datetime as dt
+import io
 import json
 import random
 import string
 
 import pytest
 
+from jobpulse import corpus as corpus_mod
 from jobpulse.corpus import (
     CollectionWindow,
     Region,
@@ -195,6 +197,35 @@ def test_missing_field_is_diagnosed(tmp_path):
     _, diagnostics = load_postings([str(path)])
     assert len(diagnostics) == 1
     assert "employer_name" in diagnostics[0].reason
+
+
+def test_extra_field_is_diagnosed_after_other_faults(tmp_path):
+    path = tmp_path / "extra.jsonl"
+    write_jsonl(
+        path,
+        [
+            make_record(job_id="J1", zeta=1, alpha="x"),
+            make_record(job_id="J2", region="NY", alpha="x"),
+            {**make_record(job_id="J3", alpha="x"), "title": None},
+            make_record(job_id="J4"),
+        ],
+    )
+    corpus, diagnostics = load_postings([str(path)])
+    assert [p.job_id for p in corpus] == ["J4"]
+    assert diagnostics[0].reason == "unexpected field 'alpha'"
+    assert "unknown region" in diagnostics[1].reason
+    assert diagnostics[2].reason == "field 'title' must be a string"
+
+
+def test_read_error_mid_file_is_fatal(tmp_path, monkeypatch):
+    class FailingFile(io.StringIO):
+        def __iter__(self):
+            yield json.dumps(make_record()) + "\n"
+            raise OSError("device error")
+
+    monkeypatch.setattr(corpus_mod, "open", lambda *a, **k: FailingFile(), raising=False)
+    with pytest.raises(InputError, match="cannot read posting file .*device error"):
+        load_postings([str(tmp_path / "flaky.jsonl")])
 
 
 def test_empty_employer_description_is_accepted(tmp_path):

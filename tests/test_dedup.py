@@ -181,3 +181,32 @@ def test_ledger_csv_schema(shipped_taxonomy):
     assert lines[0] == ",".join(LEDGER_HEADER)
     assert lines[1] == "J1,LA,Engineer,design engineer,analog design engineer,1,2"
     assert lines[2] == "J1,LA,Engineer,design engineer,,1,2"
+
+
+def test_ledger_order_equals_sorting_every_assignment(shipped_taxonomy):
+    rng = random.Random(47)
+    pool = [j.phrase for j in shipped_taxonomy.jsts]
+    records = [
+        _record(shipped_taxonomy, f"J{rng.randint(0, 60)}", rng.sample(pool, rng.randint(1, 5)), region)
+        for region in Region
+        for _ in range(40)
+    ]
+    records = list({(r.job_id, r.region): r for r in records}.values())
+    rng.shuffle(records)
+    unsorted = [
+        WeightedAssignment(r.job_id, r.region, jst, Fraction(1, len(r.matched_jsts)))
+        for r in records
+        for jst in r.matched_jsts
+    ]
+    expected = tuple(sorted(unsorted, key=lambda a: (a.job_id, a.region.value, a.jst.phrase)))
+    assert weight_assignments(records).assignments == expected
+
+
+def test_first_duplicate_in_input_order_is_reported(shipped_taxonomy):
+    def rec(job_id):
+        return _record(shipped_taxonomy, job_id, ["design engineer"])
+
+    with pytest.raises(ContractError, match=r"\(J2, LA\)"):
+        weight_assignments([rec("J2"), rec("J1"), rec("J2"), rec("J1")])
+    with pytest.raises(ContractError, match=r"\(J1, LA\)"):
+        weight_assignments([rec("J2"), rec("J1"), rec("J1"), rec("J2")])

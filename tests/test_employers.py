@@ -286,6 +286,28 @@ def test_canonicalize_matches_pairwise_oracle_on_random_name_sets():
         }, names
 
 
+def test_canonicalize_repeated_names_match_per_occurrence_oracle():
+    rng = random.Random(71)
+    for _ in range(500):
+        distinct = _random_names(rng) + rng.choices(_JUNK, k=2)
+        names = distinct + rng.choices(distinct, k=rng.randint(1, 2 * len(distinct)))
+        rng.shuffle(names)
+        mapping, rejected = canonicalize(names)
+        expected, expected_rejected = _pairwise_canonicalize(names)
+        assert rejected == expected_rejected, names
+        assert list(mapping) == list(expected), names
+        assert mapping == expected, names
+
+
+def test_every_rejected_occurrence_is_kept_and_logged(caplog):
+    names = ["", "Apex", "   ", "!!!", "Apex Labs", "!!!", "", "Apex"]
+    with caplog.at_level("WARNING", logger="jobpulse.employers"):
+        mapping, rejected = canonicalize(names)
+    assert rejected == ["", "   ", "!!!", "!!!", ""]
+    assert [r.args[0] for r in caplog.records] == rejected
+    assert set(mapping) == {"Apex", "Apex Labs"}
+
+
 def test_one_block_of_twenty_thousand_names_groups_by_prefix():
     parents = [f"University of P{i}" for i in range(4000)]
     divisions = [f"{p} Medical{tail}" for p in parents for tail in ("", " Center")]

@@ -18,6 +18,7 @@ from jobpulse.matcher import (
     parse_search_phrase,
     validate_industry_token,
 )
+from jobpulse.synth import SynthConfig, build_corpus
 from jobpulse.taxonomy import load_taxonomy, lookup
 
 from conftest import make_posting, write_taxonomy_csv
@@ -372,3 +373,24 @@ def test_industry_filter_equals_tokenizing_filter():
                 expected = _tokenizing_filter(posting, token, mode)
                 assert industry_filter(posting, token, mode) is expected, (job, employer, token, mode)
                 assert filter_corpus([posting], token, mode) == ([posting] if expected else [])
+
+
+def test_match_corpus_equals_per_posting_match_with_fresh_index(shipped_taxonomy):
+    """The per-title memo of match_corpus changes no record, also for titles
+    that differ only in case, hyphens or spacing."""
+    postings, _ = build_corpus(SynthConfig(seed=31, n_postings=400), shipped_taxonomy)
+    variants = ["Design Engineer", "design engineer", "DESIGN  ENGINEER", "design-engineer", "Design - Engineer",
+                " design engineer ", "Design Engineers", "Analog-Design Engineer", "analog design-engineer"]
+    for i, title in enumerate(variants * 3):
+        description = ["", "layout engineer on site", "mask designer wanted"][i % 3]
+        postings.append(make_posting(job_id=f"V{i}", title=title, job_description=description))
+    expected = [r for r in (match_posting(p, shipped_taxonomy, MatchIndex(shipped_taxonomy)) for p in postings) if r]
+    records = match_corpus(postings, shipped_taxonomy)
+    assert records == expected
+    in_title = {r.job_id: {j.phrase for j in r.matched_in_title} for r in records if r.job_id.startswith("V")}
+    assert in_title["V0"] == in_title["V3"] == {"design engineer"}
+    assert in_title["V7"] == {"design engineer", "analog design engineer"}
+    assert "V6" not in in_title  # "engineers" is another token, and the description is empty
+    index = MatchIndex(shipped_taxonomy)
+    record = match_posting(postings[-1], shipped_taxonomy, index)
+    assert record.matched_in_title is index.title_hits(postings[-1].title)
