@@ -424,6 +424,12 @@ def _parse_fraction(text: str, label: str) -> Fraction:
 
 def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
+    window = (corpus_mod.DEFAULT_WINDOW_START, corpus_mod.DEFAULT_WINDOW_END)
+    if set(config.regions) != set(Region) or (config.window_start, config.window_end) != window:
+        raise InputError(
+            f"synth always writes regions LA,SB,SD dated {window[0]} to {window[1]}; "
+            "remove the regions and window settings"
+        )
     plants = []
     for plant_arg in args.plant or []:
         phrase, sep, count = plant_arg.rpartition("=")
@@ -445,18 +451,10 @@ def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     taxonomy = load_taxonomy(config.taxonomy_path)
     result = synth_mod.generate(synth_config, taxonomy, config.out_dir)
     run.note("synth.seed", synth_config.seed)
-    run.count("postings_generated", _count_lines(result.posting_paths.values()))
+    run.count("postings_generated", result.posting_count)
     for path in [*result.posting_paths.values(), result.truth_path]:
         run.items.append((f"artifact.{path.name}.sha256", _sha256_file(str(path))))
     return f"synthetic corpus written to {config.out_dir} (seed {synth_config.seed})"
-
-
-def _count_lines(paths) -> int:
-    total = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            total += sum(1 for line in fh if line.strip())
-    return total
 
 
 class _Parser(argparse.ArgumentParser):

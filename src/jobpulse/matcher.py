@@ -129,13 +129,16 @@ class MatchIndex:
             self._by_first.setdefault(expanded[0], []).append((expanded, jst))
 
     def scan(self, tokens: tuple[str, ...]) -> set[Jst]:
-        """All terms occurring as contiguous runs in the expanded token sequence."""
-        expanded = expand_hyphens(tokens)
+        """All terms occurring as contiguous runs in ``tokens``.
+
+        ``tokens`` must already be hyphen-expanded (``expanded_tokens`` or
+        ``expand_hyphens``); a hyphenated token is never split here.
+        """
         hits: set[Jst] = set()
         by_first = self._by_first
-        for i, tok in enumerate(expanded):
+        for i, tok in enumerate(tokens):
             for phrase, jst in by_first.get(tok, ()):
-                if expanded[i : i + len(phrase)] == phrase:
+                if tokens[i : i + len(phrase)] == phrase:
                     hits.add(jst)
         return hits
 

@@ -16,7 +16,9 @@ Design constraints that keep the truth exact:
 - terms whose phrase contains another term as a contiguous run are never
   planted (the plant would imply the shorter match);
 - employer names only exhibit phenomena the disambiguation rules cover,
-  and a division name is only drawn after its parent appears.
+  and a division name is only drawn after its parent appears; no name is a
+  token prefix of another identity's name, which the name registry checks
+  per candidate with one dict lookup per token, in time linear in the stock.
 
 Generation is single-threaded and deterministic for a given (seed, config,
 taxonomy); the same seed twice yields byte-identical files.
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import logging
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,9 +45,8 @@ from .corpus import (
 )
 from .errors import ContractError, InputError
 from .matcher import DEFAULT_ROLE_WORDS, MatchIndex, expand_hyphens, filter_corpus, match_posting
+from .report import write_text_atomic
 from .taxonomy import JobFunction, Jst, Taxonomy
-
-logger = logging.getLogger(__name__)
 
 TRUTH_HEADER = (
     "job_id",
@@ -141,10 +142,7 @@ def _as_fraction(x) -> Fraction:
 
 
 def _round_half_up(x: Fraction) -> int:
-    n = x.numerator // x.denominator
-    if (x - n) >= Fraction(1, 2):
-        n += 1
-    return n
+    return math.floor(x + Fraction(1, 2))
 
 
 def apportion(total: int, weights: dict) -> dict:
@@ -193,22 +191,11 @@ class SynthConfig:
             raise InputError(f"n_postings must be >= 0, got {self.n_postings}")
         if self.cross_region_repeat_count < 0:
             raise InputError("cross_region_repeat_count must be >= 0")
-        object.__setattr__(self, "off_industry_rate", _as_fraction(self.off_industry_rate))
-        object.__setattr__(self, "division_rate", _as_fraction(self.division_rate))
-        object.__setattr__(
-            self, "onomastic_collision_rate", _as_fraction(self.onomastic_collision_rate)
-        )
-        object.__setattr__(
-            self, "region_mix", {k: _as_fraction(v) for k, v in self.region_mix.items()}
-        )
-        object.__setattr__(
-            self, "function_mix", {k: _as_fraction(v) for k, v in self.function_mix.items()}
-        )
-        object.__setattr__(
-            self,
-            "multi_jst_rate_by_k",
-            {k: _as_fraction(v) for k, v in self.multi_jst_rate_by_k.items()},
-        )
+        for name in ("off_industry_rate", "division_rate", "onomastic_collision_rate"):
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+        for name in ("region_mix", "function_mix", "multi_jst_rate_by_k"):
+            mix = {k: _as_fraction(v) for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, mix)
         object.__setattr__(self, "unknown_title_plants", tuple(self.unknown_title_plants))
         for name, rate in (
             ("off_industry_rate", self.off_industry_rate),
@@ -277,27 +264,31 @@ class EmployerStock:
         return [(d, ident.key) for ident in self.identities for d in ident.all_displays()]
 
 
-def _display(tokens: tuple[str, ...]) -> str:
+def _display(tokens: tuple[str, ...] | list[str]) -> str:
     return " ".join(t.capitalize() for t in tokens)
 
 
 class _NameRegistry:
-    """Tracks claimed token sequences; forbids cross-identity prefix relations."""
+    """Tracks claimed token sequences; forbids cross-identity prefix relations.
+
+    A candidate conflicts when another identity claimed one of its prefixes
+    (the candidate itself included) or a sequence the candidate is a proper
+    prefix of. Both are dict lookups, one per candidate token.
+    """
 
     def __init__(self) -> None:
-        self._by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        self._claimed: dict[tuple[str, ...], set[str]] = {}  # sequence -> owners
+        self._extended: dict[tuple[str, ...], set[str]] = {}  # proper prefix -> owners
 
     def conflicts(self, seq: tuple[str, ...], identity: str) -> bool:
-        for other, owner in self._by_first.get(seq[0], ()):
-            if owner == identity:
-                continue
-            shorter, longer = (other, seq) if len(other) <= len(seq) else (seq, other)
-            if longer[: len(shorter)] == shorter:
-                return True
-        return False
+        found = [self._claimed.get(seq[:n], ()) for n in range(1, len(seq) + 1)]
+        found.append(self._extended.get(seq, ()))
+        return any(owner != identity for owners in found for owner in owners)
 
     def claim(self, seq: tuple[str, ...], identity: str) -> None:
-        self._by_first.setdefault(seq[0], []).append((seq, identity))
+        self._claimed.setdefault(seq, set()).add(identity)
+        for n in range(1, len(seq)):
+            self._extended.setdefault(seq[:n], set()).add(identity)
 
 
 def build_employer_stock(
@@ -373,11 +364,7 @@ def build_employer_stock(
         registry.claim(seq, ident)
         divisions_by_parent.setdefault(parent_idx, []).append(_display(seq))
     for idx, divs in divisions_by_parent.items():
-        identities[idx] = EmployerIdentity(
-            key=identities[idx].key,
-            parent_display=identities[idx].parent_display,
-            division_displays=tuple(divs),
-        )
+        identities[idx] = replace(identities[idx], division_displays=tuple(divs))
 
     for o in range(orphans):
         ghost_id = f"ghost{o}"
@@ -429,7 +416,6 @@ class _Generator:
             raise InputError(f"industry token must be one token, got {config.industry_token!r}")
         self.industry_token = tokens[0]
         self.fillers = _safe_fillers(taxonomy, self.industry_token)
-        self.neutral_words = list(_NEUTRAL_TITLE_WORDS)
         self.pools = plantable_jsts(taxonomy)
         # A term containing the industry token would leak it into postings
         # that must stay off-industry.
@@ -447,8 +433,9 @@ class _Generator:
     def _filler(self, low: int, high: int) -> list[str]:
         return [self.rng.choice(self.fillers) for _ in range(self.rng.randint(low, high))]
 
-    def _description(self, jsts: list[Jst], with_token: bool) -> str:
-        words = self._filler(2, 4)
+    def _description(self, lead: tuple[int, int], jsts: list[Jst], with_token: bool) -> str:
+        """Filler, then each term followed by filler, then maybe the industry token and filler."""
+        words = self._filler(*lead)
         for jst in jsts:
             words.extend(jst.tokens)
             words.extend(self._filler(1, 3))
@@ -457,16 +444,8 @@ class _Generator:
             words.extend(self._filler(1, 2))
         return " ".join(words)
 
-    def _employer_description(self, with_token: bool) -> str:
-        words = self._filler(4, 6)
-        if with_token:
-            words.append(self.industry_token)
-            words.extend(self._filler(1, 2))
-        return " ".join(words)
-
     def _neutral_title(self) -> str:
-        words = self.rng.sample(self.neutral_words, self.rng.randint(2, 3))
-        return " ".join(w.capitalize() for w in words)
+        return _display(self.rng.sample(_NEUTRAL_TITLE_WORDS, self.rng.randint(2, 3)))
 
     def _retrieved_at(self) -> dt.date:
         span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).days
@@ -532,37 +511,30 @@ class _Generator:
 
         postings: list[Posting] = []
         rows: list[TruthRow] = []
-        next_id = 1
 
-        def job_id() -> str:
-            nonlocal next_id
-            value = f"J{next_id:07d}"
-            next_id += 1
-            return value
+        def next_job_id() -> str:
+            return f"J{len(postings) + 1:07d}"
 
-        for function, k, off, region in slots:
-            pool = self.pools_off[function] if off else self.pools[function]
-            jsts = sorted(rng.sample(pool, min(k, len(pool))), key=lambda j: j.phrase)
-            placement = -1 if off else rng.randrange(3)  # 0 job desc, 1 employer desc, 2 both
-            employer_name, identity = draw_employer()
-            title = (
-                jsts[0].phrase.title()
-                if rng.random() < _TITLED_FROM_TERM_RATE
-                else self._neutral_title()
+        def emit(
+            title: str, employer: tuple[str, str], region: Region, jsts: list[Jst], off: bool, placement: int
+        ) -> None:
+            """Record a posting and its truth, drawing job description, employer
+            description and date in that order: the fixtures' bytes depend on it."""
+            employer_name, identity = employer
+            postings.append(
+                Posting(
+                    job_id=next_job_id(),
+                    title=title,
+                    job_description=self._description((2, 4), jsts, with_token=placement in (0, 2)),
+                    employer_name=employer_name,
+                    employer_description=self._description((4, 6), [], with_token=placement in (1, 2)),
+                    region=region,
+                    retrieved_at=self._retrieved_at(),
+                )
             )
-            posting = Posting(
-                job_id=job_id(),
-                title=title,
-                job_description=self._description(jsts, with_token=placement in (0, 2)),
-                employer_name=employer_name,
-                employer_description=self._employer_description(with_token=placement in (1, 2)),
-                region=region,
-                retrieved_at=self._retrieved_at(),
-            )
-            postings.append(posting)
             rows.append(
                 TruthRow(
-                    job_id=posting.job_id,
+                    job_id=postings[-1].job_id,
                     region=region,
                     off_industry=off,
                     jsts=tuple(j.phrase for j in jsts),
@@ -570,6 +542,18 @@ class _Generator:
                     employer_identity=identity,
                 )
             )
+
+        for function, k, off, region in slots:
+            pool = self.pools_off[function] if off else self.pools[function]
+            jsts = sorted(rng.sample(pool, min(k, len(pool))), key=lambda j: j.phrase)
+            placement = -1 if off else rng.randrange(3)  # 0 job desc, 1 employer desc, 2 both
+            employer = draw_employer()
+            title = (
+                jsts[0].phrase.title()
+                if rng.random() < _TITLED_FROM_TERM_RATE
+                else self._neutral_title()
+            )
+            emit(title, employer, region, jsts, off, placement)
 
         for phrase, count in config.unknown_title_plants:
             tokens = normalize_text(phrase)
@@ -579,27 +563,7 @@ class _Generator:
                 )
             for region, cnt in apportion(count, config.region_mix).items():
                 for _ in range(cnt):
-                    employer_name, identity = draw_employer()
-                    posting = Posting(
-                        job_id=job_id(),
-                        title=" ".join(t.capitalize() for t in tokens),
-                        job_description=self._description([], with_token=True),
-                        employer_name=employer_name,
-                        employer_description=self._employer_description(with_token=False),
-                        region=region,
-                        retrieved_at=self._retrieved_at(),
-                    )
-                    postings.append(posting)
-                    rows.append(
-                        TruthRow(
-                            job_id=posting.job_id,
-                            region=region,
-                            off_industry=False,
-                            jsts=(),
-                            employer_name=employer_name,
-                            employer_identity=identity,
-                        )
-                    )
+                    emit(_display(tokens), draw_employer(), region, [], False, 0)
 
         if config.cross_region_repeat_count:
             eligible = [i for i, row in enumerate(rows) if row.jsts and not row.off_industry]
@@ -613,38 +577,11 @@ class _Generator:
                 sorted(rng.sample(eligible, config.cross_region_repeat_count)), start=1
             ):
                 source = postings[source_idx]
-                source_row = rows[source_idx]
                 target = region_cycle[(region_cycle.index(source.region) + 1) % len(region_cycle)]
-                copy = Posting(
-                    job_id=job_id(),
-                    title=source.title,
-                    job_description=source.job_description,
-                    employer_name=source.employer_name,
-                    employer_description=source.employer_description,
-                    region=target,
-                    retrieved_at=source.retrieved_at,
-                )
+                copy = replace(source, job_id=next_job_id(), region=target)
                 postings.append(copy)
-                rows[source_idx] = TruthRow(
-                    job_id=source_row.job_id,
-                    region=source_row.region,
-                    off_industry=source_row.off_industry,
-                    jsts=source_row.jsts,
-                    employer_name=source_row.employer_name,
-                    employer_identity=source_row.employer_identity,
-                    cross_region_group=group_no,
-                )
-                rows.append(
-                    TruthRow(
-                        job_id=copy.job_id,
-                        region=target,
-                        off_industry=source_row.off_industry,
-                        jsts=source_row.jsts,
-                        employer_name=source_row.employer_name,
-                        employer_identity=source_row.employer_identity,
-                        cross_region_group=group_no,
-                    )
-                )
+                rows[source_idx] = replace(rows[source_idx], cross_region_group=group_no)
+                rows.append(replace(rows[source_idx], job_id=copy.job_id, region=target))
 
         self._self_check(postings, rows)
         return postings, GroundTruth(rows=tuple(rows))
@@ -719,12 +656,11 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 class GenerateResult:
     posting_paths: dict[Region, Path]
     truth_path: Path
+    posting_count: int
 
 
 def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> GenerateResult:
     """Generate the corpus and write one posting file per region plus truth.csv."""
-    from .report import write_text_atomic
-
     postings, truth = build_corpus(config, taxonomy)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -736,4 +672,4 @@ def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> Ge
         paths[region] = path
     truth_path = out / "truth.csv"
     write_text_atomic(truth_path, render_truth_csv(truth))
-    return GenerateResult(posting_paths=paths, truth_path=truth_path)
+    return GenerateResult(posting_paths=paths, truth_path=truth_path, posting_count=len(postings))

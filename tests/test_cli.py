@@ -286,6 +286,26 @@ def test_bad_plant_spec_exits_1(tmp_path, capsys):
     assert "plant" in capsys.readouterr().err
 
 
+def test_synth_rejects_region_subset_flag(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["synth", "--regions", "SB", "--n-postings", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth always writes regions LA,SB,SD") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_window_from_config_file(tmp_path, capsys):
+    config = tmp_path / "jobpulse.conf"
+    config.write_text("window_start = 2026-01-01\nwindow_end = 2026-02-01\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["synth", "--config", str(config), "--n-postings", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth always writes regions LA,SB,SD dated 2025-") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_report_on_empty_corpus(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

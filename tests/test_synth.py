@@ -12,6 +12,7 @@ from jobpulse.matcher import discover_candidate_titles, filter_corpus, industry_
 from jobpulse.cli import DEFAULT_DICTIONARY
 from jobpulse.synth import (
     SynthConfig,
+    _NameRegistry,
     apportion,
     build_corpus,
     build_employer_stock,
@@ -105,6 +106,21 @@ def test_same_seed_twice_is_byte_identical(tmp_path, shipped_taxonomy):
     paths_a = list(a.posting_paths.values()) + [a.truth_path]
     paths_b = list(b.posting_paths.values()) + [b.truth_path]
     assert _hash_dir(paths_a) == _hash_dir(paths_b)
+
+
+def test_default_fixture_hashes_pinned(tmp_path, shipped_taxonomy):
+    # Pins the random stream itself: a change to the draw order, or a Python
+    # version whose random module draws differently, changes these hashes.
+    result = generate(SynthConfig(), shipped_taxonomy, tmp_path)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in [*result.posting_paths.values(), result.truth_path]}
+    assert hashes == {
+        "la.jsonl": "678232770b821ac2a6fc51cdbe23ee9c0fb508cc58781578507a7066f6914276",
+        "sb.jsonl": "88aeab53013ab25c2f98d80c38c960750590ea0e7aa96ce98e580c6b355e75de",
+        "sd.jsonl": "399d5f6c1508b8ac879ed623641401872e7b6497ba243bde1477ae4e5474cbd7",
+        "truth.csv": "a2979d8ca8be7e68946da51ff98875c9cff448e15bd5ac2fdc530a834b6853fe",
+    }
+    assert result.posting_count == 5300
 
 
 def test_distinct_seeds_differ(tmp_path, shipped_taxonomy):
@@ -326,3 +342,75 @@ def test_division_share_matches_plan():
     stock = build_employer_stock(rng, 1000, Fraction(3, 20), Fraction(1, 5))
     division_names = sum(len(i.division_displays) for i in stock.identities)
     assert division_names == 105  # 70% of the 150 planted division names merge
+
+
+# -- name registry -----------------------------------------------------------
+
+
+class _PairwiseRegistry:
+    """Reference registry: scans every claim in the candidate's first-token block."""
+
+    def __init__(self) -> None:
+        self._by_first = {}
+
+    def conflicts(self, seq, identity):
+        for other, owner in self._by_first.get(seq[0], ()):
+            if owner == identity:
+                continue
+            shorter, longer = (other, seq) if len(other) <= len(seq) else (seq, other)
+            if longer[: len(shorter)] == shorter:
+                return True
+        return False
+
+    def claim(self, seq, identity):
+        self._by_first.setdefault(seq[0], []).append((seq, identity))
+
+
+def test_registry_prefix_cases():
+    registry = _NameRegistry()
+    registry.claim(("apex", "dynamics"), "id0")
+    assert not registry.conflicts(("apex", "dynamics", "labs"), "id0")  # a division of its own parent
+    assert registry.conflicts(("apex", "dynamics", "labs"), "id1")
+    assert registry.conflicts(("apex", "dynamics"), "id1")
+    assert registry.conflicts(("apex",), "id1")
+    assert not registry.conflicts(("apex", "works"), "id1")
+    registry.claim(("apex", "works"), "id1")  # two identities share the unclaimed prefix ("apex",)
+    assert registry.conflicts(("apex",), "id0") and registry.conflicts(("apex",), "id1")
+    registry.claim(("nova", "foundry"), "ghost0")  # a withheld parent, then its orphan division
+    assert not registry.conflicts(("nova", "foundry", "west"), "ghost0")
+    registry.claim(("nova", "foundry", "west"), "ghost0")
+    assert registry.conflicts(("nova", "foundry"), "id2")
+    assert not registry.conflicts(("nova", "labs"), "id2")
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_registry_matches_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(60)]
+    identities = [f"id{i}" for i in range(12)] + ["ghost0", "ghost1"]
+    fast, oracle = _NameRegistry(), _PairwiseRegistry()
+    claimed = []
+    outcomes = {True: 0, False: 0}
+    for step in range(2500):
+        if claimed and rng.random() < 0.3:
+            # Extend an existing claim, under its own identity or another.
+            seq, owner = rng.choice(claimed)
+            seq += tuple(rng.choices(words, k=rng.randint(0, 2)))
+            identity = owner if rng.random() < 0.5 else rng.choice(identities)
+        else:
+            # Most candidates land in one first-token block.
+            first = "advanced" if rng.random() < 0.9 else rng.choice(words)
+            seq = (first,) + tuple(rng.choices(words, k=rng.randint(0, 3)))
+            identity = rng.choice(identities)
+        expected = oracle.conflicts(seq, identity)
+        assert fast.conflicts(seq, identity) == expected, (step, seq, identity)
+        outcomes[expected] += 1
+        # Claim like the generator does, plus a few forced claims that leave
+        # two identities owning related names. In the big block, names of one
+        # or two tokens are only probed: claimed, they would block most of it.
+        if (len(seq) > 2 or seq[0] != "advanced") and (not expected or rng.random() < 0.05):
+            fast.claim(seq, identity)
+            oracle.claim(seq, identity)
+            claimed.append((seq, identity))
+    assert sum(seq[0] == "advanced" for seq, _ in claimed) > 1000
+    assert min(outcomes.values()) > 500
