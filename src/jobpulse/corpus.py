@@ -18,8 +18,11 @@ import enum
 import io
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -42,6 +45,13 @@ DEFAULT_WINDOW_END = dt.date(2025, 6, 4)
 
 # Tokens: runs of letters/digits, with hyphens kept only between such runs.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*")
+# ASCII digits only: date.fromisoformat alone accepts more forms from Python 3.11 on.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# A lone surrogate: only a \u escape puts one in a decoded line, and no UTF-8 output can hold it.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+_FIELD_SET = frozenset(POSTING_FIELDS)
+_fields_of = operator.itemgetter(*POSTING_FIELDS)
+_decode_json = json.JSONDecoder().raw_decode
 
 
 class Region(enum.Enum):
@@ -57,12 +67,20 @@ class Region(enum.Enum):
         return self.value
 
 
+_REGIONS = {region.value: region for region in Region}
+
+
 def parse_region(label: str) -> Region:
     """Parse a region code. Accepts exactly "LA", "SB", "SD"."""
-    try:
-        return Region(label)
-    except ValueError:
-        raise InputError(f"unknown region {label!r}: expected one of LA, SB, SD") from None
+    region = _REGIONS.get(label)
+    if region is None:
+        raise InputError(f"unknown region {label!r}: expected one of LA, SB, SD")
+    return region
+
+
+# One CSV line as csv_text renders it: the writer passes each rendered line to
+# ``str``, and writerow returns what that returned.
+csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def csv_text(header, rows) -> str:
@@ -99,9 +117,12 @@ class CollectionWindow:
         return self.start <= day <= self.end
 
 
-@dataclass(frozen=True, slots=True)
-class Posting:
-    """One scraped job advertisement."""
+class Posting(NamedTuple):
+    """One scraped job advertisement.
+
+    A named tuple: immutable, cheap to build, and equal to a plain tuple of
+    the same seven fields.
+    """
 
     job_id: str
     title: str
@@ -138,8 +159,38 @@ class Corpus:
         return iter(self.postings)
 
 
-def _parse_record(obj: object, window: CollectionWindow) -> Posting:
-    """Validate one decoded record; raises InputError with the reject reason."""
+def _parse_date(text: str) -> dt.date:
+    if _DATE_RE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    raise InputError(f"bad retrieved_at {text!r}: expected YYYY-MM-DD")
+
+
+def _parse_record(obj: object, window: CollectionWindow, days: dict[str, dt.date]) -> Posting:
+    """Validate one decoded record; raises InputError with the reject reason.
+
+    ``days`` maps each retrieved_at string already found inside the window
+    to its date, so a load parses each distinct string once. A record that
+    fails any check of the common path is checked again field by field, in
+    order, to name its first fault.
+    """
+    if type(obj) is dict and obj.keys() == _FIELD_SET:
+        job_id, title, job_description, employer_name, employer_description, code, retrieved_at = _fields_of(obj)
+        if (
+            type(job_id) is str
+            and job_id
+            and type(title) is str
+            and type(job_description) is str
+            and type(employer_name) is str
+            and type(employer_description) is str
+            and type(code) is str
+            and type(retrieved_at) is str
+            and (region := _REGIONS.get(code)) is not None
+            and (day := days.get(retrieved_at)) is not None
+        ):
+            return Posting(job_id, title, job_description, employer_name, employer_description, region, day)
     if not isinstance(obj, dict):
         raise InputError("record is not a JSON object")
     for name in POSTING_FIELDS:
@@ -150,26 +201,38 @@ def _parse_record(obj: object, window: CollectionWindow) -> Posting:
     if not obj["job_id"]:
         raise InputError("empty job_id")
     region = parse_region(obj["region"])
-    try:
-        retrieved = dt.date.fromisoformat(obj["retrieved_at"])
-    except ValueError:
-        raise InputError(f"bad retrieved_at {obj['retrieved_at']!r}: expected YYYY-MM-DD") from None
-    if not window.contains(retrieved):
-        raise InputError(
-            f"retrieved_at {retrieved} outside collection window {window.start}..{window.end}"
-        )
+    day = days.get(obj["retrieved_at"])
+    if day is None:
+        day = _parse_date(obj["retrieved_at"])
+        if not window.contains(day):
+            raise InputError(f"retrieved_at {day} outside collection window {window.start}..{window.end}")
+        days[obj["retrieved_at"]] = day
     # Checked last, so a record with any other fault is rejected for that fault.
     if len(obj) != len(POSTING_FIELDS):
-        raise InputError(f"unexpected field {min(set(obj) - set(POSTING_FIELDS))!r}")
-    return Posting(
-        job_id=obj["job_id"],
-        title=obj["title"],
-        job_description=obj["job_description"],
-        employer_name=obj["employer_name"],
-        employer_description=obj["employer_description"],
-        region=region,
-        retrieved_at=retrieved,
-    )
+        raise InputError(f"unexpected field {min(set(obj) - _FIELD_SET)!r}")
+    return Posting(*_fields_of(obj)[:5], region, day)
+
+
+def _decode(line: str) -> object:
+    """Decode one stripped line as a single JSON value; raises InputError on failure."""
+    try:
+        obj, end = _decode_json(line)
+    except json.JSONDecodeError as exc:
+        # json.loads names a leading byte order mark before it decodes anything.
+        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line.startswith("\ufeff") else exc.msg
+        raise InputError(f"invalid JSON: {msg}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal beyond the interpreter's digit limit
+        raise InputError("invalid JSON: number too long") from None
+    if end != len(line):
+        raise InputError("invalid JSON: Extra data")
+    return obj
+
+
+def _surrogate_field(posting: Posting) -> str | None:
+    """The first text field holding a lone surrogate, which no UTF-8 output can hold."""
+    return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
 
 
 def _numbered_lines(path: str):
@@ -197,18 +260,14 @@ def load_postings(
     postings: list[Posting] = []
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, Region]] = set()
+    days: dict[str, dt.date] = {}
     for path in paths:
         for line_no, line in _numbered_lines(path):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                diagnostics.append(Diagnostic(path, line_no, f"invalid JSON: {exc.msg}"))
-                continue
-            try:
-                posting = _parse_record(obj, window)
+                posting = _parse_record(_decode(stripped), window, days)
             except InputError as exc:
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
                 continue
@@ -217,6 +276,10 @@ def load_postings(
                 diagnostics.append(
                     Diagnostic(path, line_no, f"duplicate (job_id, region) {posting.job_id}/{posting.region}")
                 )
+                continue
+            # Checked after every other fault, so no earlier reject reason changes.
+            if "\\u" in stripped and (name := _surrogate_field(posting)):
+                diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
                 continue
             seen.add(key)
             postings.append(posting)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
-from .corpus import Posting, Region, csv_text
+from .corpus import Posting, Region, csv_line
 from .errors import ContractError
 from .matcher import MatchRecord
 from .taxonomy import Jst, JstLevel
@@ -47,10 +47,27 @@ class WeightedAssignment:
 
 @dataclass(frozen=True)
 class DemandLedger:
-    """All weighted assignments plus the exact demand-unit count."""
+    """The demand units, each with the terms that share it, in ledger order.
 
-    assignments: tuple[WeightedAssignment, ...]
-    unit_count: int
+    A unit is ``(job_id, region, terms sorted by phrase)``: its k terms each
+    carry weight 1/k, so the k shares of every unit sum to exactly 1.
+    """
+
+    units: tuple[tuple[str, Region, tuple[Jst, ...]], ...]
+
+    @property
+    def unit_count(self) -> int:
+        return len(self.units)
+
+    @cached_property
+    def assignments(self) -> tuple[WeightedAssignment, ...]:
+        """Every term's share of every unit, in ledger order, built on first use."""
+        shares = {k: Fraction(1, k) for k in {len(terms) for _, _, terms in self.units}}
+        return tuple(
+            WeightedAssignment(job_id, region, jst, shares[len(terms)])
+            for job_id, region, terms in self.units
+            for jst in terms
+        )
 
     def total_weight(self) -> Fraction:
         denominator, sums = self.term_sums
@@ -63,12 +80,15 @@ class DemandLedger:
         L is the least common multiple of the weight denominators, so every
         sum is an exact integer numerator over L.
         """
-        denominator = math.lcm(*{a.weight.denominator for a in self.assignments})
+        denominator = math.lcm(*{len(terms) for _, _, terms in self.units})
         sums: dict[Jst, dict[Region, int]] = {}
-        for a in self.assignments:
-            per_region = sums.setdefault(a.jst, {})
-            units = a.weight.numerator * (denominator // a.weight.denominator)
-            per_region[a.region] = per_region.get(a.region, 0) + units
+        for _, region, terms in self.units:
+            units = denominator // len(terms)
+            for jst in terms:
+                per_region = sums.get(jst)
+                if per_region is None:
+                    per_region = sums[jst] = {}
+                per_region[region] = per_region.get(region, 0) + units
         return denominator, sums
 
 
@@ -88,17 +108,15 @@ def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
                 f"two match records for (job_id, region) ({record.job_id}, {record.region})"
             )
         seen.add(key)
-    # Built in ledger order: records by (job_id, region code), terms by phrase.
+    # Ledger order: records by (job_id, region code), terms by phrase.
     region_code = {region: region.value for region in Region}
     by_phrase = attrgetter("phrase")
-    assignments: list[WeightedAssignment] = []
-    shares: dict[int, Fraction] = {}
-    for record in sorted(records, key=lambda r: (r.job_id, region_code[r.region])):
-        k = len(record.matched_jsts)
-        share = shares.get(k) or shares.setdefault(k, Fraction(1, k))
-        for jst in sorted(record.matched_jsts, key=by_phrase):
-            assignments.append(WeightedAssignment(record.job_id, record.region, jst, share))
-    ledger = DemandLedger(assignments=tuple(assignments), unit_count=len(seen))
+    ledger = DemandLedger(
+        units=tuple(
+            (job_id, region, tuple(sorted(jsts, key=by_phrase)))
+            for job_id, region, jsts, _ in sorted(records, key=lambda r: (r.job_id, region_code[r.region]))
+        )
+    )
     total = ledger.total_weight()
     if total != ledger.unit_count:
         raise ContractError(f"ledger total {total} != unit count {ledger.unit_count}")
@@ -153,18 +171,26 @@ def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
 
 
 def render_ledger_csv(ledger: DemandLedger) -> str:
-    """Ledger export: job_id,region,function,family,title,weight_num,weight_den."""
+    """Ledger export: job_id,region,function,family,title,weight_num,weight_den.
+
+    CSV quotes each field on its own, so a row is its unit's rendered
+    (job_id, region) joined to each term's rendered three columns and the
+    weight 1/k; each piece goes through the csv module once.
+    """
     _, sums = ledger.term_sums  # keyed by the ledger's distinct terms
     term_columns = {
-        jst: (
-            jst.family.function.value,
-            jst.family.name,
-            jst.title.name if jst.level is JstLevel.TITLE and jst.title else "",
-        )
+        jst: csv_line(
+            (
+                jst.family.function.value,
+                jst.family.name,
+                jst.title.name if jst.level is JstLevel.TITLE and jst.title else "",
+            )
+        )[:-1]
         for jst in sums
     }
-    rows = (
-        [a.job_id, a.region.value, *term_columns[a.jst], a.weight.numerator, a.weight.denominator]
-        for a in ledger.assignments
-    )
-    return csv_text(LEDGER_HEADER, rows)
+    rows = [csv_line(LEDGER_HEADER)]
+    for job_id, region, terms in ledger.units:
+        head = csv_line((job_id, region.value))[:-1]
+        tail = f",1,{len(terms)}\n"
+        rows.extend([f"{head},{term_columns[jst]}{tail}" for jst in terms])
+    return "".join(rows)

@@ -29,6 +29,7 @@ its shortest member (the parent), ties broken lexicographically.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,24 +189,22 @@ def employer_stats(
     employer name; every linked name must appear in the mapping or the
     upstream contract was violated.
     """
+    try:
+        raw_units = Counter([unit_employers[job_id, region] for job_id, region, _ in ledger.units])
+    except KeyError as exc:
+        raise ContractError(f"demand unit {exc.args[0]} has no employer name") from None
     counts: dict[str, int] = {}
-    raw_seen: set[str] = set()
-    for key in dict.fromkeys((a.job_id, a.region) for a in ledger.assignments):
-        try:
-            raw = unit_employers[key]
-        except KeyError:
-            raise ContractError(f"demand unit {key} has no employer name") from None
+    for raw, units in raw_units.items():
         employer = mapping.get(raw)
         if employer is None:
             raise ContractError(f"employer name {raw!r} missing from canonical mapping")
-        raw_seen.add(raw)
-        counts[employer.canonical_name] = counts.get(employer.canonical_name, 0) + 1
+        counts[employer.canonical_name] = counts.get(employer.canonical_name, 0) + units
     total = sum(counts.values())
     employer_count = len(counts)
     ranked = tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
     top_total = sum(count for _, count in ranked[:top_k])
     return EmployerReport(
-        raw_name_count=len(raw_seen),
+        raw_name_count=len(raw_units),
         employer_count=employer_count,
         unit_total=total,
         mean_units=Fraction(total, employer_count) if employer_count else Fraction(0),
@@ -216,12 +215,16 @@ def employer_stats(
     )
 
 
+def _count_labels(report: EmployerReport) -> dict[int, tuple[str, str]]:
+    """Rendered (units, share) per distinct unit count: thousands of employers share a few counts."""
+    counts = {count for _, count in report.ranked}
+    return {count: (render_decimal(count), render_pct(report.share(count))) for count in counts}
+
+
 def render_employers_csv(report: EmployerReport) -> str:
     """Per-employer export: canonical_name,units,units_num,units_den,share_pct."""
-    rows = (
-        [name, render_decimal(count), count, 1, render_pct(report.share(count))]
-        for name, count in report.ranked
-    )
+    labels = _count_labels(report)
+    rows = ([name, labels[count][0], count, 1, labels[count][1]] for name, count in report.ranked)
     return csv_text(["canonical_name", "units", "units_num", "units_den", "share_pct"], rows)
 
 
@@ -236,8 +239,10 @@ def render_employers_text(report: EmployerReport) -> str:
     ]
     width = max([len(name) for name, _ in report.ranked], default=8)
     lines.append(f"{'employer'.ljust(width)}  {'units':>9}  share")
+    labels = _count_labels(report)
     for name, count in report.ranked:
-        lines.append(f"{name.ljust(width)}  {render_decimal(count):>9}  {render_pct(report.share(count))}")
+        units, share = labels[count]
+        lines.append(f"{name.ljust(width)}  {units:>9}  {share}")
     return "\n".join(lines) + "\n"
 
 

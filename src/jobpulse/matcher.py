@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, Posting, Region, normalize_text
 from .errors import InputError
@@ -33,6 +34,9 @@ FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 
 # The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
 _RUN_RE = re.compile(r"[^\W_]+")
+# Byte table for ASCII text: letters lowercased, digits kept, every other byte
+# a space, so the runs are what split() returns.
+_ASCII_RUNS = bytes(ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else ord(" ") for b in range(256))
 
 
 def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
@@ -49,7 +53,12 @@ def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def expanded_tokens(text: str) -> tuple[str, ...]:
-    """``expand_hyphens(normalize_text(text))`` in one regex pass."""
+    """``expand_hyphens(normalize_text(text))``: the letter/digit runs of the lowercased text.
+
+    ASCII text takes one table lookup per byte instead of the regex engine.
+    """
+    if text.isascii():
+        return tuple(text.encode().translate(_ASCII_RUNS).decode().split())
     return tuple(_RUN_RE.findall(text.lower()))
 
 
@@ -96,18 +105,28 @@ def parse_search_phrase(rendered: str) -> SearchPhrase:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class MatchRecord:
-    """Terms that hit one posting, with per-term title-occurrence flags."""
-
+class _MatchRecordFields(NamedTuple):
     job_id: str
     region: Region
     matched_jsts: frozenset[Jst]
     matched_in_title: frozenset[Jst]
 
-    def __post_init__(self) -> None:
-        if not self.matched_jsts:
-            raise InputError(f"match record for {self.job_id} has no matched terms")
+
+class MatchRecord(_MatchRecordFields):
+    """Terms that hit one posting, with per-term title-occurrence flags.
+
+    A named tuple, so it costs a tuple to build; a record always holds at
+    least one term.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, job_id: str, region: Region, matched_jsts: frozenset[Jst], matched_in_title: frozenset[Jst]
+    ) -> MatchRecord:
+        if not matched_jsts:
+            raise InputError(f"match record for {job_id} has no matched terms")
+        return tuple.__new__(cls, (job_id, region, matched_jsts, matched_in_title))
 
 
 class MatchIndex:
@@ -121,12 +140,16 @@ class MatchIndex:
     def __init__(self, taxonomy: Taxonomy) -> None:
         self.taxonomy = taxonomy
         self._title_hits: dict[str, frozenset[Jst]] = {}
-        self._by_first: dict[str, list[tuple[tuple[str, ...], Jst]]] = {}
+        # First token -> (" phrase tokens ", term): tokens hold no spaces, so a
+        # phrase is a contiguous run exactly when its spaced form occurs in the
+        # spaced token string.
+        self._by_first: dict[str, list[tuple[str, Jst]]] = {}
         for jst in taxonomy.jsts:
             expanded = expand_hyphens(jst.tokens)
             if not expanded:
                 continue
-            self._by_first.setdefault(expanded[0], []).append((expanded, jst))
+            self._by_first.setdefault(expanded[0], []).append((f" {' '.join(expanded)} ", jst))
+        self._firsts = frozenset(self._by_first)
 
     def scan(self, tokens: tuple[str, ...]) -> set[Jst]:
         """All terms occurring as contiguous runs in ``tokens``.
@@ -134,13 +157,12 @@ class MatchIndex:
         ``tokens`` must already be hyphen-expanded (``expanded_tokens`` or
         ``expand_hyphens``); a hyphenated token is never split here.
         """
-        hits: set[Jst] = set()
+        firsts = self._firsts.intersection(tokens)
+        if not firsts:
+            return set()
+        text = f" {' '.join(tokens)} "
         by_first = self._by_first
-        for i, tok in enumerate(tokens):
-            for phrase, jst in by_first.get(tok, ()):
-                if tokens[i : i + len(phrase)] == phrase:
-                    hits.add(jst)
-        return hits
+        return {jst for first in firsts for phrase, jst in by_first[first] if phrase in text}
 
     def title_hits(self, title: str) -> frozenset[Jst]:
         """``scan(expanded_tokens(title))``, computed once per distinct title."""
@@ -197,9 +219,23 @@ def _industry_predicate(industry_token: str, mode: str):
         raise InputError(f"unknown filter mode {mode!r}: expected one of {FILTER_MODES}")
     token = validate_industry_token(industry_token)
 
-    def occurs(text: str) -> bool:  # token in expanded_tokens(text), checked as a substring first
+    size = len(token)
+
+    def occurs(text: str) -> bool:
+        """``token in expanded_tokens(text)``: an occurrence whose neighbours are not letters or digits.
+
+        ``str.isalnum`` is the character class ``[^\\W_]`` that tokens are runs of.
+        """
         lowered = text.lower()
-        return token in lowered and token in _RUN_RE.findall(lowered)
+        start = lowered.find(token)
+        while start >= 0:
+            end = start + size
+            if (start == 0 or not lowered[start - 1].isalnum()) and (
+                end == len(lowered) or not lowered[end].isalnum()
+            ):
+                return True
+            start = lowered.find(token, start + 1)
+        return False
 
     if mode == FILTER_ALL_FIELDS:
         return lambda p: occurs(p.job_description) and occurs(p.employer_description)

@@ -578,7 +578,7 @@ class _Generator:
             ):
                 source = postings[source_idx]
                 target = region_cycle[(region_cycle.index(source.region) + 1) % len(region_cycle)]
-                copy = replace(source, job_id=next_job_id(), region=target)
+                copy = source._replace(job_id=next_job_id(), region=target)
                 postings.append(copy)
                 rows[source_idx] = replace(rows[source_idx], cross_region_group=group_no)
                 rows.append(replace(rows[source_idx], job_id=copy.job_id, region=target))

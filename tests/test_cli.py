@@ -87,6 +87,26 @@ def test_ingest_dirty_corpus_exits_2(tmp_path):
     assert manifest["count.records_rejected"] == "2"
 
 
+def test_report_on_lines_that_broke_the_decoder_or_the_writer(tmp_path, fixture_corpus, capsys):
+    # Deep nesting, an integer past the digit limit and a lone surrogate once
+    # ended the run in a traceback, the last after half the artifacts.
+    bad = tmp_path / "bad.jsonl"
+    write_jsonl(bad, ["[" * 200_000, '{"job_id": ' + "9" * 5000 + "}", make_record(job_id="\ud800")])
+    out = tmp_path / "out"
+    assert main(["report", "--input", *fixture_corpus, str(bad), "--out", str(out)]) == 2
+    rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",", 2)[1:] for row in rows] == [
+        ["1", "invalid JSON: nested too deeply"],
+        ["2", "invalid JSON: number too long" if hasattr(sys, "get_int_max_str_digits") else
+         "field 'job_id' must be a string"],
+        ["3", "field 'job_id' holds a lone surrogate"],
+    ]
+    manifest = _manifest(out / "manifest.txt")
+    written = {key.split(".", 1)[1].rsplit(".", 1)[0] for key in manifest if key.startswith("artifact.")}
+    assert written == {p.name for p in out.iterdir()} - {"manifest.txt"} and len(written) == 13
+    capsys.readouterr()
+
+
 def test_match_artifact(tmp_path, fixture_corpus):
     out = tmp_path / "match"
     rc = main(["match", "--input", *fixture_corpus, "--out", str(out)])
@@ -440,6 +460,34 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
         assert snapshot.keys() == snapshots[0].keys()
         for name, content in snapshot.items():
             assert content == snapshots[0][name], name
+
+
+def test_report_artifact_hashes_pinned(tmp_path, capsys):
+    # Every artifact of `report` on the default synth fixture, byte for byte.
+    # manifest.txt is left out: it records the input paths.
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    assert main(["synth", "--out", str(fixture)]) == 0
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    assert main(["report", "--input", *inputs, "--out", str(out)]) == 0
+    hashes = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "manifest.txt"
+    }
+    assert hashes == {
+        "cross_region.csv": "2ddc7b15b27c035461fb1a73132d080f655e4e12d8b6d9dddd12d6b1f657a769",
+        "demand_engineer.csv": "982828f8734c0388432754177ebf64f099f19e0c2a0e5f952982e253ce00d6f5",
+        "demand_family.csv": "b48f3b9920d2c75de654a35368db2dfd4c78614dc890fd8e3d8b5eb9104314e3",
+        "demand_function.csv": "81f7a710828771bf7c977921409cede4a909e312774261a51dacab5d1012d78d",
+        "demand_operational_support.csv": "e944cc8907c182a62193f7840f13f1a0b53f80316c4583ca5a3472fac769d11b",
+        "demand_region.csv": "5e532a5f58a35d3353501ed274eae7b592a6d3cc25e0cf3fcaed98ab425baab6",
+        "demand_scientist.csv": "768f9787418ee096535e29bb3fd7aab31aa4d77ae3b859c68baf83194d291e21",
+        "demand_technician.csv": "16e1811df0f44d90a11351adc7b79f5a907ffac814a0b34f5de611321c10cc71",
+        "diagnostics.csv": "e4a4d6e9381a5631088c8c4c472c27c3cd619b115e760ec71e260687529e5e9e",
+        "employer_mapping.csv": "e2f57cd99e270dfdfb8085b3bfcaf66af2e040847db1ff813670bc201ac22b8d",
+        "employers.csv": "1d3300d4e55888ca7347a8b18b445567c52cfef2e147fe713e44ae7e61f8ed7b",
+        "funnel.csv": "2ee5ff08a7b96084f75d22bcbd7f3a562ea407146f5dd2864e77a4ac61092f65",
+        "ledger.csv": "0795591b4f45c208de869193343b5a5f485b265e93bf7abd25a81b5f6db2a071",
+    }
+    capsys.readouterr()
 
 
 def test_manifest_identical_across_checkouts(tmp_path):

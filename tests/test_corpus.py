@@ -3,12 +3,16 @@ import io
 import json
 import random
 import string
+import sys
 
 import pytest
 
 from jobpulse import corpus as corpus_mod
 from jobpulse.corpus import (
+    POSTING_FIELDS,
     CollectionWindow,
+    Diagnostic,
+    Posting,
     Region,
     load_postings,
     normalize_text,
@@ -16,6 +20,7 @@ from jobpulse.corpus import (
     posting_to_json,
 )
 from jobpulse.errors import InputError
+from jobpulse.synth import SynthConfig, build_corpus
 
 from conftest import make_record, write_jsonl
 
@@ -177,8 +182,13 @@ def test_valid_plus_rejected_partitions_input_lines(tmp_path):
         ({"retrieved_at": "2025-07-04"}, "window"),
         ({"job_id": ""}, "job_id"),
         ({"title": 7}, "title"),
+        # Python 3.11's date.fromisoformat accepts these; 3.10's does not.
+        ({"retrieved_at": "20250402"}, "bad retrieved_at '20250402': expected YYYY-MM-DD"),
+        ({"retrieved_at": "2025-W14-3"}, "bad retrieved_at '2025-W14-3': expected YYYY-MM-DD"),
+        ({"retrieved_at": "\uff12025-04-02"}, "bad retrieved_at"),
     ],
-    ids=["lc-region", "bad-region", "bad-date", "outside-window", "empty-id", "non-string"],
+    ids=["lc-region", "bad-region", "bad-date", "outside-window", "empty-id", "non-string", "compact-date",
+         "week-date", "non-ascii-digit"],
 )
 def test_invalid_records_are_diagnosed(tmp_path, mutation, reason_part):
     path = tmp_path / "bad.jsonl"
@@ -281,3 +291,174 @@ def test_posting_round_trips_through_json(tmp_path):
     write_jsonl(path, [record])
     corpus, _ = load_postings([str(path)])
     assert json.loads(posting_to_json(corpus.postings[0])) == record
+
+
+def test_posting_is_an_immutable_named_tuple():
+    fields = ("J1", "t", "d", "e", "ed", Region.LA, dt.date(2025, 4, 1))
+    posting = Posting(*fields)
+    assert posting == fields and posting.region is Region.LA
+    with pytest.raises(AttributeError):
+        posting.job_id = "J2"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[" * 200_000, "invalid JSON: nested too deeply"),
+        # Interpreters before the int-to-string digit limit (3.10.7) decode it.
+        ('{"job_id": ' + "9" * 5000 + "}", "invalid JSON: number too long"
+         if hasattr(sys, "get_int_max_str_digits") else "field 'job_id' must be a string"),
+        ("\ufeff" + json.dumps(make_record()), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (json.dumps(make_record()) + " {}", "invalid JSON: Extra data"),
+    ],
+    ids=["deep-nesting", "long-integer", "bom", "extra-data"],
+)
+def test_decoder_failures_are_diagnostics(tmp_path, line, reason):
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(path, [line, make_record(job_id="J2")])
+    corpus, diagnostics = load_postings([str(path)])
+    assert [p.job_id for p in corpus] == ["J2"]
+    assert diagnostics == [Diagnostic(str(path), 1, reason)]
+
+
+def test_lone_surrogate_is_rejected_after_every_other_check(tmp_path):
+    path = tmp_path / "surrogates.jsonl"
+    write_jsonl(
+        path,
+        [
+            make_record(job_id="J1"),
+            make_record(job_id="J2", title="\ud800"),
+            make_record(job_id="J1", title="\udfff"),
+            make_record(job_id="J3", region="NY", title="\ud800"),
+            make_record(job_id="\udc00", employer_description="\ud800"),
+            make_record(job_id="J4", title="\ud83d\ude00"),  # an escaped pair is one valid character
+        ],
+    )
+    corpus, diagnostics = load_postings([str(path)])
+    assert [p.job_id for p in corpus] == ["J1", "J4"]
+    assert [(d.line_no, d.reason) for d in diagnostics] == [
+        (2, "field 'title' holds a lone surrogate"),
+        (3, "duplicate (job_id, region) J1/LA"),
+        (4, "unknown region 'NY': expected one of LA, SB, SD"),
+        (5, "field 'job_id' holds a lone surrogate"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Reference loader: json.loads, then every check in order, as records were
+# validated before the one-pass loader. The new loader must agree with it on
+# every line it accepts or rejects.
+# ---------------------------------------------------------------------------
+
+
+def _reference_parse(obj, window):
+    if not isinstance(obj, dict):
+        raise InputError("record is not a JSON object")
+    for name in POSTING_FIELDS:
+        if name not in obj:
+            raise InputError(f"missing field {name!r}")
+        if not isinstance(obj[name], str):
+            raise InputError(f"field {name!r} must be a string")
+    if not obj["job_id"]:
+        raise InputError("empty job_id")
+    try:
+        region = Region(obj["region"])
+    except ValueError:
+        raise InputError(f"unknown region {obj['region']!r}: expected one of LA, SB, SD") from None
+    try:
+        retrieved = dt.date.fromisoformat(obj["retrieved_at"])
+    except ValueError:
+        raise InputError(f"bad retrieved_at {obj['retrieved_at']!r}: expected YYYY-MM-DD") from None
+    if not window.contains(retrieved):
+        raise InputError(f"retrieved_at {retrieved} outside collection window {window.start}..{window.end}")
+    if len(obj) != len(POSTING_FIELDS):
+        raise InputError(f"unexpected field {min(set(obj) - set(POSTING_FIELDS))!r}")
+    return Posting(*(obj[name] for name in POSTING_FIELDS[:5]), region, retrieved)
+
+
+def _reference_load(path, window):
+    postings, diagnostics, seen = [], [], set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                diagnostics.append(Diagnostic(path, line_no, f"invalid JSON: {exc.msg}"))
+                continue
+            try:
+                posting = _reference_parse(obj, window)
+            except InputError as exc:
+                diagnostics.append(Diagnostic(path, line_no, str(exc)))
+                continue
+            key = (posting.job_id, posting.region)
+            if key in seen:
+                diagnostics.append(
+                    Diagnostic(path, line_no, f"duplicate (job_id, region) {posting.job_id}/{posting.region}")
+                )
+                continue
+            seen.add(key)
+            postings.append(posting)
+    return postings, diagnostics
+
+
+def _mutate(rng, line, accepted):
+    """One seeded fault of the kinds real exports hold, sometimes two at once."""
+    record = json.loads(line)
+    kind = rng.randrange(13)
+    if kind == 0:
+        return line[: rng.randrange(len(line))]
+    if kind == 1:
+        return "\ufeff" + line
+    if kind == 2:
+        return line + rng.choice((" x", "{}", ",", " 1", "]", "\t[]"))
+    if kind == 3:
+        return rng.choice(("[1, 2]", '"posting"', "42", "null", "true", "[]", "1.5", '[{"job_id": "X"}]'))
+    if kind == 4:
+        del record[rng.choice(POSTING_FIELDS)]
+    elif kind == 5:
+        record[rng.choice(POSTING_FIELDS)] = rng.choice((None, 7, 1.5, [], {}, True, ["LA"]))
+    elif kind == 6:
+        record[rng.choice(("zeta", "alpha", "job_id ", "", "Region"))] = rng.choice(("x", 1, None))
+    elif kind == 7:
+        record["region"] = rng.choice(("la", "NY", "", "L A", "Sb", " LA", "LA "))
+    elif kind == 8:
+        record["retrieved_at"] = rng.choice(
+            ("2025-02-30", "04/01/2025", "2025/04/01", "", "soon", "2025-13-01", "2024-12-31", "2025-03-14",
+             "2025-06-05", "2025-07-01", " 2025-04-01")
+        )
+    elif kind == 9 and accepted:
+        record["job_id"], record["region"] = rng.choice(accepted)
+    elif kind == 10:
+        record["job_id"] = ""
+    elif kind == 11:
+        return rng.choice(("", "   ", "# comment", "  # indented comment"))
+    else:
+        return _mutate(rng, json.dumps(record), accepted) if rng.random() < 0.5 else line
+    if rng.random() < 0.3:
+        return _mutate(rng, json.dumps(record, ensure_ascii=rng.random() < 0.5), accepted)
+    return json.dumps(record, ensure_ascii=rng.random() < 0.5)
+
+
+def test_loader_equals_reference_on_mutated_synth_lines(tmp_path, shipped_taxonomy):
+    postings, _ = build_corpus(SynthConfig(seed=53, n_postings=600, cross_region_repeat_count=5), shipped_taxonomy)
+    rng = random.Random(59)
+    lines, accepted = [], []
+    for posting in postings:
+        line = corpus_mod.posting_to_json(posting)
+        if rng.random() < 0.5:
+            line = _mutate(rng, line, accepted)
+        else:
+            accepted.append((posting.job_id, posting.region.value))
+        lines.append(line)
+    path = tmp_path / "mutated.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    window = CollectionWindow()
+    corpus, diagnostics = load_postings([str(path)], window)
+    expected_postings, expected_diagnostics = _reference_load(str(path), window)
+    assert list(corpus.postings) == expected_postings
+    assert diagnostics == expected_diagnostics
+    assert len(diagnostics) > 200 and len(corpus) > 200
+    assert len({d.reason.split(" ")[0] for d in diagnostics}) >= 8

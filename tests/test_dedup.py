@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jobpulse.corpus import Region
+from jobpulse.corpus import Region, csv_text
 from jobpulse.dedup import (
     LEDGER_HEADER,
     WeightedAssignment,
@@ -13,7 +13,7 @@ from jobpulse.dedup import (
 )
 from jobpulse.errors import ContractError
 from jobpulse.matcher import MatchRecord
-from jobpulse.taxonomy import lookup
+from jobpulse.taxonomy import JobFamily, JobFunction, JobTitle, Jst, JstLevel, lookup
 
 from conftest import make_posting
 
@@ -210,3 +210,36 @@ def test_first_duplicate_in_input_order_is_reported(shipped_taxonomy):
         weight_assignments([rec("J2"), rec("J1"), rec("J2"), rec("J1")])
     with pytest.raises(ContractError, match=r"\(J1, LA\)"):
         weight_assignments([rec("J2"), rec("J1"), rec("J1"), rec("J2")])
+
+
+def test_ledger_csv_equals_csv_of_every_assignment():
+    # Names holding the characters CSV quotes: the rows built from separately
+    # rendered pieces must equal the csv module's rendering of whole rows.
+    names = ["plain", 'wet, "bench"', "two\nlines", 'q"', "c,r\r", " spaced "]
+    jsts = []
+    for i, name in enumerate(names):
+        family = JobFamily(name=f"{name} family", function=list(JobFunction)[i % 4])
+        jsts.append(Jst(phrase=f"f{i}", tokens=(f"f{i}",), level=JstLevel.FAMILY, family=family))
+        title = JobTitle(name=f"{name} title", family=family)
+        jsts.append(Jst(phrase=f"t{i}", tokens=(f"t{i}",), level=JstLevel.TITLE, family=family, title=title))
+    rng = random.Random(67)
+    job_ids = ["J1", "J,2", 'J"3"', "J\n4", "", " ", "J\r5", '"', ","]
+    records = {}
+    for _ in range(60):
+        key = (rng.choice(job_ids), rng.choice(list(Region)))
+        matched = frozenset(rng.sample(jsts, rng.randint(1, 5)))
+        records[key] = MatchRecord(key[0], key[1], matched, frozenset())
+    ledger = weight_assignments(list(records.values()))
+    rows = (
+        [
+            a.job_id,
+            a.region.value,
+            a.jst.family.function.value,
+            a.jst.family.name,
+            a.jst.title.name if a.jst.level is JstLevel.TITLE and a.jst.title else "",
+            a.weight.numerator,
+            a.weight.denominator,
+        ]
+        for a in ledger.assignments
+    )
+    assert render_ledger_csv(ledger) == csv_text(LEDGER_HEADER, rows)

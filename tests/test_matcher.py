@@ -3,10 +3,11 @@ import string
 
 import pytest
 
-from jobpulse.corpus import normalize_text
+from jobpulse.corpus import Region, normalize_text
 from jobpulse.errors import InputError
 from jobpulse.matcher import (
     MatchIndex,
+    MatchRecord,
     build_search_phrase,
     discover_candidate_titles,
     expand_hyphens,
@@ -346,6 +347,50 @@ def test_match_index_scan_reusable(shipped_taxonomy):
     assert index.scan(()) == set()
 
 
+def _per_token_scan(taxonomy, tokens):
+    """Reference scan: compare each term's tokens at every position of ``tokens``."""
+    by_first = {}
+    for jst in taxonomy.jsts:
+        expanded = expand_hyphens(jst.tokens)
+        by_first.setdefault(expanded[0], []).append((expanded, jst))
+    hits = set()
+    for i, tok in enumerate(tokens):
+        for phrase, jst in by_first.get(tok, ()):
+            if tokens[i : i + len(phrase)] == phrase:
+                hits.add(jst)
+    return hits
+
+
+def test_scan_equals_per_token_scan(tmp_path, shipped_taxonomy):
+    # Terms that share first tokens and extend one another, plus a hyphenated one.
+    taxonomy = load_taxonomy(write_taxonomy_csv(tmp_path / "t.csv", [
+        ("Engineer", "design engineer", ""),
+        ("Engineer", "design engineer", "analog design engineer"),
+        ("Engineer", "design engineer", "design engineer lead"),
+        ("Engineer", "design engineer", "rf-design engineer"),
+        ("Engineer", "test engineer", ""),
+        ("Engineer", "test engineer", "test"),
+        ("Engineer", "test engineer", "test test engineer"),
+        ("Technician", "design", ""),
+    ]))
+    rng = random.Random(61)
+    for tax, vocab in (
+        (taxonomy, ["design", "engineer", "analog", "lead", "test", "rf", "x"]),
+        (shipped_taxonomy, sorted({t for j in shipped_taxonomy.jsts for t in expand_hyphens(j.tokens)}) + ["x"]),
+    ):
+        index = MatchIndex(tax)
+        for _ in range(3000):
+            tokens = tuple(rng.choices(vocab, k=rng.randint(0, 12)))
+            assert index.scan(tokens) == _per_token_scan(tax, tokens), tokens
+
+
+def test_match_record_needs_a_term():
+    with pytest.raises(InputError, match="J1 has no matched terms"):
+        MatchRecord(job_id="J1", region=Region.LA, matched_jsts=frozenset(), matched_in_title=frozenset())
+    with pytest.raises(InputError):
+        MatchRecord("J1", Region.LA, frozenset(), frozenset())
+
+
 def _tokenizing_filter(posting, token, mode):
     """Reference filter: tokenize both descriptions and look the token up."""
     in_job = token in expand_hyphens(normalize_text(posting.job_description))
@@ -356,9 +401,11 @@ def _tokenizing_filter(posting, token, mode):
 def test_expanded_tokens_equal_hyphen_expanded_normalized_tokens():
     rng = random.Random(23)
     alphabet = string.ascii_letters + string.digits + " -.,;:!?/()'\"éüñİß_" + "--  "
+    ascii_only = "".join(map(chr, range(128))) + "--  "
     for _ in range(2000):
-        text = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
-        assert expanded_tokens(text) == expand_hyphens(normalize_text(text)), repr(text)
+        for chars in (alphabet, ascii_only):
+            text = "".join(rng.choices(chars, k=rng.randint(0, 40)))
+            assert expanded_tokens(text) == expand_hyphens(normalize_text(text)), repr(text)
 
 
 def test_industry_filter_equals_tokenizing_filter():
