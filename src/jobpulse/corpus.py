@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
-import io
 import json
 import logging
 import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -78,18 +78,14 @@ def parse_region(label: str) -> Region:
     return region
 
 
-# One CSV line as csv_text renders it: the writer passes each rendered line to
-# ``str``, and writerow returns what that returned.
+# One CSV row rendered as text with its '\n' ending: the writer passes each
+# rendered line to ``str``, and writerow returns what that returned.
 csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def csv_text(header, rows) -> str:
     """Render a header row and data rows as CSV text with '\\n' line endings."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(map(csv_line, chain((header,), rows)))
 
 
 def normalize_text(s: str) -> tuple[str, ...]:

@@ -34,9 +34,6 @@ FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 
 # The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
 _RUN_RE = re.compile(r"[^\W_]+")
-# Byte table for ASCII text: letters lowercased, digits kept, every other byte
-# a space, so the runs are what split() returns.
-_ASCII_RUNS = bytes(ord(chr(b).lower()) if chr(b).isascii() and chr(b).isalnum() else ord(" ") for b in range(256))
 
 
 def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
@@ -53,12 +50,7 @@ def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def expanded_tokens(text: str) -> tuple[str, ...]:
-    """``expand_hyphens(normalize_text(text))``: the letter/digit runs of the lowercased text.
-
-    ASCII text takes one table lookup per byte instead of the regex engine.
-    """
-    if text.isascii():
-        return tuple(text.encode().translate(_ASCII_RUNS).decode().split())
+    """``expand_hyphens(normalize_text(text))`` in one regex pass."""
     return tuple(_RUN_RE.findall(text.lower()))
 
 

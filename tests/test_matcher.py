@@ -401,11 +401,9 @@ def _tokenizing_filter(posting, token, mode):
 def test_expanded_tokens_equal_hyphen_expanded_normalized_tokens():
     rng = random.Random(23)
     alphabet = string.ascii_letters + string.digits + " -.,;:!?/()'\"éüñİß_" + "--  "
-    ascii_only = "".join(map(chr, range(128))) + "--  "
     for _ in range(2000):
-        for chars in (alphabet, ascii_only):
-            text = "".join(rng.choices(chars, k=rng.randint(0, 40)))
-            assert expanded_tokens(text) == expand_hyphens(normalize_text(text)), repr(text)
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 40)))
+        assert expanded_tokens(text) == expand_hyphens(normalize_text(text)), repr(text)
 
 
 def test_industry_filter_equals_tokenizing_filter():
