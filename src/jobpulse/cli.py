@@ -81,10 +81,11 @@ class PipelineConfig:
             raise InputError("window_start is after window_end")
         matcher_mod.validate_industry_token(self.industry_token)
 
-    def as_manifest_items(self) -> list[tuple[str, str]]:
+    def as_manifest_items(self, keys: tuple[str, ...] | None = None) -> list[tuple[str, str]]:
+        """The recorded settings, all of them or only those named in ``keys``."""
         items = []
         for key, _, field, _, in_manifest in CONFIG_TABLE:
-            if in_manifest:
+            if in_manifest and (keys is None or key in keys):
                 value = getattr(self, field)
                 text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
                 default = _DATA_FILE_DEFAULTS.get(key)
@@ -189,11 +190,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 class _Run:
     """Accumulates artifacts, counts, and inputs for one subcommand run."""
 
-    def __init__(self, subcommand: str, config: PipelineConfig) -> None:
+    def __init__(
+        self, subcommand: str, config: PipelineConfig, config_keys: tuple[str, ...] | None = None
+    ) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.items: list[tuple[str, str]] = [("subcommand", subcommand)]
-        self.items.extend(config.as_manifest_items())
+        self.config_items = config.as_manifest_items(config_keys)
+        self.items: list[tuple[str, str]] = [("subcommand", subcommand), *self.config_items]
 
     def record_inputs(self, paths: list[str]) -> None:
         for i, path in enumerate(paths):
@@ -211,7 +214,7 @@ class _Run:
         self.items.append((f"artifact.{name}.sha256", _sha256_text(content)))
 
     def finish(self) -> None:
-        config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config.as_manifest_items()))
+        config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config_items))
         self.items.append(("config_hash", _sha256_text(config_block)))
         body = "".join(f"{key} = {value}\n" for key, value in sorted(self.items))
         report_mod.write_text_atomic(self.out_dir / MANIFEST_NAME, body)
@@ -422,6 +425,10 @@ def _parse_fraction(text: str, label: str) -> Fraction:
         raise InputError(f"{label} must be a fraction like 1/3, got {text!r}") from None
 
 
+# The settings the generator reads; synth's manifest records only these.
+SYNTH_CONFIG_KEYS = ("taxonomy", "industry_token", "regions", "window_start", "window_end")
+
+
 def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
     window = (corpus_mod.DEFAULT_WINDOW_START, corpus_mod.DEFAULT_WINDOW_END)
@@ -467,24 +474,26 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help=f"config file path (or ${ENV_CONFIG})")
     common.add_argument("--taxonomy", help="taxonomy CSV path")
-    common.add_argument("--dictionary", help="name dictionary path")
     common.add_argument("--industry-token", dest="industry_token", help="industry filter token")
-    common.add_argument(
-        "--filter-mode", dest="filter_mode", choices=matcher_mod.FILTER_MODES, help="industry filter semantics"
-    )
     common.add_argument("--regions", help="comma-separated subset of LA,SB,SD")
     common.add_argument("--window-start", dest="window_start", help="collection window start (YYYY-MM-DD)")
     common.add_argument("--window-end", dest="window_end", help="collection window end (YYYY-MM-DD)")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--format", choices=("csv", "text"), help="table output format")
     common.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
+    # Flags of the subcommands that read posting files; synth reads none of them.
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument("--input", nargs="+", required=True, help="posting files (JSONL)")
+    pipeline.add_argument("--dictionary", help="name dictionary path")
+    pipeline.add_argument(
+        "--filter-mode", dest="filter_mode", choices=matcher_mod.FILTER_MODES, help="industry filter semantics"
+    )
+    pipeline.add_argument("--format", choices=("csv", "text"), help="table output format")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     subparsers = {}
     for name, (_, help_text, with_input) in _COMMANDS.items():
-        subparsers[name] = p = sub.add_parser(name, parents=[common], help=help_text)
-        if with_input:
-            p.add_argument("--input", nargs="+", required=True, help="posting files (JSONL)")
+        parents = [common, pipeline] if with_input else [common]
+        subparsers[name] = sub.add_parser(name, parents=parents, help=help_text)
     subparsers["discover"].add_argument("--min-count", dest="min_count", type=int, help="minimum occurrences")
     subparsers["report"].add_argument("--top-k", dest="top_k", type=int, help="top employers to summarize")
     synth = subparsers["synth"]
@@ -532,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         config = build_config(args)
         command, _, with_input = _COMMANDS[args.subcommand]
-        run = _Run(args.subcommand, config)
+        run = _Run(args.subcommand, config, None if with_input else SYNTH_CONFIG_KEYS)
         diagnostics = []
         if with_input:
             run.record_inputs(args.input)

@@ -128,7 +128,6 @@ class CrossRegionGroup:
     """Content-identical postings listed under different job ids across regions."""
 
     title: str
-    job_description: str
     employer_name: str
     members: tuple[tuple[str, Region], ...]
 
@@ -162,7 +161,6 @@ def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
         groups.append(
             CrossRegionGroup(
                 title=title,
-                job_description=desc,
                 employer_name=employer,
                 members=tuple((p.job_id, p.region) for p in members),
             )
@@ -183,7 +181,7 @@ def render_ledger_csv(ledger: DemandLedger) -> str:
             (
                 jst.family.function.value,
                 jst.family.name,
-                jst.title.name if jst.level is JstLevel.TITLE and jst.title else "",
+                jst.phrase if jst.level is JstLevel.TITLE else "",
             )
         )[:-1]
         for jst in sums

@@ -36,21 +36,8 @@ FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 _RUN_RE = re.compile(r"[^\W_]+")
 
 
-def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    """Split hyphenated tokens into their parts for matching."""
-    if "-" not in "".join(tokens):
-        return tokens
-    out: list[str] = []
-    for t in tokens:
-        if "-" in t:
-            out.extend(t.split("-"))
-        else:
-            out.append(t)
-    return tuple(out)
-
-
 def expanded_tokens(text: str) -> tuple[str, ...]:
-    """``expand_hyphens(normalize_text(text))`` in one regex pass."""
+    """``normalize_text(text)`` with each hyphenated token split into its parts, in one regex pass."""
     return tuple(_RUN_RE.findall(text.lower()))
 
 
@@ -137,17 +124,16 @@ class MatchIndex:
         # spaced token string.
         self._by_first: dict[str, list[tuple[str, Jst]]] = {}
         for jst in taxonomy.jsts:
-            expanded = expand_hyphens(jst.tokens)
-            if not expanded:
-                continue
-            self._by_first.setdefault(expanded[0], []).append((f" {' '.join(expanded)} ", jst))
+            if jst.match_tokens:
+                phrase = f" {' '.join(jst.match_tokens)} "
+                self._by_first.setdefault(jst.match_tokens[0], []).append((phrase, jst))
         self._firsts = frozenset(self._by_first)
 
     def scan(self, tokens: tuple[str, ...]) -> set[Jst]:
         """All terms occurring as contiguous runs in ``tokens``.
 
-        ``tokens`` must already be hyphen-expanded (``expanded_tokens`` or
-        ``expand_hyphens``); a hyphenated token is never split here.
+        ``tokens`` must already be hyphen-split (``expanded_tokens``); a
+        hyphenated token is never split here.
         """
         firsts = self._firsts.intersection(tokens)
         if not firsts:

@@ -44,7 +44,14 @@ from .corpus import (
     posting_to_json,
 )
 from .errors import ContractError, InputError
-from .matcher import DEFAULT_ROLE_WORDS, MatchIndex, expand_hyphens, filter_corpus, match_posting
+from .matcher import (
+    DEFAULT_ROLE_WORDS,
+    MatchIndex,
+    expanded_tokens,
+    filter_corpus,
+    match_posting,
+    validate_industry_token,
+)
 from .report import write_text_atomic
 from .taxonomy import JobFunction, Jst, Taxonomy
 
@@ -379,17 +386,15 @@ def build_employer_stock(
 
 def plantable_jsts(taxonomy: Taxonomy) -> dict[JobFunction, list[Jst]]:
     """Terms safe to plant: none of their phrases contains another term."""
-    expanded = {jst: expand_hyphens(jst.tokens) for jst in taxonomy.jsts}
-
     def contains(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
         n = len(needle)
         return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
 
     pools: dict[JobFunction, list[Jst]] = {f: [] for f in JobFunction}
-    for jst, tokens in expanded.items():
+    for jst in taxonomy.jsts:
         nested = any(
-            other is not jst and contains(tokens, other_tokens)
-            for other, other_tokens in expanded.items()
+            other is not jst and contains(jst.match_tokens, other.match_tokens)
+            for other in taxonomy.jsts
         )
         if not nested:
             pools[jst.family.function].append(jst)
@@ -397,7 +402,7 @@ def plantable_jsts(taxonomy: Taxonomy) -> dict[JobFunction, list[Jst]]:
 
 
 def _safe_fillers(taxonomy: Taxonomy, industry_token: str) -> list[str]:
-    forbidden = {t for jst in taxonomy.jsts for t in expand_hyphens(jst.tokens)}
+    forbidden = {t for jst in taxonomy.jsts for t in jst.match_tokens}
     forbidden.update(DEFAULT_ROLE_WORDS)
     forbidden.add(industry_token)
     fillers = [w for w in _FILLER_CANDIDATES if w not in forbidden]
@@ -411,20 +416,17 @@ class _Generator:
         self.config = config
         self.taxonomy = taxonomy
         self.rng = random.Random(config.seed)
-        tokens = normalize_text(config.industry_token)
-        if len(tokens) != 1:
-            raise InputError(f"industry token must be one token, got {config.industry_token!r}")
-        self.industry_token = tokens[0]
+        self.industry_token = validate_industry_token(config.industry_token)
         self.fillers = _safe_fillers(taxonomy, self.industry_token)
         self.pools = plantable_jsts(taxonomy)
         # A term containing the industry token would leak it into postings
         # that must stay off-industry.
         self.pools_off = {
-            f: [j for j in pool if self.industry_token not in expand_hyphens(j.tokens)]
+            f: [j for j in pool if self.industry_token not in j.match_tokens]
             for f, pool in self.pools.items()
         }
         self.index = MatchIndex(taxonomy)
-        if self.index.scan(expand_hyphens(tokens)):
+        if self.index.scan((self.industry_token,)):
             raise InputError(
                 f"industry token {config.industry_token!r} is itself a taxonomy term; "
                 "generated postings could not stay off-industry"
@@ -557,7 +559,7 @@ class _Generator:
 
         for phrase, count in config.unknown_title_plants:
             tokens = normalize_text(phrase)
-            if self.index.scan(expand_hyphens(tokens)):
+            if self.index.scan(expanded_tokens(phrase)):
                 raise InputError(
                     f"unknown title plant {phrase!r} contains an existing taxonomy term"
                 )

@@ -4,6 +4,13 @@ Loads the taxonomy from CSV, validates reference closure, and resolves the
 precedence rule for phrases that appear at both hierarchy levels: the family
 wins and the phrase is removed from consideration as a title anywhere else.
 
+Every family and every surviving title is one term (Jst): its phrase, its
+tokens, its level and its family. A title term's phrase is the title, so
+the ledger's title column is that phrase. Phrases are normalized with the
+corpus tokenizer, so terms and posting text share one token space; a term's
+``match_tokens`` holds its tokens with hyphenated ones split into parts,
+the form the matcher compares.
+
 A loaded Taxonomy is immutable and safe for concurrent reads.
 """
 
@@ -70,31 +77,27 @@ class JobFamily:
 
 
 @dataclass(frozen=True, slots=True)
-class JobTitle:
-    name: str
-    family: JobFamily
-
-
-@dataclass(frozen=True, slots=True)
 class Jst:
-    """One job-specific term: a family or title phrase used as a match keyword."""
+    """One job-specific term: a family or title phrase used as a match keyword.
+
+    A title-level term's phrase is its title. ``match_tokens`` is ``tokens``
+    with each hyphenated token split into its parts, the form matching
+    compares ("rf-engineer" matches as "rf engineer").
+    """
 
     phrase: str
     tokens: tuple[str, ...]
     level: JstLevel
     family: JobFamily
-    title: JobTitle | None = None
-    # Equality stays by value; the value hash is computed once, because
-    # matching and aggregation hash every term occurrence.
+    # Both derived once: matching reads the split tokens of every term, and
+    # matching and aggregation hash every term occurrence. Equality stays by value.
+    match_tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.level is JstLevel.FAMILY and self.title is not None:
-            raise InputError(f"family-level term {self.phrase!r} must not carry a title")
-        if self.level is JstLevel.TITLE and self.title is None:
-            raise InputError(f"title-level term {self.phrase!r} must carry a title")
-        value = (self.phrase, self.tokens, self.level, self.family, self.title)
-        object.__setattr__(self, "_hash", hash(value))
+        split = tuple(part for token in self.tokens for part in token.split("-"))
+        object.__setattr__(self, "match_tokens", split)
+        object.__setattr__(self, "_hash", hash((self.phrase, self.tokens, self.level, self.family)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -104,11 +107,8 @@ class Jst:
 class Taxonomy:
     """Validated, immutable hierarchy with exact-phrase lookup."""
 
-    functions: tuple[JobFunction, ...]
     families: tuple[JobFamily, ...]
-    titles: tuple[JobTitle, ...]
     jsts: tuple[Jst, ...]
-    source_version: str = ""
     warnings: tuple[str, ...] = ()
     _index: dict[tuple[str, ...], Jst] = field(default_factory=dict, repr=False, compare=False)
 
@@ -118,24 +118,11 @@ class Taxonomy:
             raise InputError("duplicate phrases survived precedence resolution")
         object.__setattr__(self, "_index", index)
 
-    def find(self, tokens: tuple[str, ...]) -> Jst | None:
-        return self._index.get(tokens)
-
     def families_of(self, function: JobFunction) -> tuple[JobFamily, ...]:
         return tuple(f for f in self.families if f.function is function)
 
     def jsts_of(self, function: JobFunction) -> tuple[Jst, ...]:
         return tuple(j for j in self.jsts if j.family.function is function)
-
-
-def normalize_phrase(raw: str) -> tuple[str, ...]:
-    """Normalize a taxonomy phrase to its token sequence.
-
-    Lowercase, whitespace collapsed, leading/trailing punctuation stripped;
-    shares the corpus tokenizer so taxonomy phrases and posting text live in
-    the same token space.
-    """
-    return normalize_text(raw)
 
 
 def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
@@ -184,10 +171,8 @@ def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
 
 def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
     """Exact-phrase lookup; absence is a valid result."""
-    tokens = normalize_phrase(phrase) if isinstance(phrase, str) else tuple(phrase)
-    if not tokens:
-        return None
-    return taxonomy.find(tokens)
+    tokens = normalize_text(phrase) if isinstance(phrase, str) else tuple(phrase)
+    return taxonomy._index.get(tokens) if tokens else None
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
@@ -208,7 +193,7 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-def load_taxonomy(path: str, source_version: str = "") -> Taxonomy:
+def load_taxonomy(path: str) -> Taxonomy:
     """Load and validate a taxonomy CSV.
 
     Schema: UTF-8, header ``function,family,title``; a row with an empty
@@ -228,12 +213,13 @@ def load_taxonomy(path: str, source_version: str = "") -> Taxonomy:
 
     families: dict[str, JobFamily] = {}
     family_lines: dict[str, int] = {}
+    candidates: list[Jst] = []  # family terms first, then title terms, each in file order
     title_rows: list[tuple[int, JobFunction, str, str]] = []
     for line_no, row in rows[1:]:
         if len(row) != 3:
             raise InputError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
         function = parse_function(row[0])
-        family_tokens = normalize_phrase(row[1])
+        family_tokens = normalize_text(row[1])
         if not family_tokens:
             raise InputError(f"{path}:{line_no}: empty family name")
         family_name = " ".join(family_tokens)
@@ -244,15 +230,15 @@ def load_taxonomy(path: str, source_version: str = "") -> Taxonomy:
                     f"{path}:{line_no}: family {family_name!r} already declared at line "
                     f"{family_lines[family_name]}"
                 )
-            families[family_name] = JobFamily(name=family_name, function=function)
+            families[family_name] = family = JobFamily(name=family_name, function=function)
             family_lines[family_name] = line_no
+            candidates.append(Jst(family_name, family_tokens, JstLevel.FAMILY, family))
         else:
             title_rows.append((line_no, function, family_name, title_raw))
 
     if not families:
         raise InputError(f"{path}: taxonomy declares zero families")
 
-    titles: list[JobTitle] = []
     seen_titles: set[tuple[str, str]] = set()
     for line_no, function, family_name, title_raw in title_rows:
         family = families.get(family_name)
@@ -265,45 +251,16 @@ def load_taxonomy(path: str, source_version: str = "") -> Taxonomy:
                 f"{path}:{line_no}: family {family_name!r} declared under "
                 f"{family.function} but title row says {function}"
             )
-        title_tokens = normalize_phrase(title_raw)
+        title_tokens = normalize_text(title_raw)
         if not title_tokens:
             raise InputError(f"{path}:{line_no}: title normalizes to nothing")
         title_name = " ".join(title_tokens)
         if (family_name, title_name) in seen_titles:
             raise InputError(f"{path}:{line_no}: duplicate title {title_name!r} in family {family_name!r}")
         seen_titles.add((family_name, title_name))
-        titles.append(JobTitle(name=title_name, family=family))
+        candidates.append(Jst(title_name, title_tokens, JstLevel.TITLE, family))
 
-    candidates: list[Jst] = [
-        Jst(phrase=f.name, tokens=normalize_phrase(f.name), level=JstLevel.FAMILY, family=f)
-        for f in families.values()
-    ]
-    candidates.extend(
-        Jst(
-            phrase=t.name,
-            tokens=normalize_phrase(t.name),
-            level=JstLevel.TITLE,
-            family=t.family,
-            title=t,
-        )
-        for t in titles
-    )
     survivors, warnings = resolve_precedence(candidates)
     for message in warnings:
         logger.warning("%s: %s", path, message)
-
-    surviving_titles = tuple(j.title for j in survivors if j.level is JstLevel.TITLE)
-    taxonomy = Taxonomy(
-        functions=tuple(JobFunction),
-        families=tuple(families.values()),
-        titles=surviving_titles,
-        jsts=tuple(survivors),
-        source_version=source_version or path,
-        warnings=tuple(warnings),
-    )
-    if len(taxonomy.jsts) != len(taxonomy.families) + len(taxonomy.titles):
-        raise InputError(
-            f"{path}: term count {len(taxonomy.jsts)} != families {len(taxonomy.families)}"
-            f" + surviving titles {len(taxonomy.titles)}"
-        )
-    return taxonomy
+    return Taxonomy(families=tuple(families.values()), jsts=tuple(survivors), warnings=tuple(warnings))

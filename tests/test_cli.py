@@ -13,7 +13,7 @@ from jobpulse import corpus as corpus_mod
 from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Region
 
-from conftest import make_record, write_jsonl
+from conftest import make_record, write_jsonl, write_taxonomy_csv
 
 
 @pytest.fixture()
@@ -125,6 +125,29 @@ def test_dedup_artifacts(tmp_path, fixture_corpus):
     manifest = _manifest(out / "manifest.txt")
     assert int(manifest["count.demand_units"]) > 0
     assert (out / "cross_region.csv").exists()
+
+
+def test_dedup_hyphenated_terms_match_spaced_text(tmp_path):
+    # Text "RF Engineer" hits the family "rf-engineer" and, in a longer title,
+    # the title "senior rf-engineer"; the ledger's title column is that phrase.
+    taxonomy = write_taxonomy_csv(
+        tmp_path / "hyphen.csv",
+        [("Engineer", "RF-Engineer", ""), ("Engineer", "rf-engineer", "Senior RF-Engineer")],
+    )
+    postings = tmp_path / "postings.jsonl"
+    write_jsonl(postings, [
+        make_record(job_id="J1", title="RF Engineer", job_description="semiconductor radar work"),
+        make_record(job_id="J2", title="Senior RF Engineer", job_description="semiconductor radar work"),
+        make_record(job_id="J3", title="Radar Technician", job_description="semiconductor radar work"),
+    ])
+    out = tmp_path / "out"
+    assert main(["dedup", "--input", str(postings), "--taxonomy", taxonomy, "--out", str(out)]) == 0
+    assert (out / "ledger.csv").read_text(encoding="utf-8") == (
+        "job_id,region,function,family,title,weight_num,weight_den\n"
+        "J1,LA,Engineer,rf-engineer,,1,1\n"
+        "J2,LA,Engineer,rf-engineer,,1,2\n"
+        "J2,LA,Engineer,rf-engineer,senior rf-engineer,1,2\n"
+    )
 
 
 def test_disambiguate_artifacts(tmp_path, fixture_corpus):
@@ -324,6 +347,42 @@ def test_synth_rejects_window_from_config_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: synth always writes regions LA,SB,SD dated 2025-") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--dictionary", "words.txt"), ("--filter-mode", "all_fields"), ("--format", "text")]
+)
+def test_synth_has_no_flags_for_settings_it_ignores(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    rc = main(["synth", flag, value, "--n-postings", "10", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+    assert not out.exists()
+
+
+def test_synth_manifest_records_only_settings_it_reads(tmp_path):
+    # Keys synth does not read may sit in a shared config file; they are not recorded.
+    config = tmp_path / "jobpulse.conf"
+    config.write_text(
+        "filter_mode = all_fields\nformat = text\nmin_count = 7\ntop_k = 9\n"
+        f"dictionary = {DEFAULT_DICTIONARY}\nindustry_token = wafer\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(config), "--n-postings", "20", "--out", str(out)]) == 0
+    manifest = _manifest(out / "manifest.txt")
+    recorded = sorted(key for key in manifest if key.startswith("config."))
+    assert recorded == [
+        "config.industry_token",
+        "config.regions",
+        "config.taxonomy",
+        "config.taxonomy.sha256",
+        "config.window_end",
+        "config.window_start",
+    ]
+    assert manifest["config.industry_token"] == "wafer"
+    block = "".join(f"{key} = {manifest[key]}\n" for key in recorded)
+    assert manifest["config_hash"] == hashlib.sha256(block.encode("utf-8")).hexdigest()
 
 
 def test_report_on_empty_corpus(tmp_path):

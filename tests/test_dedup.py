@@ -13,7 +13,7 @@ from jobpulse.dedup import (
 )
 from jobpulse.errors import ContractError
 from jobpulse.matcher import MatchRecord
-from jobpulse.taxonomy import JobFamily, JobFunction, JobTitle, Jst, JstLevel, lookup
+from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, lookup
 
 from conftest import make_posting
 
@@ -213,15 +213,15 @@ def test_first_duplicate_in_input_order_is_reported(shipped_taxonomy):
 
 
 def test_ledger_csv_equals_csv_of_every_assignment():
-    # Names holding the characters CSV quotes: the rows built from separately
-    # rendered pieces must equal the csv module's rendering of whole rows.
+    # Family names and title phrases holding the characters CSV quotes: the rows
+    # built from separately rendered pieces must equal the csv module's
+    # rendering of whole rows.
     names = ["plain", 'wet, "bench"', "two\nlines", 'q"', "c,r\r", " spaced "]
     jsts = []
     for i, name in enumerate(names):
         family = JobFamily(name=f"{name} family", function=list(JobFunction)[i % 4])
         jsts.append(Jst(phrase=f"f{i}", tokens=(f"f{i}",), level=JstLevel.FAMILY, family=family))
-        title = JobTitle(name=f"{name} title", family=family)
-        jsts.append(Jst(phrase=f"t{i}", tokens=(f"t{i}",), level=JstLevel.TITLE, family=family, title=title))
+        jsts.append(Jst(phrase=f"{name} title", tokens=(f"t{i}",), level=JstLevel.TITLE, family=family))
     rng = random.Random(67)
     job_ids = ["J1", "J,2", 'J"3"', "J\n4", "", " ", "J\r5", '"', ","]
     records = {}
@@ -236,7 +236,7 @@ def test_ledger_csv_equals_csv_of_every_assignment():
             a.region.value,
             a.jst.family.function.value,
             a.jst.family.name,
-            a.jst.title.name if a.jst.level is JstLevel.TITLE and a.jst.title else "",
+            a.jst.phrase if a.jst.level is JstLevel.TITLE else "",
             a.weight.numerator,
             a.weight.denominator,
         ]

@@ -10,7 +10,6 @@ from jobpulse.matcher import (
     MatchRecord,
     build_search_phrase,
     discover_candidate_titles,
-    expand_hyphens,
     expanded_tokens,
     filter_corpus,
     industry_filter,
@@ -20,7 +19,7 @@ from jobpulse.matcher import (
     validate_industry_token,
 )
 from jobpulse.synth import SynthConfig, build_corpus
-from jobpulse.taxonomy import load_taxonomy, lookup
+from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, load_taxonomy, lookup
 
 from conftest import make_posting, write_taxonomy_csv
 
@@ -189,9 +188,23 @@ def test_hyphen_bridging_both_directions(tmp_path):
             assert record is not None, (taxonomy.jsts[0].phrase, posting.job_description)
 
 
+def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """Reference hyphen split: each hyphenated token becomes its parts."""
+    out: list[str] = []
+    for t in tokens:
+        if "-" in t:
+            out.extend(t.split("-"))
+        else:
+            out.append(t)
+    return tuple(out)
+
+
 def test_expand_hyphens():
     assert expand_hyphens(("rf-engineer", "lead")) == ("rf", "engineer", "lead")
     assert expand_hyphens(("plain",)) == ("plain",)
+    family = JobFamily("rf-engineer", JobFunction.ENGINEER)
+    jst = Jst("senior rf-engineer", ("senior", "rf-engineer"), JstLevel.TITLE, family)
+    assert jst.match_tokens == expand_hyphens(jst.tokens) == ("senior", "rf", "engineer")
 
 
 def test_industry_filter_employer_description_only():

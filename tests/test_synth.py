@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from jobpulse import synth as synth_mod
 from jobpulse.corpus import Region, load_postings
 from jobpulse.dedup import cross_region_report, weight_assignments
 from jobpulse.employers import canonicalize, load_dictionary
@@ -306,6 +307,17 @@ def test_industry_token_clashing_with_taxonomy_rejected(tmp_path):
     taxonomy = load_taxonomy(path)
     with pytest.raises(InputError, match="itself a taxonomy term"):
         build_corpus(SynthConfig(n_postings=5), taxonomy)
+
+
+def test_hyphenated_industry_token_rejected_before_generation(shipped_taxonomy, monkeypatch):
+    # The filter splits "semi-conductor" into two runs, so no posting could
+    # carry it; the generator must say so before it draws anything.
+    def build_stock(*args):
+        raise AssertionError("employer stock built before the industry token was checked")
+
+    monkeypatch.setattr(synth_mod, "build_employer_stock", build_stock)
+    with pytest.raises(InputError, match="industry token must be a single token, got 'semi-conductor'"):
+        build_corpus(SynthConfig(n_postings=50, industry_token="semi-conductor"), shipped_taxonomy)
 
 
 def test_too_many_cross_region_repeats_rejected(shipped_taxonomy):

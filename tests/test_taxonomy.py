@@ -3,6 +3,7 @@ import random
 import pytest
 
 from jobpulse.cli import DEFAULT_TAXONOMY
+from jobpulse.corpus import normalize_text
 from jobpulse.errors import InputError
 from jobpulse.taxonomy import (
     JobFamily,
@@ -11,7 +12,6 @@ from jobpulse.taxonomy import (
     JstLevel,
     load_taxonomy,
     lookup,
-    normalize_phrase,
     parse_function,
     resolve_precedence,
 )
@@ -22,8 +22,9 @@ from conftest import write_taxonomy_csv
 def test_shipped_taxonomy_shape(shipped_taxonomy):
     t = shipped_taxonomy
     assert len(t.families) == 31
-    assert len(t.titles) >= 40
-    assert len(t.jsts) == len(t.families) + len(t.titles)
+    n_titles = sum(j.level is JstLevel.TITLE for j in t.jsts)
+    assert n_titles >= 40
+    assert len(t.jsts) == len(t.families) + n_titles
     assert t.warnings == ()
     assert {f.function for f in t.families} == set(JobFunction)
 
@@ -44,7 +45,7 @@ def test_full_reference_file_yields_208_terms(tmp_path):
     path = write_taxonomy_csv(tmp_path / "full.csv", rows)
     t = load_taxonomy(path)
     assert len(t.families) == 31
-    assert len(t.titles) == 177
+    assert sum(j.level is JstLevel.TITLE for j in t.jsts) == 177
     assert len(t.jsts) == 208
 
 
@@ -75,14 +76,7 @@ def test_family_takes_precedence_over_title(tmp_path):
 
 
 def _jst(phrase: str, level: JstLevel, family: JobFamily) -> Jst:
-    title = None
-    if level is JstLevel.TITLE:
-        from jobpulse.taxonomy import JobTitle
-
-        title = JobTitle(name=phrase, family=family)
-    return Jst(
-        phrase=phrase, tokens=normalize_phrase(phrase), level=level, family=family, title=title
-    )
+    return Jst(phrase=phrase, tokens=normalize_text(phrase), level=level, family=family)
 
 
 def test_resolve_precedence_drops_colliding_title():
@@ -318,8 +312,8 @@ def test_parse_function_aliases():
 
 
 def test_normalize_phrase():
-    assert normalize_phrase("  Design   Engineer, ") == ("design", "engineer")
-    assert normalize_phrase("RF-Engineer") == ("rf-engineer",)
+    assert normalize_text("  Design   Engineer, ") == ("design", "engineer")
+    assert normalize_text("RF-Engineer") == ("rf-engineer",)
 
 
 def test_term_hash_is_by_value_and_cached():
@@ -328,6 +322,6 @@ def test_term_hash_is_by_value_and_cached():
     second = load_taxonomy(str(DEFAULT_TAXONOMY))
     for a, b in zip(first.jsts, second.jsts, strict=True):
         assert a is not b and a == b and hash(a) == hash(b)
-        assert hash(a) == hash((a.phrase, a.tokens, a.level, a.family, a.title))
+        assert hash(a) == hash((a.phrase, a.tokens, a.level, a.family))
     assert len(set(first.jsts) | set(second.jsts)) == len(first.jsts)
     assert "_hash" not in repr(first.jsts[0])
