@@ -62,24 +62,30 @@ class PipelineConfig:
     min_count: int = matcher_mod.DEFAULT_MIN_COUNT
     top_k: int = 3
 
-    def validate(self) -> None:
-        if not Path(self.taxonomy_path).is_file():
+    def validate(self, keys: tuple[str, ...] | None = None) -> None:
+        """Check the settings a subcommand reads: those named in ``keys``, or all of them."""
+
+        def reads(key: str) -> bool:
+            return keys is None or key in keys
+
+        if reads("taxonomy") and not Path(self.taxonomy_path).is_file():
             raise InputError(f"taxonomy file not found: {self.taxonomy_path}")
-        if not Path(self.dictionary_path).is_file():
+        if reads("dictionary") and not Path(self.dictionary_path).is_file():
             raise InputError(f"dictionary file not found: {self.dictionary_path}")
-        if self.filter_mode not in matcher_mod.FILTER_MODES:
+        if reads("filter_mode") and self.filter_mode not in matcher_mod.FILTER_MODES:
             raise InputError(f"filter_mode must be one of {matcher_mod.FILTER_MODES}")
-        if not self.regions:
+        if reads("regions") and not self.regions:
             raise InputError("regions must name at least one of LA, SB, SD")
-        if self.format not in ("csv", "text"):
+        if reads("format") and self.format not in ("csv", "text"):
             raise InputError(f"format must be csv or text, got {self.format!r}")
-        if self.min_count < 1:
+        if reads("min_count") and self.min_count < 1:
             raise InputError(f"min_count must be positive, got {self.min_count}")
-        if self.top_k < 1:
+        if reads("top_k") and self.top_k < 1:
             raise InputError(f"top_k must be positive, got {self.top_k}")
-        if self.window_start > self.window_end:
+        if reads("window_start") and reads("window_end") and self.window_start > self.window_end:
             raise InputError("window_start is after window_end")
-        matcher_mod.validate_industry_token(self.industry_token)
+        if reads("industry_token"):
+            matcher_mod.validate_industry_token(self.industry_token)
 
     def as_manifest_items(self, keys: tuple[str, ...] | None = None) -> list[tuple[str, str]]:
         """The recorded settings, all of them or only those named in ``keys``."""
@@ -166,11 +172,13 @@ CONFIG_TABLE = (
 )
 
 
-def build_config(args: argparse.Namespace) -> PipelineConfig:
+def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) -> PipelineConfig:
     """Merge defaults, the config file, and command-line flags.
 
     Every file value is parsed before any flag. A flag applies when it is
     given and not empty (``--min-count`` and ``--top-k`` are already ints).
+    Every setting is parsed; only those named in ``keys`` (all when None),
+    the ones the subcommand reads, are checked.
     """
     config_path = args.config or os.environ.get(ENV_CONFIG)
     file_values = parse_config_file(config_path) if config_path else {}
@@ -183,7 +191,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if flag is not None and flag != "":
             fields[field] = parse(flag, key)
     config = PipelineConfig(**fields)
-    config.validate()
+    config.validate(keys)
     return config
 
 
@@ -253,28 +261,34 @@ def _load_corpus(run: _Run, inputs: list[str]) -> tuple[Corpus, list[corpus_mod.
 @dataclass
 class _PipelineData:
     taxonomy: Taxonomy
-    records_all: list[matcher_mod.MatchRecord]
     filtered_postings: list[Posting]
+    # (job_id, region) of each filtered posting -> its raw employer name
+    unit_employers: dict[tuple[str, Region], str]
     records_filtered: list[matcher_mod.MatchRecord]
     raw_observations: int
     filtered_observations: int
 
 
-def _run_match_stages(run: _Run, corpus: Corpus) -> _PipelineData:
+def _run_match_stages(run: _Run, corpus: Corpus) -> tuple[list[matcher_mod.MatchRecord], _PipelineData]:
+    """Match, filter and count observations.
+
+    Returns every match record apart from the filtered pipeline data, so a
+    subcommand that needs only the filtered records does not hold the rest.
+    """
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
     records_all = matcher_mod.match_corpus(corpus, taxonomy)
     filtered_postings = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
-    filtered_keys = {(p.job_id, p.region) for p in filtered_postings}
-    records_filtered = [r for r in records_all if (r.job_id, r.region) in filtered_keys]
+    unit_employers = {(p.job_id, p.region): p.employer_name for p in filtered_postings}
+    records_filtered = [r for r in records_all if (r.job_id, r.region) in unit_employers]
     raw_obs = sum(len(r.matched_jsts) for r in records_all)
     filtered_obs = sum(len(r.matched_jsts) for r in records_filtered)
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
-    return _PipelineData(
+    return records_all, _PipelineData(
         taxonomy=taxonomy,
-        records_all=records_all,
         filtered_postings=filtered_postings,
+        unit_employers=unit_employers,
         records_filtered=records_filtered,
         raw_observations=raw_obs,
         filtered_observations=filtered_obs,
@@ -315,14 +329,14 @@ def cmd_ingest(run: _Run, corpus: Corpus, diagnostics: list) -> str:
 
 
 def cmd_match(run: _Run, corpus: Corpus, diagnostics: list) -> str:
-    data = _run_match_stages(run, corpus)
-    run.count("matched_postings", len(data.records_all))
-    run.write_artifact("matches.csv", _render_matches_csv(data.records_all))
-    return f"matched {len(data.records_all)} of {len(corpus.postings)} postings"
+    records_all, _ = _run_match_stages(run, corpus)
+    run.count("matched_postings", len(records_all))
+    run.write_artifact("matches.csv", _render_matches_csv(records_all))
+    return f"matched {len(records_all)} of {len(corpus.postings)} postings"
 
 
 def cmd_dedup(run: _Run, corpus: Corpus, diagnostics: list) -> str:
-    data = _run_match_stages(run, corpus)
+    data = _run_match_stages(run, corpus)[1]
     ledger = dedup_mod.weight_assignments(data.records_filtered)
     cross = dedup_mod.cross_region_report(data.filtered_postings)
     run.count("demand_units", ledger.unit_count)
@@ -359,7 +373,7 @@ def cmd_discover(run: _Run, corpus: Corpus, diagnostics: list) -> str:
 
 def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
     config = run.config
-    data = _run_match_stages(run, corpus)
+    data = _run_match_stages(run, corpus)[1]
     ledger = dedup_mod.weight_assignments(data.records_filtered)
     cross = dedup_mod.cross_region_report(data.filtered_postings)
     run.count("demand_units", ledger.unit_count)
@@ -398,8 +412,7 @@ def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
     mapping, rejected = employers_mod.canonicalize(
         [p.employer_name for p in data.filtered_postings], dictionary
     )
-    unit_employers = {(p.job_id, p.region): p.employer_name for p in data.filtered_postings}
-    stats = employers_mod.employer_stats(ledger, mapping, unit_employers, config.top_k)
+    stats = employers_mod.employer_stats(ledger, mapping, data.unit_employers, config.top_k)
     run.count("employers_raw", stats.raw_name_count)
     run.count("employers_canonical", stats.employer_count)
     run.count("employer_names_rejected", len(rejected))
@@ -425,7 +438,7 @@ def _parse_fraction(text: str, label: str) -> Fraction:
         raise InputError(f"{label} must be a fraction like 1/3, got {text!r}") from None
 
 
-# The settings the generator reads; synth's manifest records only these.
+# The settings the generator reads; synth checks and records only these.
 SYNTH_CONFIG_KEYS = ("taxonomy", "industry_token", "regions", "window_start", "window_end")
 
 
@@ -539,9 +552,10 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        config = build_config(args)
         command, _, with_input = _COMMANDS[args.subcommand]
-        run = _Run(args.subcommand, config, None if with_input else SYNTH_CONFIG_KEYS)
+        keys = None if with_input else SYNTH_CONFIG_KEYS
+        config = build_config(args, keys)
+        run = _Run(args.subcommand, config, keys)
         diagnostics = []
         if with_input:
             run.record_inputs(args.input)

@@ -21,6 +21,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -285,17 +286,20 @@ def load_postings(
 
 
 def posting_to_json(p: Posting) -> str:
-    """Render a posting back to its one-line file form (stable key order)."""
-    return json.dumps(
-        {
-            "job_id": p.job_id,
-            "title": p.title,
-            "job_description": p.job_description,
-            "employer_name": p.employer_name,
-            "employer_description": p.employer_description,
-            "region": p.region.value,
-            "retrieved_at": p.retrieved_at.isoformat(),
-        },
-        sort_keys=True,
-        ensure_ascii=True,
+    """Render a posting back to its one-line file form.
+
+    The line is ``json.dumps`` of the seven fields with ``sort_keys=True``
+    and ``ensure_ascii=True``, written out as a fixed template: keys in
+    sorted order, and each text field escaped by json's own ASCII string
+    encoder. The region and ISO date are plain ASCII and need no escapes.
+    """
+    enc = encode_basestring_ascii
+    return (
+        f'{{"employer_description": {enc(p.employer_description)}, '
+        f'"employer_name": {enc(p.employer_name)}, '
+        f'"job_description": {enc(p.job_description)}, '
+        f'"job_id": {enc(p.job_id)}, '
+        f'"region": "{p.region.value}", '
+        f'"retrieved_at": "{p.retrieved_at.isoformat()}", '
+        f'"title": {enc(p.title)}}}'
     )

@@ -32,7 +32,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (
     DEFAULT_WINDOW_END,
@@ -49,7 +51,6 @@ from .matcher import (
     MatchIndex,
     expanded_tokens,
     filter_corpus,
-    match_posting,
     validate_industry_token,
 )
 from .report import write_text_atomic
@@ -103,9 +104,10 @@ _FILLER_CANDIDATES = (
     "badge", "access", "parking", "included", "apply", "today",
 )
 
+# In display form: a neutral title joins a sample of them.
 _NEUTRAL_TITLE_WORDS = (
-    "operations", "specialist", "coordinator", "associate", "assistant",
-    "planner", "facilitator", "scheduler", "supervisor", "expeditor",
+    "Operations", "Specialist", "Coordinator", "Associate", "Assistant",
+    "Planner", "Facilitator", "Scheduler", "Supervisor", "Expeditor",
 )
 
 _DISTINCTIVE_WORDS = (
@@ -141,6 +143,13 @@ _PARENT_PRESENT_SHARE = Fraction(7, 10)
 
 _SUFFIX_VARIANT_RATE = 0.2
 _TITLED_FROM_TERM_RATE = 0.6
+
+# Where a posting carries the industry token: (job description, employer
+# description). An on-industry posting draws one placement uniformly.
+_TOKEN_PLACEMENTS = ((True, False), (False, True), (True, True))
+_TOKEN_ABSENT = (False, False)
+
+_phrase = attrgetter("phrase")
 
 
 def _as_fraction(x) -> Fraction:
@@ -229,9 +238,11 @@ class SynthConfig:
                 raise InputError(f"plant count for {phrase!r} must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class TruthRow:
-    """Planted facts for one emitted posting."""
+class TruthRow(NamedTuple):
+    """Planted facts for one emitted posting.
+
+    A named tuple, like ``Posting``: immutable and cheap to build.
+    """
 
     job_id: str
     region: Region
@@ -275,27 +286,96 @@ def _display(tokens: tuple[str, ...] | list[str]) -> str:
     return " ".join(t.capitalize() for t in tokens)
 
 
+class _Draws:
+    """Cheaper ``choice`` and ``randint`` draws from a ``random.Random``'s own stream.
+
+    Each method rejects ``getrandbits(n.bit_length())`` values of ``n`` or
+    more, exactly as ``Random._randbelow`` does, so it consumes the stream of
+    a ``random.Random`` and returns the values its ``choice`` and ``randint``
+    would, in one Python frame per call. ``sample``, ``shuffle`` and
+    ``random`` are drawn from the generator itself and interleave with these
+    draws as they would with its own.
+    """
+
+    __slots__ = ("getrandbits",)
+
+    def __init__(self, rng: random.Random) -> None:
+        self.getrandbits = rng.getrandbits
+
+    def choice(self, seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return seq[r]
+
+    def choice_each(self, seqs) -> tuple:
+        """``tuple(self.choice(seq) for seq in seqs)``."""
+        getrandbits = self.getrandbits
+        out = []
+        for seq in seqs:
+            n = len(seq)
+            if not n:
+                raise IndexError("Cannot choose from an empty sequence")
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(seq[r])
+        return tuple(out)
+
+    def extend_choices(self, out: list, seq, low: int, high: int) -> None:
+        """``out.extend(self.choice(seq) for _ in range(self.randint(low, high)))``."""
+        getrandbits = self.getrandbits
+        n = high - low + 1
+        if n < 1:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        count = low + r
+        n = len(seq)
+        if count > 0 and not n:
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        for _ in range(count):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(seq[r])
+
+
 class _NameRegistry:
     """Tracks claimed token sequences; forbids cross-identity prefix relations.
 
     A candidate conflicts when another identity claimed one of its prefixes
     (the candidate itself included) or a sequence the candidate is a proper
-    prefix of. Both are dict lookups, one per candidate token.
+    prefix of. Both are dict lookups, at most one per candidate token plus
+    one; the first lookup that finds a foreign owner decides. Each sequence
+    maps to its one owner, or to ``_SHARED`` once two identities own it.
     """
 
+    _SHARED = object()
+
     def __init__(self) -> None:
-        self._claimed: dict[tuple[str, ...], set[str]] = {}  # sequence -> owners
-        self._extended: dict[tuple[str, ...], set[str]] = {}  # proper prefix -> owners
+        self._claimed: dict[tuple[str, ...], object] = {}  # sequence -> owner
+        self._extended: dict[tuple[str, ...], object] = {}  # proper prefix -> owner
 
     def conflicts(self, seq: tuple[str, ...], identity: str) -> bool:
-        found = [self._claimed.get(seq[:n], ()) for n in range(1, len(seq) + 1)]
-        found.append(self._extended.get(seq, ()))
-        return any(owner != identity for owners in found for owner in owners)
+        claimed = self._claimed
+        for n in range(1, len(seq) + 1):
+            if claimed.get(seq[:n], identity) != identity:
+                return True
+        return self._extended.get(seq, identity) != identity
 
     def claim(self, seq: tuple[str, ...], identity: str) -> None:
-        self._claimed.setdefault(seq, set()).add(identity)
-        for n in range(1, len(seq)):
-            self._extended.setdefault(seq[:n], set()).add(identity)
+        keys = [(self._claimed, seq)] + [(self._extended, seq[:n]) for n in range(1, len(seq))]
+        for owners, key in keys:
+            owners[key] = identity if owners.get(key, identity) == identity else self._SHARED
 
 
 def build_employer_stock(
@@ -325,23 +405,26 @@ def build_employer_stock(
     n_collide = _round_half_up(collision_rate * n_base)
 
     registry = _NameRegistry()
+    conflicts = registry.conflicts
+    choice_each = _Draws(rng).choice_each
+    fallback_pools = (_DISTINCTIVE_WORDS, _DISTINCTIVE_WORDS, _ORG_NOUNS)
     identities: list[EmployerIdentity] = []
     salt = 0
 
     def invent(identity: str, prefix: tuple[str, ...], pools: list[tuple[str, ...]]) -> tuple[str, ...]:
         nonlocal salt
         for _ in range(32):
-            candidate = prefix + tuple(rng.choice(pool) for pool in pools)
-            if len(set(candidate)) == len(candidate) and not registry.conflicts(candidate, identity):
+            candidate = prefix + choice_each(pools)
+            if len(set(candidate)) == len(candidate) and not conflicts(candidate, identity):
                 return candidate
         for _ in range(32):
-            candidate = prefix + (rng.choice(_DISTINCTIVE_WORDS), rng.choice(_DISTINCTIVE_WORDS), rng.choice(_ORG_NOUNS))
-            if len(set(candidate)) == len(candidate) and not registry.conflicts(candidate, identity):
+            candidate = prefix + choice_each(fallback_pools)
+            if len(set(candidate)) == len(candidate) and not conflicts(candidate, identity):
                 return candidate
         for _ in range(10_000):
             salt += 1
-            candidate = prefix + tuple(rng.choice(pool) for pool in pools) + (f"x{salt}",)
-            if not registry.conflicts(candidate, identity):
+            candidate = prefix + choice_each(pools) + (f"x{salt}",)
+            if not conflicts(candidate, identity):
                 return candidate
         raise ContractError("employer name stock exhausted")
 
@@ -414,8 +497,8 @@ def _safe_fillers(taxonomy: Taxonomy, industry_token: str) -> list[str]:
 class _Generator:
     def __init__(self, config: SynthConfig, taxonomy: Taxonomy) -> None:
         self.config = config
-        self.taxonomy = taxonomy
         self.rng = random.Random(config.seed)
+        self.draws = _Draws(self.rng)
         self.industry_token = validate_industry_token(config.industry_token)
         self.fillers = _safe_fillers(taxonomy, self.industry_token)
         self.pools = plantable_jsts(taxonomy)
@@ -425,6 +508,9 @@ class _Generator:
             f: [j for j in pool if self.industry_token not in j.match_tokens]
             for f, pool in self.pools.items()
         }
+        # Every day of the window: a uniform choice of one is a uniform day.
+        span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).days
+        self.dates = tuple(DEFAULT_WINDOW_START + dt.timedelta(days=d) for d in range(span + 1))
         self.index = MatchIndex(taxonomy)
         if self.index.scan((self.industry_token,)):
             raise InputError(
@@ -432,26 +518,21 @@ class _Generator:
                 "generated postings could not stay off-industry"
             )
 
-    def _filler(self, low: int, high: int) -> list[str]:
-        return [self.rng.choice(self.fillers) for _ in range(self.rng.randint(low, high))]
-
     def _description(self, lead: tuple[int, int], jsts: list[Jst], with_token: bool) -> str:
         """Filler, then each term followed by filler, then maybe the industry token and filler."""
-        words = self._filler(*lead)
+        filler, fillers = self.draws.extend_choices, self.fillers
+        words: list[str] = []
+        filler(words, fillers, *lead)
         for jst in jsts:
-            words.extend(jst.tokens)
-            words.extend(self._filler(1, 3))
+            words += jst.tokens
+            filler(words, fillers, 1, 3)
         if with_token:
             words.append(self.industry_token)
-            words.extend(self._filler(1, 2))
+            filler(words, fillers, 1, 2)
         return " ".join(words)
 
     def _neutral_title(self) -> str:
-        return _display(self.rng.sample(_NEUTRAL_TITLE_WORDS, self.rng.randint(2, 3)))
-
-    def _retrieved_at(self) -> dt.date:
-        span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).days
-        return DEFAULT_WINDOW_START + dt.timedelta(days=self.rng.randrange(span + 1))
+        return " ".join(self.rng.sample(_NEUTRAL_TITLE_WORDS, self.rng.randint(2, 3)))
 
     def _build_slots(self) -> list[tuple[JobFunction, int, bool, Region]]:
         config = self.config
@@ -490,6 +571,7 @@ class _Generator:
     def run(self) -> tuple[list[Posting], GroundTruth]:
         config = self.config
         rng = self.rng
+        choice, random_, sample = self.draws.choice, rng.random, rng.sample
         slots = self._build_slots()
 
         # Sized so on-industry demand lands near 3.6 units per employer.
@@ -497,64 +579,63 @@ class _Generator:
         stock = build_employer_stock(
             rng, n_names, config.division_rate, config.onomastic_collision_rate
         )
+        identities = stock.identities
         draw_counts: dict[str, int] = {}
 
         def draw_employer() -> tuple[str, str]:
-            ident = stock.identities[rng.randrange(len(stock.identities))]
+            ident = choice(identities)
             seen = draw_counts.get(ident.key, 0)
             draw_counts[ident.key] = seen + 1
             if seen == 0 or not ident.division_displays:
                 display = ident.parent_display
             else:
-                display = rng.choice(ident.all_displays())
-            if rng.random() < _SUFFIX_VARIANT_RATE:
+                display = choice(ident.all_displays())
+            if random_() < _SUFFIX_VARIANT_RATE:
                 display = f"{display} Inc"
             return display, ident.key
 
         postings: list[Posting] = []
         rows: list[TruthRow] = []
+        add_posting, add_row = postings.append, rows.append
+        description, dates = self._description, self.dates
 
         def next_job_id() -> str:
             return f"J{len(postings) + 1:07d}"
 
         def emit(
-            title: str, employer: tuple[str, str], region: Region, jsts: list[Jst], off: bool, placement: int
+            title: str,
+            employer: tuple[str, str],
+            region: Region,
+            jsts: list[Jst],
+            off: bool,
+            placement: tuple[bool, bool],
         ) -> None:
             """Record a posting and its truth, drawing job description, employer
             description and date in that order: the fixtures' bytes depend on it."""
             employer_name, identity = employer
-            postings.append(
+            job_id = next_job_id()
+            add_posting(
                 Posting(
-                    job_id=next_job_id(),
-                    title=title,
-                    job_description=self._description((2, 4), jsts, with_token=placement in (0, 2)),
-                    employer_name=employer_name,
-                    employer_description=self._description((4, 6), [], with_token=placement in (1, 2)),
-                    region=region,
-                    retrieved_at=self._retrieved_at(),
+                    job_id,
+                    title,
+                    description((2, 4), jsts, placement[0]),
+                    employer_name,
+                    description((4, 6), (), placement[1]),
+                    region,
+                    choice(dates),
                 )
             )
-            rows.append(
-                TruthRow(
-                    job_id=postings[-1].job_id,
-                    region=region,
-                    off_industry=off,
-                    jsts=tuple(j.phrase for j in jsts),
-                    employer_name=employer_name,
-                    employer_identity=identity,
-                )
+            add_row(
+                TruthRow(job_id, region, off, tuple(map(_phrase, jsts)), employer_name, identity)
             )
 
+        pools, pools_off = self.pools, self.pools_off
         for function, k, off, region in slots:
-            pool = self.pools_off[function] if off else self.pools[function]
-            jsts = sorted(rng.sample(pool, min(k, len(pool))), key=lambda j: j.phrase)
-            placement = -1 if off else rng.randrange(3)  # 0 job desc, 1 employer desc, 2 both
+            pool = pools_off[function] if off else pools[function]
+            jsts = sorted(sample(pool, min(k, len(pool))), key=_phrase)
+            placement = _TOKEN_ABSENT if off else choice(_TOKEN_PLACEMENTS)
             employer = draw_employer()
-            title = (
-                jsts[0].phrase.title()
-                if rng.random() < _TITLED_FROM_TERM_RATE
-                else self._neutral_title()
-            )
+            title = jsts[0].phrase.title() if random_() < _TITLED_FROM_TERM_RATE else self._neutral_title()
             emit(title, employer, region, jsts, off, placement)
 
         for phrase, count in config.unknown_title_plants:
@@ -565,7 +646,7 @@ class _Generator:
                 )
             for region, cnt in apportion(count, config.region_mix).items():
                 for _ in range(cnt):
-                    emit(_display(tokens), draw_employer(), region, [], False, 0)
+                    emit(_display(tokens), draw_employer(), region, [], False, _TOKEN_PLACEMENTS[0])
 
         if config.cross_region_repeat_count:
             eligible = [i for i, row in enumerate(rows) if row.jsts and not row.off_industry]
@@ -582,18 +663,23 @@ class _Generator:
                 target = region_cycle[(region_cycle.index(source.region) + 1) % len(region_cycle)]
                 copy = source._replace(job_id=next_job_id(), region=target)
                 postings.append(copy)
-                rows[source_idx] = replace(rows[source_idx], cross_region_group=group_no)
-                rows.append(replace(rows[source_idx], job_id=copy.job_id, region=target))
+                rows[source_idx] = rows[source_idx]._replace(cross_region_group=group_no)
+                rows.append(rows[source_idx]._replace(job_id=copy.job_id, region=target))
 
         self._self_check(postings, rows)
         return postings, GroundTruth(rows=tuple(rows))
 
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
-        """Planted truth must agree with exact matching semantics by construction."""
+        """Planted truth must agree with exact matching semantics by construction.
+
+        Every posting is matched as ``match_posting`` matches it (title hits
+        plus a scan of the job description) and filtered by ``filter_corpus``.
+        """
         on_industry = {id(p) for p in filter_corpus(postings, self.industry_token)}
+        title_hits, scan = self.index.title_hits, self.index.scan
         for posting, row in zip(postings, rows):
-            record = match_posting(posting, self.taxonomy, self.index)
-            seen = sorted(j.phrase for j in record.matched_jsts) if record else []
+            matched = title_hits(posting.title) | scan(expanded_tokens(posting.job_description))
+            seen = sorted(j.phrase for j in matched)
             if seen != sorted(row.jsts):
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: planted "

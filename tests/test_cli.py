@@ -360,6 +360,29 @@ def test_synth_has_no_flags_for_settings_it_ignores(tmp_path, capsys, flag, valu
     assert not out.exists()
 
 
+def test_synth_ignores_unread_settings_that_would_fail_their_checks(tmp_path, capsys):
+    # synth never opens the dictionary nor reads format or top_k; report does.
+    config = tmp_path / "jobpulse.conf"
+    config.write_text(
+        f"dictionary = {tmp_path / 'missing' / 'words.txt'}\nformat = xml\ntop_k = 0\n", encoding="utf-8"
+    )
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(config), "--n-postings", "10", "--out", str(out)]) == 0
+    assert (out / "manifest.txt").is_file()
+    inputs = [str(p) for p in sorted(out.glob("*.jsonl"))]
+    rc = main(["report", "--config", str(config), "--input", *inputs, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: dictionary file not found: ")
+
+
+def test_synth_still_parses_every_config_key(tmp_path, capsys):
+    config = tmp_path / "jobpulse.conf"
+    config.write_text("min_count = many\n", encoding="utf-8")
+    rc = main(["synth", "--config", str(config), "--n-postings", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: min_count must be an integer, got 'many'\n"
+
+
 def test_synth_manifest_records_only_settings_it_reads(tmp_path):
     # Keys synth does not read may sit in a shared config file; they are not recorded.
     config = tmp_path / "jobpulse.conf"

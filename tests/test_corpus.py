@@ -293,6 +293,37 @@ def test_posting_round_trips_through_json(tmp_path):
     assert json.loads(posting_to_json(corpus.postings[0])) == record
 
 
+def test_posting_to_json_equals_sorted_ascii_json_dumps():
+    # Oracle: the template must write exactly what json.dumps writes for the same fields.
+    texts = [
+        'say "hi"', "back\\slash \\u0041", "tab\there\nnew\r\x00\x1f\x7f\x80", "/ slash",
+        "caf\u00e9 na\u00efve \u2028\u2029 \ufeff", "astral \U0001f600 \U0001d518", "", " ",
+        "lone high \ud800", "lone low \udfff", "pair as two \ud83d\ude00", "\udc00\ud800 reversed",
+    ]
+    rng = random.Random(61)
+    alphabet = ['"', "\\", "\x00", "\x1f", "\x7f", "a", " ", "\u00e9", "\u4e2d"]
+    alphabet += ["\ud800", "\udfff", "\U0001f600"]  # lone surrogates and an astral character
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(300)]
+    for i in range(len(texts)):
+        fields = [texts[(i + j) % len(texts)] for j in range(5)]
+        day = dt.date(2025, 3, 15) + dt.timedelta(days=i % 80)
+        posting = Posting(*fields, list(Region)[i % 3], day)
+        expected = json.dumps(
+            {
+                "job_id": posting.job_id,
+                "title": posting.title,
+                "job_description": posting.job_description,
+                "employer_name": posting.employer_name,
+                "employer_description": posting.employer_description,
+                "region": posting.region.value,
+                "retrieved_at": posting.retrieved_at.isoformat(),
+            },
+            sort_keys=True,
+            ensure_ascii=True,
+        )
+        assert posting_to_json(posting) == expected, fields
+
+
 def test_posting_is_an_immutable_named_tuple():
     fields = ("J1", "t", "d", "e", "ed", Region.LA, dt.date(2025, 4, 1))
     posting = Posting(*fields)

@@ -13,6 +13,7 @@ from jobpulse.matcher import discover_candidate_titles, filter_corpus, industry_
 from jobpulse.cli import DEFAULT_DICTIONARY
 from jobpulse.synth import (
     SynthConfig,
+    _Draws,
     _NameRegistry,
     apportion,
     build_corpus,
@@ -122,6 +123,80 @@ def test_default_fixture_hashes_pinned(tmp_path, shipped_taxonomy):
         "truth.csv": "a2979d8ca8be7e68946da51ff98875c9cff448e15bd5ac2fdc530a834b6853fe",
     }
     assert result.posting_count == 5300
+
+
+def test_fixture_with_plants_repeats_and_rates_pinned(tmp_path, shipped_taxonomy):
+    # Pins the draws the default fixture skips: title plants, cross-region
+    # copies, and off-industry and division rates other than the defaults.
+    config = SynthConfig(
+        seed=23,
+        n_postings=1000,
+        off_industry_rate=Fraction(2, 5),
+        division_rate=Fraction(1, 4),
+        cross_region_repeat_count=9,
+        unknown_title_plants=(("rf engineer", 6), ("microelectronics technician", 4)),
+    )
+    result = generate(config, shipped_taxonomy, tmp_path)
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in [*result.posting_paths.values(), result.truth_path]}
+    assert hashes == {
+        "la.jsonl": "9e0a31adf2d4154eb98baff224d6326833b432f84380f52fdee802fd9d75cf2b",
+        "sb.jsonl": "ac88e86714629a83edbecc6289fb7e2e8d81aef8174985e190f908cf40d90509",
+        "sd.jsonl": "8c518d47e69d736ee54219abe9e709c770c6795474cab270a53e8db9b65297ec",
+        "truth.csv": "bf95df73f576e24ae5ecfe6bd30afaa9f85041ad9bf8d078ec6657cbec44d217",
+    }
+    assert result.posting_count == 1019
+
+
+def test_draws_follow_the_random_stream():
+    # _Draws must return what Random.choice and Random.randint return and
+    # leave the generator where they would, with the generator's own sample,
+    # shuffle and random calls mixed in.
+    seqs = [tuple(f"s{size}.{i}" for i in range(size)) for size in range(1, 71)]  # 1, 2, 4, ..., 64 included
+    for seed in (0, 7, 2024):
+        plan = random.Random(seed + 1)
+        ref, gen = random.Random(seed), random.Random(seed)
+        draws = _Draws(gen)
+        for _ in range(4000):
+            seq = plan.choice(seqs)
+            kind = plan.randrange(6)
+            if kind == 0:
+                assert draws.choice(seq) == ref.choice(seq)
+            elif kind == 1:
+                picks = plan.sample(seqs, plan.randint(0, 3))
+                assert draws.choice_each(picks) == tuple(ref.choice(s) for s in picks)
+            elif kind == 2:
+                low = plan.randint(0, 3)
+                high = low + plan.choice([0, 1, 2, 3, 7, 15, 31, 63, 69])
+                out = ["kept"]
+                draws.extend_choices(out, seq, low, high)
+                assert out == ["kept"] + [ref.choice(seq) for _ in range(ref.randint(low, high))]
+            elif kind == 3:
+                k = plan.randint(0, len(seq))
+                assert gen.sample(seq, k) == ref.sample(seq, k)
+            elif kind == 4:
+                mine, theirs = list(seq), list(seq)
+                gen.shuffle(mine)
+                ref.shuffle(theirs)
+                assert mine == theirs
+            else:
+                assert gen.random() == ref.random()
+        assert gen.getstate() == ref.getstate()
+
+
+def test_draws_reject_empty_choices_and_ranges():
+    draws = _Draws(random.Random(1))
+    with pytest.raises(IndexError):
+        draws.choice(())
+    with pytest.raises(IndexError):
+        draws.choice_each([("a",), ()])
+    with pytest.raises(IndexError):
+        draws.extend_choices([], (), 1, 2)
+    with pytest.raises(ValueError):
+        draws.extend_choices([], ("a",), 3, 2)
+    out = []
+    draws.extend_choices(out, (), 0, 0)  # no draw asked for, none made
+    assert out == []
 
 
 def test_distinct_seeds_differ(tmp_path, shipped_taxonomy):
