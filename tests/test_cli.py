@@ -678,3 +678,125 @@ def test_main_runs_without_cyclic_gc_and_restores_its_state(tmp_path, fixture_co
         gc.enable() if was_enabled else gc.disable()
     assert seen == [False] * 4
     capsys.readouterr()
+
+
+def _messy_inputs(tmp_path) -> list[str]:
+    """Two CRLF files: out-of-scope and off-industry postings, rejects of
+    several reasons, a (job_id, region) repeated across the files, awkward
+    employer names and one cross-region content group."""
+    fab = "etch engineer for a semiconductor fab"
+    first = [
+        "# exported 2025-04-02",
+        make_record(job_id="J1", title="Etch Engineer", job_description=fab),
+        make_record(job_id="J2", title="Etch Engineer", job_description=fab, region="SB"),
+        make_record(job_id="J3", title="Etch Engineer", job_description=fab, region="SD"),
+        make_record(job_id="J4", title="Process Technician", job_description="process technician, day shift"),
+        make_record(job_id="J5", title="Analog Design Engineer", job_description="design engineer; semiconductor",
+                    employer_name='Foo, "Bar" Inc', region="SB"),
+        make_record(job_id="J6", title="Greeter", job_description="semiconductor lobby", employer_name="Zeta"),
+        "not json",
+        {"job_id": "M1"},
+        make_record(job_id="B1", region="NY"),
+        make_record(job_id="X1", extra="x"),
+        make_record(job_id="D1", retrieved_at="2024-01-01"),
+        make_record(job_id=""),
+        "",
+        make_record(job_id="J7", title="Design Engineer", job_description="semiconductor design engineer",
+                    employer_name="Société Générale\nSemi", region="SB"),
+    ]
+    second = [
+        make_record(job_id="J1", title="Etch Engineer", job_description=fab),
+        make_record(job_id="J1", title="Etch Engineer", job_description=fab, region="SB"),
+        make_record(job_id="J8", title="Technician", job_description="etch engineer", region="LA",
+                    employer_description="Semiconductor equipment maker", employer_name="Acme Devices Inc"),
+        make_record(job_id="J9", title="Etch Engineer", job_description=fab, region="SD"),
+        make_record(job_id="J10", title="Process Technician", job_description="process technician, semiconductor",
+                    region="SB"),
+    ]
+    for name, lines in (("first.jsonl", first), ("second.jsonl", second)):
+        write_jsonl(tmp_path / name, lines)
+        (tmp_path / name).write_bytes((tmp_path / name).read_bytes().replace(b"\n", b"\r\n"))
+    return ["first.jsonl", "second.jsonl"]
+
+
+def test_report_and_dedup_pinned_on_messy_input(tmp_path, monkeypatch, capsys):
+    # Every artifact and count of report (both formats) and dedup on a scope
+    # subset of messy input, byte for byte. Relative paths keep the
+    # diagnostics and the summaries free of the temporary directory.
+    monkeypatch.chdir(tmp_path)
+    inputs = _messy_inputs(tmp_path)
+    pinned = {}
+    for argv in (["report"], ["report", "--format", "text"], ["dedup"]):
+        out = tmp_path / "_".join(argv)
+        assert main([*argv, "--input", *inputs, "--regions", "LA,SB", "--out", out.name]) == 2
+        manifest = _manifest(out / "manifest.txt")
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
+        del files["manifest.txt"]
+        counts = {key: value for key, value in manifest.items() if key.startswith("count.")}
+        pinned[" ".join(argv)] = (files, counts, capsys.readouterr().out)
+    report_counts = {
+        "count.cross_region_groups": "1",
+        "count.demand_units": "7",
+        "count.employer_names_rejected": "0",
+        "count.employers_canonical": "3",
+        "count.employers_raw": "4",
+        "count.filtered_observations": "8",
+        "count.postings_ingested": "9",
+        "count.postings_out_of_scope": "2",
+        "count.raw_observations": "9",
+        "count.records_rejected": "7",
+    }
+    shared = {
+        "cross_region.csv": "77c080d91456832f",
+        "diagnostics.csv": "8ccc262477d519a9",
+        "employer_mapping.csv": "27c4f34b44e6c541",
+        "ledger.csv": "7b38610c929baba3",
+    }
+    summary = (
+        "stage                   count  reduction\n"
+        "raw_observations            9  -\n"
+        "industry_filtered           8  11.1%\n"
+        "dedup_units                 7  12.5%\n"
+        "technician:engineer = 0.17 (1:6)\n"
+        "3 employers, mean 2.3 units each, top 3 hold 100.0%\n"
+        "artifacts written to "
+    )
+    assert pinned == {
+        "dedup": (
+            {name: shared[name] for name in ("cross_region.csv", "diagnostics.csv", "ledger.csv")},
+            {k: v for k, v in report_counts.items() if "employer" not in k},
+            "7 demand units from 8 observations\n",
+        ),
+        "report": (
+            {
+                **shared,
+                "demand_engineer.csv": "5d7a01999e66def4",
+                "demand_family.csv": "07d7bc2a69d8781f",
+                "demand_function.csv": "72da5dbec2542d19",
+                "demand_operational_support.csv": "2b23401a095189aa",
+                "demand_region.csv": "c5ce9fcb41683c2d",
+                "demand_scientist.csv": "f760494fb90fe82a",
+                "demand_technician.csv": "3fd5dd845c02db23",
+                "employers.csv": "4cb2c16386e30adb",
+                "funnel.csv": "b090ec723d9e951f",
+            },
+            report_counts,
+            summary + "report\n",
+        ),
+        "report --format text": (
+            {
+                **shared,
+                "demand_engineer.txt": "9aaf95197d1c5daa",
+                "demand_family.txt": "7446ddc671d0ed5a",
+                "demand_function.txt": "35433c5ec22ca5a6",
+                "demand_operational_support.txt": "7f05ea1a73ecf897",
+                "demand_region.txt": "a602c077afd339c5",
+                "demand_scientist.txt": "c9e52e53e4ecfa28",
+                "demand_technician.txt": "0f4c70a877f4d38b",
+                "employers.txt": "cba23828466f3cea",
+                "funnel.txt": "4a1986d8d9af6264",
+            },
+            report_counts,
+            summary + "report_--format_text\n",
+        ),
+    }
