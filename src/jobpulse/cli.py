@@ -19,6 +19,7 @@ import hashlib
 import logging
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ from . import employers as employers_mod
 from . import matcher as matcher_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .corpus import CollectionWindow, Corpus, Posting, Region, csv_text
+from .corpus import CollectionWindow, Posting, Region, csv_text
 from .errors import ContractError, InputError, JobPulseError
 from .taxonomy import JobFunction, Taxonomy, load_taxonomy
 
@@ -221,6 +222,11 @@ class _Run:
         report_mod.write_text_atomic(self.out_dir / name, content)
         self.items.append((f"artifact.{name}.sha256", _sha256_text(content)))
 
+    def write_chunks(self, name: str, chunks: Iterable[str]) -> None:
+        """``write_artifact`` of text given in pieces, each written and hashed in turn."""
+        digest = report_mod.write_chunks_atomic(self.out_dir / name, chunks)
+        self.items.append((f"artifact.{name}.sha256", digest))
+
     def finish(self) -> None:
         config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config_items))
         self.items.append(("config_hash", _sha256_text(config_block)))
@@ -243,7 +249,8 @@ def _sha256_text(content: str) -> str:
     return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
-def _load_corpus(run: _Run, inputs: list[str]) -> tuple[Corpus, list[corpus_mod.Diagnostic]]:
+def _load_corpus(run: _Run, inputs: list[str]) -> tuple[list[Posting], list[corpus_mod.Diagnostic]]:
+    """The in-scope postings of the input files, in file order, and the load diagnostics."""
     config = run.config
     corpus, diagnostics = corpus_mod.load_postings(
         inputs, CollectionWindow(config.window_start, config.window_end)
@@ -255,41 +262,60 @@ def _load_corpus(run: _Run, inputs: list[str]) -> tuple[Corpus, list[corpus_mod.
     run.count("postings_out_of_scope", len(corpus.postings) - len(kept))
     rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
     run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
-    return Corpus(postings=tuple(kept), sources=corpus.sources), diagnostics
+    return kept, diagnostics
 
 
 @dataclass
 class _PipelineData:
     taxonomy: Taxonomy
-    filtered_postings: list[Posting]
+    # Match records of the filtered postings (of every matched posting when asked for).
+    records: list[matcher_mod.MatchRecord]
     # (job_id, region) of each filtered posting -> its raw employer name
     unit_employers: dict[tuple[str, Region], str]
-    records_filtered: list[matcher_mod.MatchRecord]
+    cross: dedup_mod.CrossRegionReport
     raw_observations: int
     filtered_observations: int
 
 
-def _run_match_stages(run: _Run, corpus: Corpus) -> tuple[list[matcher_mod.MatchRecord], _PipelineData]:
-    """Match, filter and count observations.
+def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = False) -> _PipelineData:
+    """Match, filter and count observations in one pass that empties ``postings``.
 
-    Returns every match record apart from the filtered pipeline data, so a
-    subcommand that needs only the filtered records does not hold the rest.
+    Each posting is dropped from the list once it is matched and filtered,
+    and the pass keeps only what later stages read: the match records, each
+    filtered posting's employer name, and its content key for the
+    cross-region report, which is built here so the descriptions it reads
+    are freed on return.
     """
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
-    records_all = matcher_mod.match_corpus(corpus, taxonomy)
-    filtered_postings = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
-    unit_employers = {(p.job_id, p.region): p.employer_name for p in filtered_postings}
-    records_filtered = [r for r in records_all if (r.job_id, r.region) in unit_employers]
-    raw_obs = sum(len(r.matched_jsts) for r in records_all)
-    filtered_obs = sum(len(r.matched_jsts) for r in records_filtered)
+    index = matcher_mod.MatchIndex(taxonomy)
+    keep = matcher_mod.industry_predicate(config.industry_token, config.filter_mode)
+    records = []
+    unit_employers = {}
+    by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
+    raw_obs = filtered_obs = 0
+    postings.reverse()  # so pop() takes them in file order
+    while postings:
+        p = postings.pop()
+        record = matcher_mod.match_posting(p, taxonomy, index)
+        kept = keep(p)
+        if kept:
+            unit = (p.job_id, p.region)
+            unit_employers[unit] = p.employer_name
+            by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(unit)
+        if record is not None:
+            raw_obs += len(record.matched_jsts)
+            if kept:
+                filtered_obs += len(record.matched_jsts)
+            if kept or every_match:
+                records.append(record)
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
-    return records_all, _PipelineData(
+    return _PipelineData(
         taxonomy=taxonomy,
-        filtered_postings=filtered_postings,
+        records=records,
         unit_employers=unit_employers,
-        records_filtered=records_filtered,
+        cross=dedup_mod.cross_region_report(by_content),
         raw_observations=raw_obs,
         filtered_observations=filtered_obs,
     )
@@ -320,35 +346,35 @@ def _render_cross_region_csv(report: dedup_mod.CrossRegionReport) -> str:
     return csv_text(["group", "job_id", "region", "title", "employer_name"], rows)
 
 
-# Each input subcommand gets the run, the in-scope corpus and the load
+# Each input subcommand gets the run, the in-scope postings and the load
 # diagnostics, runs its own stages, and returns the summary it prints.
 
 
-def cmd_ingest(run: _Run, corpus: Corpus, diagnostics: list) -> str:
-    return f"ingested {len(corpus.postings)} postings, rejected {len(diagnostics)} records"
+def cmd_ingest(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+    return f"ingested {len(postings)} postings, rejected {len(diagnostics)} records"
 
 
-def cmd_match(run: _Run, corpus: Corpus, diagnostics: list) -> str:
-    records_all, _ = _run_match_stages(run, corpus)
-    run.count("matched_postings", len(records_all))
-    run.write_artifact("matches.csv", _render_matches_csv(records_all))
-    return f"matched {len(records_all)} of {len(corpus.postings)} postings"
+def cmd_match(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+    posting_count = len(postings)
+    records = _run_match_stages(run, postings, every_match=True).records
+    run.count("matched_postings", len(records))
+    run.write_artifact("matches.csv", _render_matches_csv(records))
+    return f"matched {len(records)} of {posting_count} postings"
 
 
-def cmd_dedup(run: _Run, corpus: Corpus, diagnostics: list) -> str:
-    data = _run_match_stages(run, corpus)[1]
-    ledger = dedup_mod.weight_assignments(data.records_filtered)
-    cross = dedup_mod.cross_region_report(data.filtered_postings)
+def cmd_dedup(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+    data = _run_match_stages(run, postings)
+    ledger = dedup_mod.weight_assignments(data.records)
     run.count("demand_units", ledger.unit_count)
-    run.count("cross_region_groups", len(cross))
-    run.write_artifact("ledger.csv", dedup_mod.render_ledger_csv(ledger))
-    run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
+    run.count("cross_region_groups", len(data.cross))
+    run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
+    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
     return f"{ledger.unit_count} demand units from {data.filtered_observations} observations"
 
 
-def cmd_disambiguate(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+def cmd_disambiguate(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     config = run.config
-    filtered = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
+    filtered = matcher_mod.filter_corpus(postings, config.industry_token, config.filter_mode)
     dictionary = employers_mod.load_dictionary(config.dictionary_path)
     names = [p.employer_name for p in filtered]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
@@ -357,27 +383,26 @@ def cmd_disambiguate(run: _Run, corpus: Corpus, diagnostics: list) -> str:
     run.count("employers_raw", raw_count)
     run.count("employers_canonical", canonical_count)
     run.count("employer_names_rejected", len(rejected))
-    run.write_artifact("employer_mapping.csv", employers_mod.render_mapping_csv(mapping))
+    run.write_chunks("employer_mapping.csv", employers_mod.mapping_csv_chunks(mapping))
     return f"disambiguated {raw_count} raw employer names into {canonical_count}"
 
 
-def cmd_discover(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+def cmd_discover(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
-    filtered = matcher_mod.filter_corpus(corpus, config.industry_token, config.filter_mode)
+    filtered = matcher_mod.filter_corpus(postings, config.industry_token, config.filter_mode)
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
     run.write_artifact("discovery.csv", csv_text(["phrase", "count"], candidates))
     return f"{len(candidates)} candidate titles at min_count={config.min_count}"
 
 
-def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
+def cmd_report(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     config = run.config
-    data = _run_match_stages(run, corpus)[1]
-    ledger = dedup_mod.weight_assignments(data.records_filtered)
-    cross = dedup_mod.cross_region_report(data.filtered_postings)
+    data = _run_match_stages(run, postings)
+    ledger = dedup_mod.weight_assignments(data.records)
     run.count("demand_units", ledger.unit_count)
-    run.count("cross_region_groups", len(cross))
+    run.count("cross_region_groups", len(data.cross))
 
     # Tables render through render_<table>_<format>; csv files end in .csv, text in .txt.
     ext = {"csv": "csv", "text": "txt"}[config.format]
@@ -409,9 +434,7 @@ def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
         ratio_line = "technician:engineer ratio unavailable (a total is zero)"
 
     dictionary = employers_mod.load_dictionary(config.dictionary_path)
-    mapping, rejected = employers_mod.canonicalize(
-        [p.employer_name for p in data.filtered_postings], dictionary
-    )
+    mapping, rejected = employers_mod.canonicalize(list(data.unit_employers.values()), dictionary)
     stats = employers_mod.employer_stats(ledger, mapping, data.unit_employers, config.top_k)
     run.count("employers_raw", stats.raw_name_count)
     run.count("employers_canonical", stats.employer_count)
@@ -419,9 +442,9 @@ def cmd_report(run: _Run, corpus: Corpus, diagnostics: list) -> str:
     run.note("employers.mean_units", stats.mean_label)
     run.note("employers.top_share", stats.top_share_label)
     run.write_artifact(f"employers.{ext}", render(employers_mod, "employers", stats))
-    run.write_artifact("employer_mapping.csv", employers_mod.render_mapping_csv(mapping))
-    run.write_artifact("ledger.csv", dedup_mod.render_ledger_csv(ledger))
-    run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
+    run.write_chunks("employer_mapping.csv", employers_mod.mapping_csv_chunks(mapping))
+    run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
+    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
 
     employer_line = (
         f"{stats.employer_count} employers, mean {stats.mean_label} units each, "
@@ -559,8 +582,8 @@ def main(argv: list[str] | None = None) -> int:
         diagnostics = []
         if with_input:
             run.record_inputs(args.input)
-            corpus, diagnostics = _load_corpus(run, args.input)
-            summary = command(run, corpus, diagnostics)
+            postings, diagnostics = _load_corpus(run, args.input)
+            summary = command(run, postings, diagnostics)
         else:
             summary = command(run, args)
         run.finish()

@@ -20,7 +20,7 @@ import logging
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -87,6 +87,17 @@ csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 def csv_text(header, rows) -> str:
     """Render a header row and data rows as CSV text with '\\n' line endings."""
     return "".join(map(csv_line, chain((header,), rows)))
+
+
+# Lines per chunk of a large artifact: a few hundred kilobytes of text.
+CHUNK_LINES = 4096
+
+
+def joined_chunks(lines):
+    """Yield the concatenation of ``lines`` (each ending in '\\n') as pieces of ``CHUNK_LINES`` lines."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        yield chunk
 
 
 def normalize_text(s: str) -> tuple[str, ...]:
@@ -165,13 +176,17 @@ def _parse_date(text: str) -> dt.date:
     raise InputError(f"bad retrieved_at {text!r}: expected YYYY-MM-DD")
 
 
-def _parse_record(obj: object, window: CollectionWindow, days: dict[str, dt.date]) -> Posting:
+def _parse_record(
+    obj: object, window: CollectionWindow, days: dict[str, dt.date], shared: dict[str, str]
+) -> Posting:
     """Validate one decoded record; raises InputError with the reject reason.
 
     ``days`` maps each retrieved_at string already found inside the window
-    to its date, so a load parses each distinct string once. A record that
-    fails any check of the common path is checked again field by field, in
-    order, to name its first fault.
+    to its date, so a load parses each distinct string once. ``shared``
+    holds the first copy of each title and employer name, which the posting
+    stores instead of its own equal string. A record that fails any check
+    of the common path is checked again field by field, in order, to name
+    its first fault.
     """
     if type(obj) is dict and obj.keys() == _FIELD_SET:
         job_id, title, job_description, employer_name, employer_description, code, retrieved_at = _fields_of(obj)
@@ -187,6 +202,8 @@ def _parse_record(obj: object, window: CollectionWindow, days: dict[str, dt.date
             and (region := _REGIONS.get(code)) is not None
             and (day := days.get(retrieved_at)) is not None
         ):
+            title = shared.setdefault(title, title)
+            employer_name = shared.setdefault(employer_name, employer_name)
             return Posting(job_id, title, job_description, employer_name, employer_description, region, day)
     if not isinstance(obj, dict):
         raise InputError("record is not a JSON object")
@@ -197,9 +214,8 @@ def _parse_record(obj: object, window: CollectionWindow, days: dict[str, dt.date
             raise InputError(f"field {name!r} must be a string")
     if not obj["job_id"]:
         raise InputError("empty job_id")
-    region = parse_region(obj["region"])
-    day = days.get(obj["retrieved_at"])
-    if day is None:
+    parse_region(obj["region"])
+    if obj["retrieved_at"] not in days:
         day = _parse_date(obj["retrieved_at"])
         if not window.contains(day):
             raise InputError(f"retrieved_at {day} outside collection window {window.start}..{window.end}")
@@ -207,7 +223,7 @@ def _parse_record(obj: object, window: CollectionWindow, days: dict[str, dt.date
     # Checked last, so a record with any other fault is rejected for that fault.
     if len(obj) != len(POSTING_FIELDS):
         raise InputError(f"unexpected field {min(set(obj) - _FIELD_SET)!r}")
-    return Posting(*_fields_of(obj)[:5], region, day)
+    return _parse_record(obj, window, days, shared)  # every check passed: the common path takes it
 
 
 def _decode(line: str) -> object:
@@ -251,20 +267,22 @@ def load_postings(
     starting with '#' are skipped. A record must hold exactly the seven
     string fields of ``POSTING_FIELDS``. Invalid records become diagnostics
     with file and line number. A duplicate (job_id, region) keeps the first
-    occurrence and rejects the rest. An unreadable file is fatal.
+    occurrence and rejects the rest. An unreadable file is fatal. Postings
+    of one load share one string object per distinct title and employer name.
     """
     window = window or CollectionWindow()
     postings: list[Posting] = []
     diagnostics: list[Diagnostic] = []
     seen: set[tuple[str, Region]] = set()
     days: dict[str, dt.date] = {}
+    shared: dict[str, str] = {}
     for path in paths:
         for line_no, line in _numbered_lines(path):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                posting = _parse_record(_decode(stripped), window, days)
+                posting = _parse_record(_decode(stripped), window, days, shared)
             except InputError as exc:
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
                 continue

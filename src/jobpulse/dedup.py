@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
-from .corpus import Posting, Region, csv_line
+from .corpus import Region, csv_line, joined_chunks
 from .errors import ContractError
 from .matcher import MatchRecord
 from .taxonomy import Jst, JstLevel
@@ -140,36 +141,32 @@ class CrossRegionReport:
         return len(self.groups)
 
 
-def cross_region_report(postings: list[Posting]) -> CrossRegionReport:
+def cross_region_report(
+    by_content: dict[tuple[str, str, str], list[tuple[str, Region]]],
+) -> CrossRegionReport:
     """List groups of content-identical postings spanning multiple regions.
 
-    Postings stay independent demand units in every region where they
-    appear; this report only makes the repetition visible.
+    ``by_content`` maps each (title, job_description, employer_name) to the
+    (job_id, region) of every posting with that content. Postings stay
+    independent demand units in every region where they appear; this
+    report only makes the repetition visible.
     """
-    by_content: dict[tuple[str, str, str], list[Posting]] = {}
-    for p in postings:
-        by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(p)
     spanning = {
         key: members
         for key, members in by_content.items()
-        if len(members) > 1 and len({p.region for p in members}) > 1
+        if len(members) > 1 and len({region for _, region in members}) > 1
     }
     groups = []
     for title, desc, employer in sorted(spanning):
         # One job id may be listed in several regions, and Regions do not order.
-        members = sorted(spanning[title, desc, employer], key=lambda p: (p.job_id, p.region.value))
-        groups.append(
-            CrossRegionGroup(
-                title=title,
-                employer_name=employer,
-                members=tuple((p.job_id, p.region) for p in members),
-            )
-        )
+        members = sorted(spanning[title, desc, employer], key=lambda m: (m[0], m[1].value))
+        groups.append(CrossRegionGroup(title=title, employer_name=employer, members=tuple(members)))
     return CrossRegionReport(groups=tuple(groups))
 
 
-def render_ledger_csv(ledger: DemandLedger) -> str:
-    """Ledger export: job_id,region,function,family,title,weight_num,weight_den.
+def ledger_csv_chunks(ledger: DemandLedger) -> Iterator[str]:
+    """Ledger export in chunks of ``corpus.CHUNK_LINES`` lines:
+    job_id,region,function,family,title,weight_num,weight_den.
 
     CSV quotes each field on its own, so a row is its unit's rendered
     (job_id, region) joined to each term's rendered three columns and the
@@ -186,9 +183,18 @@ def render_ledger_csv(ledger: DemandLedger) -> str:
         )[:-1]
         for jst in sums
     }
-    rows = [csv_line(LEDGER_HEADER)]
-    for job_id, region, terms in ledger.units:
-        head = csv_line((job_id, region.value))[:-1]
-        tail = f",1,{len(terms)}\n"
-        rows.extend([f"{head},{term_columns[jst]}{tail}" for jst in terms])
-    return "".join(rows)
+
+    def rows() -> Iterator[str]:
+        yield csv_line(LEDGER_HEADER)
+        for job_id, region, terms in ledger.units:
+            head = csv_line((job_id, region.value))[:-1]
+            tail = f",1,{len(terms)}\n"
+            for jst in terms:
+                yield f"{head},{term_columns[jst]}{tail}"
+
+    return joined_chunks(rows())
+
+
+def render_ledger_csv(ledger: DemandLedger) -> str:
+    """The whole ledger export as one string."""
+    return "".join(ledger_csv_chunks(ledger))

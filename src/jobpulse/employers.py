@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .corpus import Region, csv_text, normalize_text
+from .corpus import Region, csv_line, csv_text, joined_chunks, normalize_text
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
@@ -45,6 +47,8 @@ DEFAULT_LEGAL_SUFFIXES = ("inc", "llc", "corp", "co", "ltd")
 # Tokens named or implied by the source methodology; extend via a dictionary
 # file, not code.
 DEFAULT_DICTIONARY_TOKENS = ("american", "advanced", "university", "of")
+
+MAPPING_HEADER = ("raw_name", "canonical_name")
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,12 @@ def render_employers_text(report: EmployerReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def mapping_csv_chunks(mapping: dict[str, CanonicalEmployer]) -> Iterator[str]:
+    """Mapping export in chunks of ``corpus.CHUNK_LINES`` lines: raw_name,canonical_name by raw name."""
+    rows = ((raw, mapping[raw].canonical_name) for raw in sorted(mapping))
+    return joined_chunks(map(csv_line, chain((MAPPING_HEADER,), rows)))
+
+
 def render_mapping_csv(mapping: dict[str, CanonicalEmployer]) -> str:
-    """Mapping export: raw_name,canonical_name (sorted by raw name)."""
-    rows = ([raw, mapping[raw].canonical_name] for raw in sorted(mapping))
-    return csv_text(["raw_name", "canonical_name"], rows)
+    """The whole mapping export as one string."""
+    return "".join(mapping_csv_chunks(mapping))

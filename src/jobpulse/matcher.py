@@ -188,10 +188,10 @@ def industry_filter(posting: Posting, industry_token: str, mode: str = FILTER_AN
     description or the employer description; ``all_fields`` requires both.
     The title is not consulted.
     """
-    return _industry_predicate(industry_token, mode)(posting)
+    return industry_predicate(industry_token, mode)(posting)
 
 
-def _industry_predicate(industry_token: str, mode: str):
+def industry_predicate(industry_token: str, mode: str):
     """Validate the filter arguments once and return the per-posting test."""
     if mode not in FILTER_MODES:
         raise InputError(f"unknown filter mode {mode!r}: expected one of {FILTER_MODES}")
@@ -224,7 +224,7 @@ def filter_corpus(
     postings: Corpus | list[Posting], industry_token: str, mode: str = FILTER_ANY_FIELD
 ) -> list[Posting]:
     """Postings passing the industry filter, in input order."""
-    keep = _industry_predicate(industry_token, mode)
+    keep = industry_predicate(industry_token, mode)
     return [p for p in postings if keep(p)]
 
 

@@ -10,8 +10,10 @@ atomically (temp + rename).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import logging
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -251,8 +253,9 @@ def render_demand_text(table: DemandTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text_atomic(path: str | Path, content: str) -> None:
-    """Write a file atomically: temp file in the target directory, then rename.
+@contextlib.contextmanager
+def _atomic_file(path: str | Path):
+    """A binary temp file beside ``path``, renamed over it when the block ends and removed if it fails.
 
     The temp file is created exclusively under a name holding the process id,
     so the file gets the permissions the umask allows (``mkstemp`` would make
@@ -264,10 +267,27 @@ def write_text_atomic(path: str | Path, content: str) -> None:
     with contextlib.suppress(FileNotFoundError):
         os.unlink(tmp)  # left over by a dead process that had this process id
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(content)
+        with open(tmp, "xb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str | Path, content: str) -> None:
+    """Write a file atomically: temp file in the target directory, then rename."""
+    with _atomic_file(path) as fh:
+        fh.write(content.encode("utf-8"))
+
+
+def write_chunks_atomic(path: str | Path, chunks: Iterable[str]) -> str:
+    """``write_text_atomic`` of the joined chunks, one at a time; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with _atomic_file(path) as fh:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()

@@ -33,6 +33,14 @@ def make_posting(
     )
 
 
+def content_groups(postings) -> dict:
+    """The input of ``cross_region_report``: each posting's content key -> its units."""
+    groups: dict = {}
+    for p in postings:
+        groups.setdefault((p.title, p.job_description, p.employer_name), []).append((p.job_id, p.region))
+    return groups
+
+
 def make_record(
     job_id: str = "J1",
     title: str = "",

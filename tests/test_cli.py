@@ -4,13 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import jobpulse
 from jobpulse import corpus as corpus_mod
-from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
+from jobpulse import dedup, employers, matcher
+from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, PipelineConfig, _Run, main
 from jobpulse.corpus import Region
 
 from conftest import make_record, write_jsonl, write_taxonomy_csv
@@ -800,3 +802,82 @@ def test_report_and_dedup_pinned_on_messy_input(tmp_path, monkeypatch, capsys):
             summary + "report_--format_text\n",
         ),
     }
+
+
+def test_report_peak_memory_stays_near_the_load(tmp_path, capsys):
+    # report keeps no posting past its match/filter pass and writes its
+    # large artifacts in chunks, so its traced peak stays within half as
+    # much again as the peak of loading the postings alone. Holding every
+    # posting to the end and each artifact as one string peaked near twice
+    # the load.
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    load_peak = traced_peak(corpus_mod.load_postings, inputs)
+    report_peak = traced_peak(main, ["report", "--input", *inputs, "--out", str(tmp_path / "out")])
+    assert report_peak < 1.5 * load_peak, (report_peak, load_peak)
+    capsys.readouterr()
+
+
+def _artifact_digests(run) -> dict[str, str]:
+    return {key: value for key, value in run.items if key.startswith("artifact.")}
+
+
+def test_chunked_write_failing_midway_keeps_the_previous_file(tmp_path):
+    run = _Run("report", PipelineConfig(out_dir=str(tmp_path)))
+    run.write_artifact("ledger.csv", "old,ledger\n")
+    previous = (tmp_path / "ledger.csv").read_bytes()
+    run.items.clear()
+
+    def chunks():
+        yield "new,rows\n" * 1000
+        yield "more\n"
+        raise OSError("disk went away")
+
+    with pytest.raises(OSError, match="disk went away"):
+        run.write_chunks("ledger.csv", chunks())
+    assert (tmp_path / "ledger.csv").read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+    assert _artifact_digests(run) == {}
+
+
+@pytest.mark.parametrize(
+    "chunks", [[], [""], ["héllo, wörld\n", "", "€ ☃ \U0001f600\n"], ["a\n"] * 5000]
+)
+def test_chunked_write_records_the_sha256_of_the_file(tmp_path, chunks):
+    run = _Run("report", PipelineConfig(out_dir=str(tmp_path)))
+    run.write_chunks("out.csv", iter(chunks))
+    data = (tmp_path / "out.csv").read_bytes()
+    assert data == "".join(chunks).encode("utf-8")
+    assert _artifact_digests(run) == {"artifact.out.csv.sha256": hashlib.sha256(data).hexdigest()}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_streamed_ledger_and_mapping_equal_the_string_renderers(tmp_path, shipped_taxonomy, monkeypatch):
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--seed", "13", "--n-postings", "1500", "--out", str(fixture)]) == 0
+    corpus, _ = corpus_mod.load_postings([str(fixture / f"{r.value.lower()}.jsonl") for r in Region])
+    ledger = dedup.weight_assignments(matcher.match_corpus(corpus, shipped_taxonomy))
+    mapping, _ = employers.canonicalize([p.employer_name for p in corpus])
+    whole = {
+        "ledger.csv": dedup.render_ledger_csv(ledger),
+        "employer_mapping.csv": employers.render_mapping_csv(mapping),
+    }
+    monkeypatch.setattr(corpus_mod, "CHUNK_LINES", 100)
+    run = _Run("report", PipelineConfig(out_dir=str(tmp_path / "out")))
+    run.write_chunks("ledger.csv", dedup.ledger_csv_chunks(ledger))
+    run.write_chunks("employer_mapping.csv", employers.mapping_csv_chunks(mapping))
+    for name, text in whole.items():
+        assert text.count("\n") > 400  # several chunks
+        data = (tmp_path / "out" / name).read_bytes()
+        assert data == text.encode("utf-8")
+        assert dict(run.items)[f"artifact.{name}.sha256"] == hashlib.sha256(data).hexdigest()

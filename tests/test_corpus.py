@@ -285,6 +285,25 @@ def test_comment_and_blank_lines_skipped(tmp_path):
     assert len(corpus) == 1 and not diagnostics
 
 
+def test_one_load_shares_each_title_and_employer_name(tmp_path):
+    # Equal strings decoded from different lines, files and dates, on the
+    # first record of a date (checked field by field) and on later ones.
+    records = [
+        make_record(job_id=f"J{i}", title="Etch Engineer", employer_name="Acme Devices",
+                    job_description="etch", retrieved_at=f"2025-04-0{1 + i % 3}")
+        for i in range(6)
+    ]
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_jsonl(first, records[:3])
+    write_jsonl(second, [*records[3:], make_record(job_id="K", title="Acme Devices")])
+    corpus, diagnostics = load_postings([str(first), str(second)])
+    assert not diagnostics and len(corpus) == 7
+    assert len({id(p.title) for p in corpus.postings[:6]}) == 1
+    assert all(p.employer_name is corpus.postings[0].employer_name for p in corpus.postings)
+    assert corpus.postings[6].title is corpus.postings[0].employer_name
+    assert corpus.postings[1].job_description is not corpus.postings[0].job_description
+
+
 def test_posting_round_trips_through_json(tmp_path):
     record = make_record(title="Etch Engineer", job_description="plasma work")
     path = tmp_path / "rt.jsonl"

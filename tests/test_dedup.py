@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from jobpulse.corpus import Region, csv_text
+from jobpulse.corpus import CHUNK_LINES, Region, csv_text
 from jobpulse.dedup import (
     LEDGER_HEADER,
     WeightedAssignment,
     cross_region_report,
+    ledger_csv_chunks,
     render_ledger_csv,
     weight_assignments,
 )
@@ -15,7 +16,7 @@ from jobpulse.errors import ContractError
 from jobpulse.matcher import MatchRecord
 from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, lookup
 
-from conftest import make_posting
+from conftest import content_groups, make_posting
 
 
 def _record(shipped_taxonomy, job_id, phrases, region=Region.LA):
@@ -141,7 +142,7 @@ def test_cross_region_pair_is_two_units_and_one_group(shipped_taxonomy):
         _record(shipped_taxonomy, "J1", ["etch engineer"], Region.LA),
         _record(shipped_taxonomy, "J2", ["etch engineer"], Region.SD),
     ]
-    report = cross_region_report(postings)
+    report = cross_region_report(content_groups(postings))
     assert len(report) == 1
     assert report.groups[0].members == (("J1", Region.LA), ("J2", Region.SD))
     assert weight_assignments(records).unit_count == 2
@@ -152,7 +153,7 @@ def test_cross_region_group_may_repeat_a_job_id():
         make_posting(job_id=job_id, title="A", job_description="x", region=region)
         for job_id, region in (("J2", Region.LA), ("J1", Region.SD), ("J1", Region.LA))
     ]
-    (group,) = cross_region_report(postings).groups
+    (group,) = cross_region_report(content_groups(postings)).groups
     assert group.members == (("J1", Region.LA), ("J1", Region.SD), ("J2", Region.LA))
 
 
@@ -161,7 +162,7 @@ def test_cross_region_report_empty_without_repeats(shipped_taxonomy):
         make_posting(job_id="J1", title="A", job_description="x", region=Region.LA),
         make_posting(job_id="J2", title="B", job_description="y", region=Region.SD),
     ]
-    assert len(cross_region_report(postings)) == 0
+    assert len(cross_region_report(content_groups(postings))) == 0
 
 
 def test_same_region_duplicates_not_reported():
@@ -169,7 +170,7 @@ def test_same_region_duplicates_not_reported():
         make_posting(job_id="J1", title="A", job_description="x", region=Region.LA),
         make_posting(job_id="J2", title="A", job_description="x", region=Region.LA),
     ]
-    assert len(cross_region_report(postings)) == 0
+    assert len(cross_region_report(content_groups(postings))) == 0
 
 
 def test_ledger_csv_schema(shipped_taxonomy):
@@ -230,6 +231,10 @@ def test_ledger_csv_equals_csv_of_every_assignment():
         matched = frozenset(rng.sample(jsts, rng.randint(1, 5)))
         records[key] = MatchRecord(key[0], key[1], matched, frozenset())
     ledger = weight_assignments(list(records.values()))
+    assert render_ledger_csv(ledger) == _csv_of_every_assignment(ledger)
+
+
+def _csv_of_every_assignment(ledger) -> str:
     rows = (
         [
             a.job_id,
@@ -242,4 +247,24 @@ def test_ledger_csv_equals_csv_of_every_assignment():
         ]
         for a in ledger.assignments
     )
-    assert render_ledger_csv(ledger) == csv_text(LEDGER_HEADER, rows)
+    return csv_text(LEDGER_HEADER, rows)
+
+
+def test_empty_ledger_chunks_are_the_header_alone():
+    ledger = weight_assignments([])
+    assert list(ledger_csv_chunks(ledger)) == [csv_text(LEDGER_HEADER, [])]
+    assert render_ledger_csv(ledger) == csv_text(LEDGER_HEADER, [])
+
+
+def test_ledger_chunks_split_a_unit_at_the_block_boundary(shipped_taxonomy):
+    # Two rows per unit after the header: unit 2047's rows are lines 4096 and
+    # 4097, one on each side of the first block boundary.
+    units = CHUNK_LINES // 2 + 1
+    ledger = weight_assignments(
+        [_record(shipped_taxonomy, f"J{i:05d}", ["design engineer", "layout engineer"]) for i in range(units)]
+    )
+    chunks = list(ledger_csv_chunks(ledger))
+    assert [chunk.count("\n") for chunk in chunks] == [CHUNK_LINES, 2 * units + 1 - CHUNK_LINES]
+    split = f"J{CHUNK_LINES // 2 - 1:05d},LA,"
+    assert chunks[0].splitlines()[-1].startswith(split) and chunks[1].startswith(split)
+    assert "".join(chunks) == _csv_of_every_assignment(ledger)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from jobpulse.corpus import Region
+from jobpulse import corpus as corpus_mod
+from jobpulse.corpus import Region, csv_text
 from jobpulse.dedup import weight_assignments
 from jobpulse.employers import (
     DEFAULT_LEGAL_SUFFIXES,
@@ -15,6 +16,7 @@ from jobpulse.employers import (
     load_dictionary,
     normalize_name,
     render_employers_csv,
+    mapping_csv_chunks,
     render_mapping_csv,
 )
 from jobpulse.errors import ContractError, InputError
@@ -404,6 +406,21 @@ def test_render_mapping_csv():
     content = render_mapping_csv(mapping)
     assert content.splitlines()[0] == "raw_name,canonical_name"
     assert "Amazon Web Services,amazon" in content
+
+
+def test_mapping_chunks_quote_awkward_names(monkeypatch):
+    names = ["Foo, Inc", 'Bar "Q" Labs', "Line\nBreak Co", "Société Générale", "Ünïcode GmbH", "Foo Bar, Inc"]
+    mapping, rejected = canonicalize(names)
+    assert not rejected
+    rows = sorted((raw, employer.canonical_name) for raw, employer in mapping.items())
+    expected = csv_text(["raw_name", "canonical_name"], rows)
+    assert render_mapping_csv(mapping) == expected
+    for size in (1, 2, 4096):
+        monkeypatch.setattr(corpus_mod, "CHUNK_LINES", size)
+        chunks = list(mapping_csv_chunks(mapping))
+        assert "".join(chunks) == expected
+        assert len(chunks) == -(-(len(mapping) + 1) // size)
+    assert list(mapping_csv_chunks({})) == ["raw_name,canonical_name\n"]
 
 
 def test_render_employers_csv(shipped_taxonomy):

@@ -24,7 +24,7 @@ from jobpulse.synth import (
 )
 from jobpulse.taxonomy import JobFunction, load_taxonomy
 
-from conftest import write_taxonomy_csv
+from conftest import content_groups, write_taxonomy_csv
 
 
 def _hash_dir(paths) -> list[str]:
@@ -349,7 +349,7 @@ def test_recovery_employer_partition(recovery_run):
 
 def test_recovery_cross_region_groups(recovery_run):
     _, postings, truth = recovery_run
-    report = cross_region_report(postings)
+    report = cross_region_report(content_groups(postings))
     assert len(report) == 7
     truth_groups: dict[int, set[tuple]] = {}
     for row in truth.rows:
