@@ -19,6 +19,7 @@ import hashlib
 import logging
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,9 +283,11 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
 
     Each posting is dropped from the list once it is matched and filtered,
     and the pass keeps only what later stages read: the match records, each
-    filtered posting's employer name, and its content key for the
-    cross-region report, which is built here so the descriptions it reads
-    are freed on return.
+    filtered posting's employer name, and, for the cross-region report, the
+    content key of each filtered posting whose job description occurs more
+    than once in ``postings``. A group needs two postings with equal
+    descriptions, so a description seen once is freed with its posting;
+    the report is built here so the repeated ones are freed on return.
     """
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy_path)
@@ -293,6 +296,9 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
     records = []
     unit_employers = {}
     by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
+    counts = Counter(p.job_description for p in postings)
+    repeated = {description for description, n in counts.items() if n > 1}
+    del counts
     raw_obs = filtered_obs = 0
     postings.reverse()  # so pop() takes them in file order
     while postings:
@@ -302,7 +308,8 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
         if kept:
             unit = (p.job_id, p.region)
             unit_employers[unit] = p.employer_name
-            by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(unit)
+            if p.job_description in repeated:
+                by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(unit)
         if record is not None:
             raw_obs += len(record.matched_jsts)
             if kept:

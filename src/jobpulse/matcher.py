@@ -113,12 +113,15 @@ class MatchIndex:
 
     Titles repeat across postings far more than descriptions do, so the
     index also remembers the terms found in each distinct title string for
-    as long as the index lives.
+    as long as the index lives. Postings hold far fewer distinct term sets
+    than there are postings, so the index keeps one frozenset per distinct
+    term set and hands that one out for every equal set.
     """
 
     def __init__(self, taxonomy: Taxonomy) -> None:
         self.taxonomy = taxonomy
         self._title_hits: dict[str, frozenset[Jst]] = {}
+        self._term_sets: dict[frozenset[Jst], frozenset[Jst]] = {}
         # First token -> (" phrase tokens ", term): tokens hold no spaces, so a
         # phrase is a contiguous run exactly when its spaced form occurs in the
         # spaced token string.
@@ -142,11 +145,15 @@ class MatchIndex:
         by_first = self._by_first
         return {jst for first in firsts for phrase, jst in by_first[first] if phrase in text}
 
+    def shared(self, jsts: frozenset[Jst]) -> frozenset[Jst]:
+        """The index's one frozenset equal to ``jsts``, which becomes it on first sight."""
+        return self._term_sets.setdefault(jsts, jsts)
+
     def title_hits(self, title: str) -> frozenset[Jst]:
         """``scan(expanded_tokens(title))``, computed once per distinct title."""
         hits = self._title_hits.get(title)
         if hits is None:
-            hits = self._title_hits[title] = frozenset(self.scan(expanded_tokens(title)))
+            hits = self._title_hits[title] = self.shared(frozenset(self.scan(expanded_tokens(title))))
         return hits
 
 
@@ -154,12 +161,13 @@ def match_posting(posting: Posting, taxonomy: Taxonomy, index: MatchIndex | None
     """Match one posting against the taxonomy's terms.
 
     Terms are searched in the title and job description (not the employer
-    description); returns nothing when no term occurs.
+    description); returns nothing when no term occurs. Records matched
+    through one index share each term set (``MatchIndex.shared``).
     """
     if index is None:
         index = MatchIndex(taxonomy)
     title_hits = index.title_hits(posting.title)
-    matched = title_hits | index.scan(expanded_tokens(posting.job_description))
+    matched = index.shared(title_hits | index.scan(expanded_tokens(posting.job_description)))
     if not matched:
         return None
     return MatchRecord(

@@ -452,3 +452,23 @@ def test_match_corpus_equals_per_posting_match_with_fresh_index(shipped_taxonomy
     index = MatchIndex(shipped_taxonomy)
     record = match_posting(postings[-1], shipped_taxonomy, index)
     assert record.matched_in_title is index.title_hits(postings[-1].title)
+
+
+def test_equal_term_sets_share_one_frozenset(shipped_taxonomy):
+    """One index hands out one frozenset per distinct term set, for matched
+    terms and title hits alike, and the records still equal fresh-index ones."""
+    postings, _ = build_corpus(SynthConfig(seed=32, n_postings=400), shipped_taxonomy)
+    postings += [
+        make_posting(job_id="S0", title="Design Engineer", job_description="layout engineer on site"),
+        make_posting(job_id="S1", title="Layout Engineer", job_description="design engineer wanted"),
+        make_posting(job_id="S2", title="Layout Engineer, design engineer"),
+        make_posting(job_id="S3", title="Senior design engineer", job_description="semiconductor"),
+    ]
+    records = match_corpus(postings, shipped_taxonomy)
+    fresh = (match_posting(p, shipped_taxonomy, MatchIndex(shipped_taxonomy)) for p in postings)
+    assert records == [r for r in fresh if r]
+    sets = [s for r in records for s in (r.matched_jsts, r.matched_in_title)]
+    assert len({id(s) for s in sets}) == len(set(sets)) < len(records)
+    s0, s1, s2, s3 = records[-4:]
+    assert s0.matched_jsts is s1.matched_jsts is s2.matched_jsts is s2.matched_in_title
+    assert s0.matched_in_title is s3.matched_in_title is s3.matched_jsts
