@@ -942,3 +942,29 @@ def test_streamed_ledger_and_mapping_equal_the_string_renderers(tmp_path, shippe
         data = (tmp_path / "out" / name).read_bytes()
         assert data == text.encode("utf-8")
         assert dict(run.items)[f"artifact.{name}.sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_match_pinned_on_messy_input_and_a_seeded_fixture(tmp_path, monkeypatch, capsys):
+    # matches.csv, its counts and the summary, byte for byte, on the messy
+    # scope-limited input and on a fixture with plants, cross-region copies
+    # and non-default rates.
+    monkeypatch.chdir(tmp_path)
+    inputs = _messy_inputs(tmp_path)
+    synth = ["synth", "--seed", "23", "--n-postings", "1000", "--off-industry-rate", "2/5",
+             "--division-rate", "1/4", "--cross-region-repeats", "9",
+             "--plant", "rf engineer=6", "--plant", "microelectronics technician=4", "--out", "fx"]
+    assert main(synth) == 0
+    fixture = [f"fx/{r.value.lower()}.jsonl" for r in Region]
+    capsys.readouterr()
+    pinned = {}
+    for name, argv, code in (("messy", [*inputs, "--regions", "LA,SB"], 2), ("seed23", fixture, 0)):
+        assert main(["match", "--input", *argv, "--out", name]) == code
+        manifest = _manifest(tmp_path / name / "manifest.txt")
+        digest = hashlib.sha256((tmp_path / name / "matches.csv").read_bytes()).hexdigest()[:16]
+        counts = {key: value for key, value in manifest.items() if key.startswith("count.")}
+        pinned[name] = (digest, counts["count.matched_postings"], counts["count.raw_observations"],
+                        capsys.readouterr().out)
+    assert pinned == {
+        "messy": ("cee3fc0f322bcf77", "8", "9", "matched 8 of 9 postings\n"),
+        "seed23": ("775165647870d3fa", "1009", "2464", "matched 1009 of 1019 postings\n"),
+    }
