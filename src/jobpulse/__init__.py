@@ -1,59 +1,2 @@
 """Job-posting demand pipeline: taxonomy matching, fractional
 deduplication, employer disambiguation, and demand reporting."""
-
-from .corpus import Corpus, Posting, Region, load_postings, normalize_text
-from .dedup import DemandLedger, WeightedAssignment, weight_assignments
-from .employers import CanonicalEmployer, NameDictionary, canonicalize, employer_stats
-from .errors import ContractError, InputError, JobPulseError
-from .matcher import (
-    MatchRecord,
-    SearchPhrase,
-    build_search_phrase,
-    discover_candidate_titles,
-    industry_filter,
-    match_posting,
-)
-from .report import DemandTable, FunnelReport, build_funnel, demand_by, ratio
-from .synth import GroundTruth, SynthConfig, build_corpus, generate
-from .taxonomy import JobFunction, Jst, Taxonomy, load_taxonomy, lookup
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CanonicalEmployer",
-    "ContractError",
-    "Corpus",
-    "DemandLedger",
-    "DemandTable",
-    "FunnelReport",
-    "GroundTruth",
-    "InputError",
-    "JobFunction",
-    "JobPulseError",
-    "Jst",
-    "MatchRecord",
-    "NameDictionary",
-    "Posting",
-    "Region",
-    "SearchPhrase",
-    "SynthConfig",
-    "Taxonomy",
-    "WeightedAssignment",
-    "build_corpus",
-    "build_funnel",
-    "build_search_phrase",
-    "canonicalize",
-    "demand_by",
-    "discover_candidate_titles",
-    "employer_stats",
-    "generate",
-    "industry_filter",
-    "load_postings",
-    "load_taxonomy",
-    "lookup",
-    "match_posting",
-    "normalize_text",
-    "ratio",
-    "weight_assignments",
-    "__version__",
-]

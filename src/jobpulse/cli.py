@@ -20,9 +20,11 @@ import logging
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -31,7 +33,7 @@ from . import employers as employers_mod
 from . import matcher as matcher_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .corpus import CollectionWindow, Posting, Region, csv_text
+from .corpus import CollectionWindow, Posting, Region, csv_line, csv_text, joined_chunks
 from .errors import ContractError, InputError, JobPulseError
 from .taxonomy import JobFunction, Taxonomy, load_taxonomy
 
@@ -39,6 +41,7 @@ logger = logging.getLogger(__name__)
 
 ENV_CONFIG = "JOBPULSE_CONFIG"
 MANIFEST_NAME = "manifest.txt"
+MATCHES_HEADER = ("job_id", "region", "phrase", "level", "in_title")
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_TAXONOMY = _DATA_DIR / "taxonomy.csv"
@@ -106,11 +109,7 @@ class PipelineConfig:
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse the line-oriented ``key = value`` config file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    lines = corpus_mod.read_text_lines(path, "config")
     keys = {row[0] for row in CONFIG_TABLE}
     values: dict[str, str] = {}
     for line_no, line in enumerate(lines, start=1):
@@ -303,7 +302,7 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
     postings.reverse()  # so pop() takes them in file order
     while postings:
         p = postings.pop()
-        record = matcher_mod.match_posting(p, taxonomy, index)
+        record = matcher_mod.match_posting(p, index)
         kept = keep(p)
         if kept:
             unit = (p.job_id, p.region)
@@ -328,21 +327,20 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
     )
 
 
-def _render_matches_csv(records: list[matcher_mod.MatchRecord]) -> str:
-    entries = []
-    for record in records:
-        for jst in record.matched_jsts:
-            entries.append(
-                (
-                    record.job_id,
-                    record.region.value,
-                    jst.phrase,
-                    jst.level.value,
-                    "1" if jst in record.matched_in_title else "0",
-                )
-            )
-    entries.sort()
-    return csv_text(["job_id", "region", "phrase", "level", "in_title"], entries)
+def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]:
+    """matches.csv in chunks: one row per matched term, by job id, region and phrase.
+
+    Sorts ``records`` in place. A (job_id, region) occurs once per load and
+    a phrase once per record, so this is the order of the sorted rows.
+    """
+    records.sort(key=lambda r: (r.job_id, r.region.value))
+    by_phrase = attrgetter("phrase")
+    rows = (
+        (r.job_id, r.region.value, jst.phrase, jst.level.value, "1" if jst in r.matched_in_title else "0")
+        for r in records
+        for jst in sorted(r.matched_jsts, key=by_phrase)
+    )
+    return joined_chunks(map(csv_line, chain((MATCHES_HEADER,), rows)))
 
 
 def _render_cross_region_csv(report: dedup_mod.CrossRegionReport) -> str:
@@ -365,7 +363,7 @@ def cmd_match(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     posting_count = len(postings)
     records = _run_match_stages(run, postings, every_match=True).records
     run.count("matched_postings", len(records))
-    run.write_artifact("matches.csv", _render_matches_csv(records))
+    run.write_chunks("matches.csv", _matches_csv_chunks(records))
     return f"matched {len(records)} of {posting_count} postings"
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
+import io
 import json
 import logging
 import operator
@@ -155,10 +156,9 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable collection of validated postings plus load provenance."""
+    """Immutable collection of validated postings."""
 
     postings: tuple[Posting, ...]
-    sources: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.postings)
@@ -248,6 +248,20 @@ def _surrogate_field(posting: Posting) -> str | None:
     return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
 
 
+def read_text_lines(path: str, kind: str) -> list[str]:
+    """The lines of a UTF-8 text file, as text mode reads them; an unreadable or undecodable file is fatal."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def _numbered_lines(path: str):
     """Stream (line number, line) pairs of a UTF-8 file; an unreadable file is fatal."""
     try:
@@ -300,7 +314,7 @@ def load_postings(
             postings.append(posting)
     if diagnostics:
         logger.warning("rejected %d of %d input records", len(diagnostics), len(diagnostics) + len(postings))
-    return Corpus(postings=tuple(postings), sources=tuple(str(p) for p in paths)), diagnostics
+    return Corpus(postings=tuple(postings)), diagnostics
 
 
 def posting_to_json(p: Posting) -> str:

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .corpus import Region, csv_line, csv_text, joined_chunks, normalize_text
+from .corpus import Region, csv_line, csv_text, joined_chunks, normalize_text, read_text_lines
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LEGAL_SUFFIXES = ("inc", "llc", "corp", "co", "ltd")
+LEGAL_SUFFIXES = frozenset({"inc", "llc", "corp", "co", "ltd"})
 
 # Tokens named or implied by the source methodology; extend via a dictionary
 # file, not code.
@@ -67,11 +67,7 @@ def default_dictionary() -> NameDictionary:
 
 def load_dictionary(path: str) -> NameDictionary:
     """Load a dictionary file: one token per line, '#' comments."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read dictionary file {path}: {exc}") from exc
+    lines = read_text_lines(path, "dictionary")
     tokens: set[str] = set()
     for line in lines:
         stripped = line.strip()
@@ -91,30 +87,24 @@ class CanonicalEmployer:
     members: frozenset[str]
 
 
-def normalize_name(
-    raw: str, suffixes: tuple[str, ...] | frozenset[str] = DEFAULT_LEGAL_SUFFIXES
-) -> tuple[str, ...]:
+def normalize_name(raw: str) -> tuple[str, ...]:
     """Normalize a raw employer name to comparison tokens.
 
     Lowercase tokenization, then trailing legal suffixes are stripped
     ("Amazon Inc" compares as "amazon"). A name made only of suffixes keeps
-    its tokens rather than vanishing. Pass a frozenset to reuse it across
-    calls (``frozenset`` of a frozenset is the same object).
+    its tokens rather than vanishing.
     """
     tokens = normalize_text(raw)
-    suffix_set = frozenset(suffixes)
     end = len(tokens)
-    while end > 1 and tokens[end - 1] in suffix_set:
+    while end > 1 and tokens[end - 1] in LEGAL_SUFFIXES:
         end -= 1
-    if end == 1 and tokens[0] in suffix_set:
+    if end == 1 and tokens[0] in LEGAL_SUFFIXES:
         return tokens
     return tokens[:end]
 
 
 def canonicalize(
-    names: list[str],
-    dictionary: NameDictionary | None = None,
-    suffixes: tuple[str, ...] = DEFAULT_LEGAL_SUFFIXES,
+    names: list[str], dictionary: NameDictionary | None = None
 ) -> tuple[dict[str, CanonicalEmployer], list[str]]:
     """Group raw employer names into canonical identities.
 
@@ -123,11 +113,10 @@ def canonicalize(
     first tokens differ are never merged.
     """
     common = (dictionary or default_dictionary()).common_tokens
-    suffix_set = frozenset(suffixes)
     empty: set[str] = set()
     by_sequence: dict[tuple[str, ...], set[str]] = {}
     for raw in dict.fromkeys(names):  # each distinct name once, in first-seen order
-        tokens = normalize_name(raw, suffix_set)
+        tokens = normalize_name(raw)
         if tokens:
             by_sequence.setdefault(tokens, set()).add(raw)
         else:
@@ -241,7 +230,7 @@ def render_employers_text(report: EmployerReport) -> str:
         f" ({report.top_share_label} of total)",
         "",
     ]
-    width = max([len(name) for name, _ in report.ranked], default=8)
+    width = max([len(name) for name, _ in report.ranked] + [len("employer")])
     lines.append(f"{'employer'.ljust(width)}  {'units':>9}  share")
     labels = _count_labels(report)
     for name, count in report.ranked:

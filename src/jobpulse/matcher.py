@@ -1,4 +1,4 @@
-"""Offline search-phrase semantics: term matching, industry filter, discovery.
+"""Term matching, industry filter, discovery.
 
 Matching is exact on normalized tokens: a term hits a posting when its
 phrase occurs as a contiguous token run in the title or job description.
@@ -8,15 +8,15 @@ fuzzy matching; the discovery report is the sanctioned recall-recovery
 mechanism, and discovered phrases are appended to the taxonomy by hand,
 never automatically.
 
-match_posting and industry_filter are pure per-posting functions; fan-out
-across postings is safe with a deterministic merge in posting order.
+match_posting and the tests industry_predicate builds are pure per-posting
+functions; fan-out across postings is safe with a deterministic merge in
+posting order.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import Corpus, Posting, Region, normalize_text
@@ -25,7 +25,7 @@ from .taxonomy import Jst, Taxonomy
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ROLE_WORDS = ("engineer", "technician", "scientist", "analyst", "administrator")
+ROLE_WORDS = frozenset({"engineer", "technician", "scientist", "analyst", "administrator"})
 DEFAULT_MIN_COUNT = 3
 
 FILTER_ANY_FIELD = "any_field"
@@ -41,20 +41,6 @@ def expanded_tokens(text: str) -> tuple[str, ...]:
     return tuple(_RUN_RE.findall(text.lower()))
 
 
-@dataclass(frozen=True, slots=True)
-class SearchPhrase:
-    """An industry token plus a quoted term n-gram, e.g. semiconductor "product engineer"."""
-
-    industry_token: str
-    jst_phrase: str
-
-    def render(self) -> str:
-        return f'{self.industry_token} "{self.jst_phrase}"'
-
-    def __str__(self) -> str:
-        return self.render()
-
-
 def validate_industry_token(industry_token: str) -> str:
     """Normalize and validate the industry token (exactly one token).
 
@@ -65,23 +51,6 @@ def validate_industry_token(industry_token: str) -> str:
     if len(tokens) != 1 or expanded_tokens(tokens[0]) != tokens:
         raise InputError(f"industry token must be a single token, got {industry_token!r}")
     return tokens[0]
-
-
-def build_search_phrase(jst: Jst, industry_token: str) -> SearchPhrase:
-    """Render the canonical search phrase for one term."""
-    return SearchPhrase(industry_token=validate_industry_token(industry_token), jst_phrase=jst.phrase)
-
-
-def parse_search_phrase(rendered: str) -> SearchPhrase:
-    """Parse the display form back into its parts (round-trip of render)."""
-    stripped = rendered.strip()
-    if stripped.count('"') != 2 or not stripped.endswith('"'):
-        raise InputError(f"malformed search phrase {rendered!r}")
-    head, _, quoted = stripped.partition('"')
-    return SearchPhrase(
-        industry_token=validate_industry_token(head),
-        jst_phrase=quoted.rstrip('"'),
-    )
 
 
 class _MatchRecordFields(NamedTuple):
@@ -157,15 +126,13 @@ class MatchIndex:
         return hits
 
 
-def match_posting(posting: Posting, taxonomy: Taxonomy, index: MatchIndex | None = None) -> MatchRecord | None:
-    """Match one posting against the taxonomy's terms.
+def match_posting(posting: Posting, index: MatchIndex) -> MatchRecord | None:
+    """Match one posting against the index's terms.
 
     Terms are searched in the title and job description (not the employer
     description); returns nothing when no term occurs. Records matched
     through one index share each term set (``MatchIndex.shared``).
     """
-    if index is None:
-        index = MatchIndex(taxonomy)
     title_hits = index.title_hits(posting.title)
     matched = index.shared(title_hits | index.scan(expanded_tokens(posting.job_description)))
     if not matched:
@@ -183,24 +150,20 @@ def match_corpus(postings: Corpus | list[Posting], taxonomy: Taxonomy) -> list[M
     index = MatchIndex(taxonomy)
     records = []
     for posting in postings:
-        record = match_posting(posting, taxonomy, index)
+        record = match_posting(posting, index)
         if record is not None:
             records.append(record)
     return records
 
 
-def industry_filter(posting: Posting, industry_token: str, mode: str = FILTER_ANY_FIELD) -> bool:
-    """Keep a posting when the industry token occurs in its descriptions.
+def industry_predicate(industry_token: str, mode: str):
+    """Validate the filter arguments once and return the per-posting test.
 
-    ``any_field`` keeps the posting when the token appears in the job
+    The test keeps a posting when the industry token occurs in its
+    descriptions: ``any_field`` keeps it when the token appears in the job
     description or the employer description; ``all_fields`` requires both.
     The title is not consulted.
     """
-    return industry_predicate(industry_token, mode)(posting)
-
-
-def industry_predicate(industry_token: str, mode: str):
-    """Validate the filter arguments once and return the per-posting test."""
     if mode not in FILTER_MODES:
         raise InputError(f"unknown filter mode {mode!r}: expected one of {FILTER_MODES}")
     token = validate_industry_token(industry_token)
@@ -237,10 +200,7 @@ def filter_corpus(
 
 
 def discover_candidate_titles(
-    postings: Corpus | list[Posting],
-    taxonomy: Taxonomy,
-    min_count: int = DEFAULT_MIN_COUNT,
-    role_words: tuple[str, ...] = DEFAULT_ROLE_WORDS,
+    postings: Corpus | list[Posting], taxonomy: Taxonomy, min_count: int = DEFAULT_MIN_COUNT
 ) -> list[tuple[str, int]]:
     """Surface posting-title n-grams the taxonomy lacks.
 
@@ -253,7 +213,6 @@ def discover_candidate_titles(
     if min_count < 1:
         raise InputError(f"min_count must be positive, got {min_count}")
     index = MatchIndex(taxonomy)
-    role_set = set(role_words)
     counts: dict[str, int] = {}
     for posting in postings:
         tokens = expanded_tokens(posting.title)
@@ -263,7 +222,7 @@ def discover_candidate_titles(
         for length in (2, 3, 4):
             for i in range(len(tokens) - length + 1):
                 gram = tokens[i : i + length]
-                if gram[-1] in role_set:
+                if gram[-1] in ROLE_WORDS:
                     grams.add(" ".join(gram))
         for gram in grams:
             counts[gram] = counts.get(gram, 0) + 1

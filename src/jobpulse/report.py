@@ -31,7 +31,7 @@ LEVEL_TITLE = "title"
 LEVEL_REGION = "region"
 LEVELS = (LEVEL_FUNCTION, LEVEL_FAMILY, LEVEL_TITLE, LEVEL_REGION)
 
-DEFAULT_FUNNEL_LABELS = ("raw_observations", "industry_filtered", "dedup_units")
+FUNNEL_LABELS = ("raw_observations", "industry_filtered", "dedup_units")
 
 
 def render_decimal(x: Fraction | int, places: int = 1) -> str:
@@ -60,32 +60,23 @@ class FunnelReport:
     reductions: tuple[Fraction, ...]
 
 
-def build_funnel(
-    counts: list[int] | tuple[int, ...], labels: tuple[str, ...] | None = None
-) -> FunnelReport:
-    """Build the staged-reduction report from pipeline counts, in order.
+def build_funnel(counts: list[int] | tuple[int, ...]) -> FunnelReport:
+    """Build the staged-reduction report from the counts of ``FUNNEL_LABELS``, in order.
 
     Counts must be non-increasing; a later stage exceeding an earlier one
     means a stage produced data it should only filter.
     """
     counts = tuple(int(c) for c in counts)
-    if not counts:
-        raise InputError("funnel needs at least one stage count")
+    if len(counts) != len(FUNNEL_LABELS):
+        raise InputError(f"funnel needs {len(FUNNEL_LABELS)} stage counts, got {len(counts)}")
     if any(c < 0 for c in counts):
         raise InputError(f"negative stage count in {counts}")
-    if labels is None:
-        if len(counts) == len(DEFAULT_FUNNEL_LABELS):
-            labels = DEFAULT_FUNNEL_LABELS
-        else:
-            labels = tuple(f"stage_{i + 1}" for i in range(len(counts)))
-    if len(labels) != len(counts):
-        raise InputError(f"{len(labels)} labels for {len(counts)} counts")
     reductions: list[Fraction] = []
     for prev, cur in zip(counts, counts[1:]):
         if cur > prev:
             raise ContractError(f"stage count increased ({prev} -> {cur})")
         reductions.append(Fraction(prev - cur, prev) if prev else Fraction(0))
-    return FunnelReport(stages=tuple(zip(labels, counts)), reductions=tuple(reductions))
+    return FunnelReport(stages=tuple(zip(FUNNEL_LABELS, counts)), reductions=tuple(reductions))
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,11 +26,10 @@ taxonomy); the same seed twice yields byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -47,7 +46,7 @@ from .corpus import (
 )
 from .errors import ContractError, InputError
 from .matcher import (
-    DEFAULT_ROLE_WORDS,
+    ROLE_WORDS,
     MatchIndex,
     expanded_tokens,
     filter_corpus,
@@ -67,30 +66,25 @@ TRUTH_HEADER = (
 )
 
 
-def default_region_mix() -> dict[Region, Fraction]:
-    return {Region.LA: Fraction(3, 4), Region.SB: Fraction(1, 10), Region.SD: Fraction(3, 20)}
+# The fixed corpus shape; each mix sums to 1.
+REGION_MIX = {Region.LA: Fraction(3, 4), Region.SB: Fraction(1, 10), Region.SD: Fraction(3, 20)}
 
+# Engineer-heavy mix with technicians just under a fifth of demand.
+FUNCTION_MIX = {
+    JobFunction.ENGINEER: Fraction(329, 500),
+    JobFunction.TECHNICIAN: Fraction(419, 2000),
+    JobFunction.SCIENTIST: Fraction(37, 400),
+    JobFunction.OPERATIONAL_SUPPORT: Fraction(1, 25),
+}
 
-def default_function_mix() -> dict[JobFunction, Fraction]:
-    # Engineer-heavy mix with technicians just under a fifth of demand.
-    return {
-        JobFunction.ENGINEER: Fraction(329, 500),
-        JobFunction.TECHNICIAN: Fraction(419, 2000),
-        JobFunction.SCIENTIST: Fraction(37, 400),
-        JobFunction.OPERATIONAL_SUPPORT: Fraction(1, 25),
-    }
+# Terms per posting, mean 2.45, so deduplication removes well over half of
+# the observation rows.
+MULTI_JST_RATE_BY_K = {
+    1: Fraction(1, 4), 2: Fraction(3, 10), 3: Fraction(1, 4), 4: Fraction(3, 20), 5: Fraction(1, 20)
+}
 
-
-def default_k_mix() -> dict[int, Fraction]:
-    # Mean terms per posting 2.45, so deduplication removes well over half
-    # of the observation rows.
-    return {
-        1: Fraction(1, 4),
-        2: Fraction(3, 10),
-        3: Fraction(1, 4),
-        4: Fraction(3, 20),
-        5: Fraction(1, 20),
-    }
+# Share of base employer names that start with a common first word.
+ONOMASTIC_COLLISION_RATE = Fraction(1, 5)
 
 
 _FILLER_CANDIDATES = (
@@ -188,16 +182,12 @@ def apportion(total: int, weights: dict) -> dict:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the generator; defaults encode the target corpus shape."""
+    """The generator's settings; the mixes above are fixed."""
 
     seed: int = 42
     n_postings: int = 5300
-    region_mix: dict[Region, Fraction] = field(default_factory=default_region_mix)
     off_industry_rate: Fraction = Fraction(1, 3)
-    multi_jst_rate_by_k: dict[int, Fraction] = field(default_factory=default_k_mix)
-    function_mix: dict[JobFunction, Fraction] = field(default_factory=default_function_mix)
     division_rate: Fraction = Fraction(3, 20)
-    onomastic_collision_rate: Fraction = Fraction(1, 5)
     cross_region_repeat_count: int = 0
     unknown_title_plants: tuple[tuple[str, int], ...] = ()
     industry_token: str = "semiconductor"
@@ -207,30 +197,12 @@ class SynthConfig:
             raise InputError(f"n_postings must be >= 0, got {self.n_postings}")
         if self.cross_region_repeat_count < 0:
             raise InputError("cross_region_repeat_count must be >= 0")
-        for name in ("off_industry_rate", "division_rate", "onomastic_collision_rate"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-        for name in ("region_mix", "function_mix", "multi_jst_rate_by_k"):
-            mix = {k: _as_fraction(v) for k, v in getattr(self, name).items()}
-            object.__setattr__(self, name, mix)
-        object.__setattr__(self, "unknown_title_plants", tuple(self.unknown_title_plants))
-        for name, rate in (
-            ("off_industry_rate", self.off_industry_rate),
-            ("division_rate", self.division_rate),
-            ("onomastic_collision_rate", self.onomastic_collision_rate),
-        ):
+        for name in ("off_industry_rate", "division_rate"):
+            rate = _as_fraction(getattr(self, name))
             if not (0 <= rate <= 1):
                 raise InputError(f"{name} must be within [0, 1], got {rate}")
-        for label, mix in (("region_mix", self.region_mix), ("function_mix", self.function_mix)):
-            if any(w < 0 for w in mix.values()):
-                raise InputError(f"{label} has a negative weight")
-            if sum(mix.values(), start=Fraction(0)) != 1:
-                raise InputError(f"{label} must sum to exactly 1")
-        if any(k < 1 or k > 5 for k in self.multi_jst_rate_by_k):
-            raise InputError("multi_jst_rate_by_k keys must lie in 1..5")
-        if any(w < 0 for w in self.multi_jst_rate_by_k.values()):
-            raise InputError("multi_jst_rate_by_k has a negative weight")
-        if sum(self.multi_jst_rate_by_k.values(), start=Fraction(0)) != 1:
-            raise InputError("multi_jst_rate_by_k must sum to exactly 1")
+            object.__setattr__(self, name, rate)
+        object.__setattr__(self, "unknown_title_plants", tuple(self.unknown_title_plants))
         for phrase, count in self.unknown_title_plants:
             if not normalize_text(phrase):
                 raise InputError(f"unknown title plant {phrase!r} normalizes to nothing")
@@ -256,9 +228,6 @@ class TruthRow(NamedTuple):
 @dataclass(frozen=True)
 class GroundTruth:
     rows: tuple[TruthRow, ...]
-
-    def by_unit(self) -> dict[tuple[str, Region], TruthRow]:
-        return {(r.job_id, r.region): r for r in self.rows}
 
 
 @dataclass(frozen=True)
@@ -486,7 +455,7 @@ def plantable_jsts(taxonomy: Taxonomy) -> dict[JobFunction, list[Jst]]:
 
 def _safe_fillers(taxonomy: Taxonomy, industry_token: str) -> list[str]:
     forbidden = {t for jst in taxonomy.jsts for t in jst.match_tokens}
-    forbidden.update(DEFAULT_ROLE_WORDS)
+    forbidden.update(ROLE_WORDS)
     forbidden.add(industry_token)
     fillers = [w for w in _FILLER_CANDIDATES if w not in forbidden]
     if len(fillers) < 10:
@@ -537,13 +506,13 @@ class _Generator:
     def _build_slots(self) -> list[tuple[JobFunction, int, bool, Region]]:
         config = self.config
         slots: list[tuple[JobFunction, int, bool, Region]] = []
-        function_counts = apportion(config.n_postings, config.function_mix)
+        function_counts = apportion(config.n_postings, FUNCTION_MIX)
         for function, n_f in function_counts.items():
             if not n_f:
                 continue
             if not self.pools[function]:
                 raise InputError(f"no plantable terms for function {function}")
-            k_counts = apportion(n_f, config.multi_jst_rate_by_k)
+            k_counts = apportion(n_f, MULTI_JST_RATE_BY_K)
             split = apportion(
                 n_f, {False: 1 - config.off_industry_rate, True: config.off_industry_rate}
             )
@@ -557,7 +526,7 @@ class _Generator:
                         "cannot generate off-industry postings"
                     )
                 k_quota = apportion(m, {k: Fraction(c) for k, c in k_counts.items() if c})
-                region_counts = apportion(m, config.region_mix)
+                region_counts = apportion(m, REGION_MIX)
                 region_deck = [r for r, c in region_counts.items() for _ in range(c)]
                 self.rng.shuffle(region_deck)
                 pos = 0
@@ -576,9 +545,7 @@ class _Generator:
 
         # Sized so on-industry demand lands near 3.6 units per employer.
         n_names = max(1, _round_half_up(Fraction(config.n_postings * 10, 54)))
-        stock = build_employer_stock(
-            rng, n_names, config.division_rate, config.onomastic_collision_rate
-        )
+        stock = build_employer_stock(rng, n_names, config.division_rate, ONOMASTIC_COLLISION_RATE)
         identities = stock.identities
         draw_counts: dict[str, int] = {}
 
@@ -644,7 +611,7 @@ class _Generator:
                 raise InputError(
                     f"unknown title plant {phrase!r} contains an existing taxonomy term"
                 )
-            for region, cnt in apportion(count, config.region_mix).items():
+            for region, cnt in apportion(count, REGION_MIX).items():
                 for _ in range(cnt):
                     emit(_display(tokens), draw_employer(), region, [], False, _TOKEN_PLACEMENTS[0])
 
@@ -672,8 +639,9 @@ class _Generator:
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
         """Planted truth must agree with exact matching semantics by construction.
 
-        Every posting is matched as ``match_posting`` matches it (title hits
-        plus a scan of the job description) and filtered by ``filter_corpus``.
+        Every posting's terms are its title hits plus a scan of its job
+        description, as the pipeline matches it, and its industry flag is
+        checked with ``filter_corpus``.
         """
         on_industry = {id(p) for p in filter_corpus(postings, self.industry_token)}
         title_hits, scan = self.index.title_hits, self.index.scan
@@ -711,33 +679,6 @@ def render_truth_csv(truth: GroundTruth) -> str:
         for row in truth.rows
     )
     return csv_text(TRUTH_HEADER, rows)
-
-
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read truth file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRUTH_HEADER:
-            raise InputError(f"{path}: bad truth header {header!r}")
-        rows = []
-        for record in reader:
-            job_id, region, off, jsts, employer, identity, group = record
-            rows.append(
-                TruthRow(
-                    job_id=job_id,
-                    region=Region(region),
-                    off_industry=off == "1",
-                    jsts=tuple(jsts.split("|")) if jsts else (),
-                    employer_name=employer,
-                    employer_identity=identity,
-                    cross_region_group=int(group) if group else None,
-                )
-            )
-    return GroundTruth(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

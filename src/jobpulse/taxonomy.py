@@ -21,7 +21,7 @@ import enum
 import logging
 from dataclasses import dataclass, field
 
-from .corpus import normalize_text
+from .corpus import normalize_text, read_text_lines
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -177,11 +177,7 @@ def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     """Read CSV rows with their original line numbers; '#' lines and blanks skipped."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read taxonomy file {path}: {exc}") from exc
+    raw_lines = read_text_lines(path, "taxonomy")
     numbered = [
         (no, line)
         for no, line in enumerate(raw_lines, start=1)

@@ -968,3 +968,54 @@ def test_match_pinned_on_messy_input_and_a_seeded_fixture(tmp_path, monkeypatch,
         "messy": ("cee3fc0f322bcf77", "8", "9", "matched 8 of 9 postings\n"),
         "seed23": ("775165647870d3fa", "1009", "2464", "matched 1009 of 1019 postings\n"),
     }
+
+
+def _render_matches_csv(records) -> str:
+    """Reference matches.csv: every (record, term) row built, then sorted as a whole."""
+    entries = []
+    for record in records:
+        for jst in record.matched_jsts:
+            in_title = "1" if jst in record.matched_in_title else "0"
+            entries.append((record.job_id, record.region.value, jst.phrase, jst.level.value, in_title))
+    entries.sort()
+    return corpus_mod.csv_text(["job_id", "region", "phrase", "level", "in_title"], entries)
+
+
+def test_chunked_matches_equal_the_sorted_rows(tmp_path, shipped_taxonomy, monkeypatch, capsys):
+    # Job ids that sort differently as text and as numbers, one id in every
+    # region, and records of many terms, written in chunks of 50 lines.
+    monkeypatch.chdir(tmp_path)
+    synth = ["synth", "--seed", "29", "--n-postings", "600", "--cross-region-repeats", "5", "--out", "fx"]
+    assert main(synth) == 0
+    extra = [
+        make_record(job_id=job_id, region=region, title="Design Engineer",
+                    job_description="layout engineer, etch engineer and process technician")
+        for job_id in ("J2", "J10", "J1", "j1", "J1a")
+        for region in ("SD", "LA", "SB")
+    ]
+    write_jsonl(tmp_path / "extra.jsonl", extra)
+    inputs = [*_messy_inputs(tmp_path), "extra.jsonl", *(f"fx/{r.value.lower()}.jsonl" for r in Region)]
+    monkeypatch.setattr(corpus_mod, "CHUNK_LINES", 50)
+    assert main(["match", "--input", *inputs, "--out", "out"]) == 2
+    corpus, _ = corpus_mod.load_postings(inputs)
+    expected = _render_matches_csv(matcher.match_corpus(corpus, shipped_taxonomy))
+    assert expected.count("\n") > 1000
+    assert (tmp_path / "out" / "matches.csv").read_text(encoding="utf-8") == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, name, content",
+    [
+        ("--config", "bad.conf", b"industry_token = semi\xffconductor\n"),
+        ("--taxonomy", "bad.csv", b"function,family,title\nEngineer,etch \xff engineer,\n"),
+        ("--dictionary", "bad.txt", b"advanced\nunivers\xffity\n"),
+    ],
+)
+def test_invalid_utf8_in_a_data_file_exits_1(tmp_path, fixture_corpus, capsys, flag, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["report", "--input", *fixture_corpus, flag, str(path), "--out", str(tmp_path / "out")]) == 1
+    offset = content.index(b"\xff")
+    assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte {offset}\n"

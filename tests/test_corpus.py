@@ -107,7 +107,6 @@ def test_load_three_region_files_totaling_13000(tmp_path):
     corpus, diagnostics = load_postings(paths)
     assert len(corpus) == 13000
     assert diagnostics == []
-    assert corpus.sources == tuple(paths)
 
 
 def test_load_empty_file(tmp_path):

@@ -7,7 +7,6 @@ from jobpulse import corpus as corpus_mod
 from jobpulse.corpus import Region, csv_text
 from jobpulse.dedup import weight_assignments
 from jobpulse.employers import (
-    DEFAULT_LEGAL_SUFFIXES,
     CanonicalEmployer,
     NameDictionary,
     canonicalize,
@@ -16,6 +15,7 @@ from jobpulse.employers import (
     load_dictionary,
     normalize_name,
     render_employers_csv,
+    render_employers_text,
     mapping_csv_chunks,
     render_mapping_csv,
 )
@@ -209,13 +209,13 @@ class _UnionFind:
                 self.parent[ra] = rb
 
 
-def _pairwise_canonicalize(names, dictionary=None, suffixes=DEFAULT_LEGAL_SUFFIXES):
+def _pairwise_canonicalize(names, dictionary=None):
     """Reference grouping: union every guarded prefix pair within a first-token block."""
     common = (dictionary or default_dictionary()).common_tokens
     rejected = []
     by_sequence = {}
     for raw in names:
-        tokens = normalize_name(raw, suffixes)
+        tokens = normalize_name(raw)
         if not tokens:
             rejected.append(raw)
             continue
@@ -432,3 +432,14 @@ def test_render_employers_csv(shipped_taxonomy):
     lines = render_employers_csv(stats).splitlines()
     assert lines[0] == "canonical_name,units,units_num,units_den,share_pct"
     assert lines[1] == "apex labs,1.0,1,1,50.0%"
+
+
+def test_render_employers_text_aligns_names_shorter_than_the_header(shipped_taxonomy):
+    ledger = _ledger_units(2, shipped_taxonomy)
+    mapping, _ = canonicalize(["ab", "c"])
+    stats = employer_stats(ledger, mapping, {("J0", Region.LA): "ab", ("J1", Region.LA): "c"})
+    assert render_employers_text(stats).splitlines()[-3:] == [
+        "employer      units  share",
+        "ab              1.0  50.0%",
+        "c               1.0  50.0%",
+    ]

@@ -8,18 +8,16 @@ from jobpulse.errors import InputError
 from jobpulse.matcher import (
     MatchIndex,
     MatchRecord,
-    build_search_phrase,
     discover_candidate_titles,
     expanded_tokens,
     filter_corpus,
-    industry_filter,
+    industry_predicate,
     match_corpus,
     match_posting,
-    parse_search_phrase,
     validate_industry_token,
 )
 from jobpulse.synth import SynthConfig, build_corpus
-from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, load_taxonomy, lookup
+from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, load_taxonomy
 
 from conftest import make_posting, write_taxonomy_csv
 
@@ -77,32 +75,11 @@ def _oracle_match(posting, taxonomy) -> set[str]:
     return hits
 
 
-def test_search_phrase_renders_industry_plus_quoted_term(shipped_taxonomy):
-    jst = lookup(shipped_taxonomy, "product engineer")
-    sp = build_search_phrase(jst, "semiconductor")
-    assert sp.render() == 'semiconductor "product engineer"'
-
-
-def test_empty_industry_token_rejected(shipped_taxonomy):
-    jst = lookup(shipped_taxonomy, "product engineer")
+def test_empty_industry_token_rejected():
     with pytest.raises(InputError):
-        build_search_phrase(jst, "")
+        validate_industry_token("")
     with pytest.raises(InputError):
-        build_search_phrase(jst, "two tokens")
-
-
-def test_search_phrase_round_trips_for_every_term(shipped_taxonomy):
-    # Oracle: parse the rendered string and compare the fields.
-    for jst in shipped_taxonomy.jsts:
-        sp = build_search_phrase(jst, "Semiconductor")
-        parsed = parse_search_phrase(sp.render())
-        assert parsed == sp
-
-
-def test_parse_search_phrase_rejects_malformed():
-    for bad in ("no quotes", 'dangling "quote', '"term only"', 'tok "a" trailing"'):
-        with pytest.raises(InputError):
-            parse_search_phrase(bad)
+        validate_industry_token("two tokens")
 
 
 def test_description_with_two_terms_matches_both(shipped_taxonomy):
@@ -110,19 +87,19 @@ def test_description_with_two_terms_matches_both(shipped_taxonomy):
         title="Senior Opening",
         job_description="The role covers both design engineer and layout engineer duties.",
     )
-    record = match_posting(posting, shipped_taxonomy)
+    record = match_posting(posting, MatchIndex(shipped_taxonomy))
     assert record is not None
     assert {j.phrase for j in record.matched_jsts} == {"design engineer", "layout engineer"}
     assert record.matched_in_title == frozenset()
 
 
 def test_empty_posting_matches_nothing(shipped_taxonomy):
-    assert match_posting(make_posting(title="", job_description=""), shipped_taxonomy) is None
+    assert match_posting(make_posting(title="", job_description=""), MatchIndex(shipped_taxonomy)) is None
 
 
 def test_title_match_flagged(shipped_taxonomy):
     posting = make_posting(title="Fab Technician", job_description="great benefits")
-    record = match_posting(posting, shipped_taxonomy)
+    record = match_posting(posting, MatchIndex(shipped_taxonomy))
     assert record is not None
     assert {j.phrase for j in record.matched_in_title} == {"fab technician"}
 
@@ -131,7 +108,7 @@ def test_employer_description_not_scanned_for_terms(shipped_taxonomy):
     posting = make_posting(
         title="Opening", job_description="", employer_description="we hire design engineer staff"
     )
-    assert match_posting(posting, shipped_taxonomy) is None
+    assert match_posting(posting, MatchIndex(shipped_taxonomy)) is None
 
 
 def test_match_sets_equal_brute_force_oracle(shipped_taxonomy):
@@ -168,7 +145,7 @@ def test_no_match_across_token_gap(shipped_taxonomy):
         cut = rng.randint(1, len(tokens) - 1)
         broken = tokens[:cut] + ["zzfiller"] + tokens[cut:]
         posting = make_posting(job_description=" ".join(broken))
-        record = match_posting(posting, shipped_taxonomy)
+        record = match_posting(posting, MatchIndex(shipped_taxonomy))
         hit = {j.phrase for j in record.matched_jsts} if record else set()
         assert jst.phrase not in hit
 
@@ -184,7 +161,7 @@ def test_hyphen_bridging_both_directions(tmp_path):
     spaced_text = make_posting(job_description="wanted: rf engineer for radar array")
     for taxonomy in (plain, hyphenated):
         for posting in (hyphen_text, spaced_text):
-            record = match_posting(posting, taxonomy)
+            record = match_posting(posting, MatchIndex(taxonomy))
             assert record is not None, (taxonomy.jsts[0].phrase, posting.job_description)
 
 
@@ -211,40 +188,40 @@ def test_industry_filter_employer_description_only():
     posting = make_posting(
         job_description="no token here", employer_description="leading semiconductor foundry"
     )
-    assert industry_filter(posting, "semiconductor") is True
+    assert industry_predicate("semiconductor", "any_field")(posting) is True
 
 
 def test_industry_filter_drops_when_absent_everywhere():
     posting = make_posting(job_description="assembly line work", employer_description="a foundry")
-    assert industry_filter(posting, "semiconductor") is False
+    assert industry_predicate("semiconductor", "any_field")(posting) is False
 
 
 def test_industry_filter_job_description_only():
     posting = make_posting(job_description="semiconductor process work", employer_description="")
-    assert industry_filter(posting, "semiconductor") is True
+    assert industry_predicate("semiconductor", "any_field")(posting) is True
 
 
 def test_industry_filter_title_not_consulted():
     posting = make_posting(title="semiconductor job", job_description="", employer_description="")
-    assert industry_filter(posting, "semiconductor") is False
+    assert industry_predicate("semiconductor", "any_field")(posting) is False
 
 
 def test_industry_filter_all_fields_mode():
     both = make_posting(job_description="semiconductor a", employer_description="semiconductor b")
     one = make_posting(job_description="semiconductor a", employer_description="b")
-    assert industry_filter(both, "semiconductor", "all_fields") is True
-    assert industry_filter(one, "semiconductor", "all_fields") is False
-    assert industry_filter(one, "semiconductor", "any_field") is True
+    assert industry_predicate("semiconductor", "all_fields")(both) is True
+    assert industry_predicate("semiconductor", "all_fields")(one) is False
+    assert industry_predicate("semiconductor", "any_field")(one) is True
 
 
 def test_industry_filter_hyphen_bridged_token():
     posting = make_posting(job_description="semiconductor-grade materials")
-    assert industry_filter(posting, "semiconductor") is True
+    assert industry_predicate("semiconductor", "any_field")(posting) is True
 
 
 def test_industry_filter_bad_mode():
     with pytest.raises(InputError):
-        industry_filter(make_posting(), "semiconductor", "somehow")
+        industry_predicate("semiconductor", "somehow")
 
 
 def test_hyphenated_industry_token_rejected():
@@ -260,16 +237,17 @@ def test_hyphenated_industry_token_rejected():
 def test_industry_filter_monotone_under_appending():
     rng = random.Random(13)
     words = ["alpha", "beta", "gamma", "delta"]
+    keep = industry_predicate("semiconductor", "any_field")
     for _ in range(100):
         base = " ".join(rng.choices(words, k=rng.randint(0, 6)))
         posting = make_posting(job_description=base, employer_description="")
-        before = industry_filter(posting, "semiconductor")
+        before = keep(posting)
         grown = make_posting(
             job_description=base + " semiconductor tail", employer_description=""
         )
-        assert industry_filter(grown, "semiconductor") is True
+        assert keep(grown) is True
         if before:
-            assert industry_filter(grown, "semiconductor")
+            assert keep(grown)
 
 
 def test_filter_corpus_keeps_input_order():
@@ -429,7 +407,7 @@ def test_industry_filter_equals_tokenizing_filter():
         for token in ("semiconductor", "wafer"):
             for mode in ("any_field", "all_fields"):
                 expected = _tokenizing_filter(posting, token, mode)
-                assert industry_filter(posting, token, mode) is expected, (job, employer, token, mode)
+                assert industry_predicate(token, mode)(posting) is expected, (job, employer, token, mode)
                 assert filter_corpus([posting], token, mode) == ([posting] if expected else [])
 
 
@@ -442,7 +420,7 @@ def test_match_corpus_equals_per_posting_match_with_fresh_index(shipped_taxonomy
     for i, title in enumerate(variants * 3):
         description = ["", "layout engineer on site", "mask designer wanted"][i % 3]
         postings.append(make_posting(job_id=f"V{i}", title=title, job_description=description))
-    expected = [r for r in (match_posting(p, shipped_taxonomy, MatchIndex(shipped_taxonomy)) for p in postings) if r]
+    expected = [r for r in (match_posting(p, MatchIndex(shipped_taxonomy)) for p in postings) if r]
     records = match_corpus(postings, shipped_taxonomy)
     assert records == expected
     in_title = {r.job_id: {j.phrase for j in r.matched_in_title} for r in records if r.job_id.startswith("V")}
@@ -450,7 +428,7 @@ def test_match_corpus_equals_per_posting_match_with_fresh_index(shipped_taxonomy
     assert in_title["V7"] == {"design engineer", "analog design engineer"}
     assert "V6" not in in_title  # "engineers" is another token, and the description is empty
     index = MatchIndex(shipped_taxonomy)
-    record = match_posting(postings[-1], shipped_taxonomy, index)
+    record = match_posting(postings[-1], index)
     assert record.matched_in_title is index.title_hits(postings[-1].title)
 
 
@@ -465,7 +443,7 @@ def test_equal_term_sets_share_one_frozenset(shipped_taxonomy):
         make_posting(job_id="S3", title="Senior design engineer", job_description="semiconductor"),
     ]
     records = match_corpus(postings, shipped_taxonomy)
-    fresh = (match_posting(p, shipped_taxonomy, MatchIndex(shipped_taxonomy)) for p in postings)
+    fresh = (match_posting(p, MatchIndex(shipped_taxonomy)) for p in postings)
     assert records == [r for r in fresh if r]
     sets = [s for r in records for s in (r.matched_jsts, r.matched_in_title)]
     assert len({id(s) for s in sets}) == len(set(sets)) < len(records)

@@ -68,6 +68,10 @@ def test_funnel_paper_shape():
     ]
     assert render_pct(report.reductions[0]) == "33.1%"
     assert render_pct(report.reductions[1]) == "53.5%"
+    csv_text = render_funnel_csv(report)
+    assert csv_text.splitlines()[0] == "stage,count,reduction_pct"
+    assert "industry_filtered,8700,33.1%" in csv_text
+    assert "industry_filtered        8700  33.1%" in render_funnel_text(report)
 
 
 def test_funnel_flat_pipeline():
@@ -85,21 +89,14 @@ def test_funnel_rejects_negative_and_empty():
         build_funnel([10, -1, 0])
     with pytest.raises(InputError):
         build_funnel([])
+    with pytest.raises(InputError, match="needs 3 stage counts, got 2"):
+        build_funnel([4, 2])
 
 
 def test_funnel_zero_stage_reduction_defined():
     report = build_funnel([0, 0, 0])
     assert report.reductions == (Fraction(0), Fraction(0))
     assert all(0 <= r <= 1 for r in report.reductions)
-
-
-def test_funnel_custom_labels_and_render():
-    report = build_funnel([4, 2], labels=("in", "out"))
-    csv_text = render_funnel_csv(report)
-    assert csv_text.splitlines()[0] == "stage,count,reduction_pct"
-    assert "out,2,50.0%" in csv_text
-    text = render_funnel_text(report)
-    assert "50.0%" in text
 
 
 # -- demand tables -----------------------------------------------------------
