@@ -21,7 +21,7 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
@@ -53,10 +53,14 @@ _DATA_FILE_DEFAULTS = {"taxonomy": DEFAULT_TAXONOMY, "dictionary": DEFAULT_DICTI
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Effective run configuration after merging defaults, file, and flags."""
+    """Effective run configuration after merging defaults, file, and flags.
 
-    taxonomy_path: str = str(DEFAULT_TAXONOMY)
-    dictionary_path: str = str(DEFAULT_DICTIONARY)
+    Each field is a setting: its config-file key, its flag's argparse dest
+    and, after "config.", its manifest key (``out_dir`` is not recorded).
+    """
+
+    taxonomy: str = str(DEFAULT_TAXONOMY)
+    dictionary: str = str(DEFAULT_DICTIONARY)
     industry_token: str = "semiconductor"
     filter_mode: str = matcher_mod.FILTER_ANY_FIELD
     regions: tuple[Region, ...] = tuple(Region)
@@ -73,10 +77,10 @@ class PipelineConfig:
         def reads(key: str) -> bool:
             return keys is None or key in keys
 
-        if reads("taxonomy") and not Path(self.taxonomy_path).is_file():
-            raise InputError(f"taxonomy file not found: {self.taxonomy_path}")
-        if reads("dictionary") and not Path(self.dictionary_path).is_file():
-            raise InputError(f"dictionary file not found: {self.dictionary_path}")
+        if reads("taxonomy") and not Path(self.taxonomy).is_file():
+            raise InputError(f"taxonomy file not found: {self.taxonomy}")
+        if reads("dictionary") and not Path(self.dictionary).is_file():
+            raise InputError(f"dictionary file not found: {self.dictionary}")
         if reads("filter_mode") and self.filter_mode not in matcher_mod.FILTER_MODES:
             raise InputError(f"filter_mode must be one of {matcher_mod.FILTER_MODES}")
         if reads("regions") and not self.regions:
@@ -95,9 +99,9 @@ class PipelineConfig:
     def as_manifest_items(self, keys: tuple[str, ...] | None = None) -> list[tuple[str, str]]:
         """The recorded settings, all of them or only those named in ``keys``."""
         items = []
-        for key, _, field, _, in_manifest in CONFIG_TABLE:
-            if in_manifest and (keys is None or key in keys):
-                value = getattr(self, field)
+        for key in SETTINGS:
+            if key != "out_dir" and (keys is None or key in keys):
+                value = getattr(self, key)
                 text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
                 default = _DATA_FILE_DEFAULTS.get(key)
                 if default is not None:
@@ -107,12 +111,13 @@ class PipelineConfig:
         return items
 
 
+SETTINGS = tuple(field.name for field in fields(PipelineConfig))
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse the line-oriented ``key = value`` config file."""
-    lines = corpus_mod.read_text_lines(path, "config")
-    keys = {row[0] for row in CONFIG_TABLE}
     values: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(list(corpus_mod.read_text_lines(path, "config")), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -120,14 +125,10 @@ def parse_config_file(path: str) -> dict[str, str]:
             raise InputError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in keys:
+        if key not in SETTINGS:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
-
-
-def _keep_text(text: str, label: str) -> str:
-    return text
 
 
 def _parse_regions(text: str, label: str) -> tuple[Region, ...]:
@@ -155,22 +156,14 @@ def _parse_int(text: str, label: str) -> int:
         raise InputError(f"{label} must be an integer, got {text!r}") from None
 
 
-# One row per PipelineConfig field: config-file key (also the manifest key
-# after "config."), argparse dest, field, parser(text, key), and whether the
-# value is recorded in the manifest.
-CONFIG_TABLE = (
-    ("taxonomy", "taxonomy", "taxonomy_path", _keep_text, True),
-    ("dictionary", "dictionary", "dictionary_path", _keep_text, True),
-    ("industry_token", "industry_token", "industry_token", _keep_text, True),
-    ("filter_mode", "filter_mode", "filter_mode", _keep_text, True),
-    ("regions", "regions", "regions", _parse_regions, True),
-    ("window_start", "window_start", "window_start", _parse_date, True),
-    ("window_end", "window_end", "window_end", _parse_date, True),
-    ("out_dir", "out", "out_dir", _keep_text, False),
-    ("format", "format", "format", _keep_text, True),
-    ("min_count", "min_count", "min_count", _parse_int, True),
-    ("top_k", "top_k", "top_k", _parse_int, True),
-)
+# parser(text, key) of each setting that is not kept as text
+_PARSERS = {
+    "regions": _parse_regions,
+    "window_start": _parse_date,
+    "window_end": _parse_date,
+    "min_count": _parse_int,
+    "top_k": _parse_int,
+}
 
 
 def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) -> PipelineConfig:
@@ -183,15 +176,10 @@ def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) 
     """
     config_path = args.config or os.environ.get(ENV_CONFIG)
     file_values = parse_config_file(config_path) if config_path else {}
-    fields = {}
-    for key, _, field, parse, _ in CONFIG_TABLE:
-        if key in file_values:
-            fields[field] = parse(file_values[key], key)
-    for key, dest, field, parse, _ in CONFIG_TABLE:
-        flag = getattr(args, dest, None)
-        if flag is not None and flag != "":
-            fields[field] = parse(flag, key)
-    config = PipelineConfig(**fields)
+    given = [(key, file_values[key]) for key in SETTINGS if key in file_values]
+    given += [(key, getattr(args, key)) for key in SETTINGS if getattr(args, key, None) not in (None, "")]
+    parsed = {key: _PARSERS[key](text, key) if key in _PARSERS else text for key, text in given}
+    config = PipelineConfig(**parsed)
     config.validate(keys)
     return config
 
@@ -199,13 +187,12 @@ def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) 
 class _Run:
     """Accumulates artifacts, counts, and inputs for one subcommand run."""
 
-    def __init__(
-        self, subcommand: str, config: PipelineConfig, config_keys: tuple[str, ...] | None = None
-    ) -> None:
+    def __init__(self, subcommand: str, config: PipelineConfig, config_keys: tuple[str, ...] | None = None) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.config_items = config.as_manifest_items(config_keys)
         self.items: list[tuple[str, str]] = [("subcommand", subcommand), *self.config_items]
+        self.rejected = 0  # input records rejected with a diagnostic: the run exits 2
 
     def record_inputs(self, paths: list[str]) -> None:
         for i, path in enumerate(paths):
@@ -219,8 +206,8 @@ class _Run:
         self.items.append((name, str(value)))
 
     def write_artifact(self, name: str, content: str) -> None:
-        report_mod.write_text_atomic(self.out_dir / name, content)
-        self.items.append((f"artifact.{name}.sha256", _sha256_text(content)))
+        digest = report_mod.write_text_atomic(self.out_dir / name, content)
+        self.items.append((f"artifact.{name}.sha256", digest))
 
     def write_chunks(self, name: str, chunks: Iterable[str]) -> None:
         """``write_artifact`` of text given in pieces, each written and hashed in turn."""
@@ -229,7 +216,7 @@ class _Run:
 
     def finish(self) -> None:
         config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config_items))
-        self.items.append(("config_hash", _sha256_text(config_block)))
+        self.items.append(("config_hash", hashlib.sha256(config_block.encode("utf-8")).hexdigest()))
         body = "".join(f"{key} = {value}\n" for key, value in sorted(self.items))
         report_mod.write_text_atomic(self.out_dir / MANIFEST_NAME, body)
 
@@ -245,53 +232,61 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(content: str) -> str:
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
-
-
-def _load_corpus(run: _Run, inputs: list[str]) -> tuple[list[Posting], list[corpus_mod.Diagnostic]]:
-    """The in-scope postings of the input files, in file order, and the load diagnostics."""
+def _load_corpus(run: _Run, inputs: list[str]) -> list[Posting]:
+    """The in-scope postings of the input files, in file order; records and writes the rejects."""
     config = run.config
+    run.record_inputs(inputs)
     corpus, diagnostics = corpus_mod.load_postings(
         inputs, CollectionWindow(config.window_start, config.window_end)
     )
     wanted = set(config.regions)
     kept = [p for p in corpus.postings if p.region in wanted]
+    run.rejected = len(diagnostics)
     run.count("postings_ingested", len(kept))
-    run.count("records_rejected", len(diagnostics))
+    run.count("records_rejected", run.rejected)
     run.count("postings_out_of_scope", len(corpus.postings) - len(kept))
     rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
     run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
-    return kept, diagnostics
+    return kept
+
+
+def _drain(run: _Run, postings: list[Posting]) -> Iterator[tuple[Posting, bool]]:
+    """Empty ``postings`` in file order, yielding each with whether the industry filter keeps it.
+
+    The list drops each posting as it is yielded, so a posting lives only
+    as long as its consumer keeps it.
+    """
+    keep = matcher_mod.industry_predicate(run.config.industry_token, run.config.filter_mode)
+    postings.reverse()  # so pop() takes them in file order
+    while postings:
+        posting = postings.pop()
+        yield posting, keep(posting)
 
 
 @dataclass
 class _PipelineData:
-    taxonomy: Taxonomy
     # Match records of the filtered postings (of every matched posting when asked for).
     records: list[matcher_mod.MatchRecord]
     # (job_id, region) of each filtered posting -> its raw employer name
     unit_employers: dict[tuple[str, Region], str]
-    cross: dedup_mod.CrossRegionReport
+    cross: tuple[dedup_mod.CrossRegionGroup, ...]
     raw_observations: int
     filtered_observations: int
 
 
-def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = False) -> _PipelineData:
+def _run_match_stages(
+    run: _Run, taxonomy: Taxonomy, postings: list[Posting], every_match: bool = False
+) -> _PipelineData:
     """Match, filter and count observations in one pass that empties ``postings``.
 
-    Each posting is dropped from the list once it is matched and filtered,
-    and the pass keeps only what later stages read: the match records, each
+    The pass keeps only what later stages read: the match records, each
     filtered posting's employer name, and, for the cross-region report, the
     content key of each filtered posting whose job description occurs more
     than once in ``postings``. A group needs two postings with equal
     descriptions, so a description seen once is freed with its posting;
     the report is built here so the repeated ones are freed on return.
     """
-    config = run.config
-    taxonomy = load_taxonomy(config.taxonomy_path)
     index = matcher_mod.MatchIndex(taxonomy)
-    keep = matcher_mod.industry_predicate(config.industry_token, config.filter_mode)
     records = []
     unit_employers = {}
     by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
@@ -299,11 +294,8 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
     repeated = {description for description, n in counts.items() if n > 1}
     del counts
     raw_obs = filtered_obs = 0
-    postings.reverse()  # so pop() takes them in file order
-    while postings:
-        p = postings.pop()
+    for p, kept in _drain(run, postings):
         record = matcher_mod.match_posting(p, index)
-        kept = keep(p)
         if kept:
             unit = (p.job_id, p.region)
             unit_employers[unit] = p.employer_name
@@ -318,13 +310,25 @@ def _run_match_stages(run: _Run, postings: list[Posting], every_match: bool = Fa
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
     return _PipelineData(
-        taxonomy=taxonomy,
         records=records,
         unit_employers=unit_employers,
         cross=dedup_mod.cross_region_report(by_content),
         raw_observations=raw_obs,
         filtered_observations=filtered_obs,
     )
+
+
+def _dedup_stages(
+    run: _Run, taxonomy: Taxonomy, postings: list[Posting]
+) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
+    """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv."""
+    data = _run_match_stages(run, taxonomy, postings)
+    ledger = dedup_mod.weight_assignments(data.records)
+    run.count("demand_units", ledger.unit_count)
+    run.count("cross_region_groups", len(data.cross))
+    run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
+    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
+    return data, ledger
 
 
 def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]:
@@ -343,45 +347,43 @@ def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]
     return joined_chunks(map(csv_line, chain((MATCHES_HEADER,), rows)))
 
 
-def _render_cross_region_csv(report: dedup_mod.CrossRegionReport) -> str:
+def _render_cross_region_csv(groups: tuple[dedup_mod.CrossRegionGroup, ...]) -> str:
     rows = []
-    for group_no, group in enumerate(report.groups, start=1):
+    for group_no, group in enumerate(groups, start=1):
         for job_id, region in group.members:
             rows.append([group_no, job_id, region.value, group.title, group.employer_name])
     return csv_text(["group", "job_id", "region", "title", "employer_name"], rows)
 
 
-# Each input subcommand gets the run, the in-scope postings and the load
-# diagnostics, runs its own stages, and returns the summary it prints.
+# Each subcommand gets the run and its parsed arguments and returns the
+# summary it prints. Those that read posting files read their data files
+# first, so a data file that cannot be used fails the run before it writes.
 
 
-def cmd_ingest(run: _Run, postings: list[Posting], diagnostics: list) -> str:
-    return f"ingested {len(postings)} postings, rejected {len(diagnostics)} records"
+def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
+    postings = _load_corpus(run, args.input)
+    return f"ingested {len(postings)} postings, rejected {run.rejected} records"
 
 
-def cmd_match(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+def cmd_match(run: _Run, args: argparse.Namespace) -> str:
+    taxonomy = load_taxonomy(run.config.taxonomy)
+    postings = _load_corpus(run, args.input)
     posting_count = len(postings)
-    records = _run_match_stages(run, postings, every_match=True).records
+    records = _run_match_stages(run, taxonomy, postings, every_match=True).records
     run.count("matched_postings", len(records))
     run.write_chunks("matches.csv", _matches_csv_chunks(records))
     return f"matched {len(records)} of {posting_count} postings"
 
 
-def cmd_dedup(run: _Run, postings: list[Posting], diagnostics: list) -> str:
-    data = _run_match_stages(run, postings)
-    ledger = dedup_mod.weight_assignments(data.records)
-    run.count("demand_units", ledger.unit_count)
-    run.count("cross_region_groups", len(data.cross))
-    run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
-    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
+def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:
+    taxonomy = load_taxonomy(run.config.taxonomy)
+    data, ledger = _dedup_stages(run, taxonomy, _load_corpus(run, args.input))
     return f"{ledger.unit_count} demand units from {data.filtered_observations} observations"
 
 
-def cmd_disambiguate(run: _Run, postings: list[Posting], diagnostics: list) -> str:
-    config = run.config
-    filtered = matcher_mod.filter_corpus(postings, config.industry_token, config.filter_mode)
-    dictionary = employers_mod.load_dictionary(config.dictionary_path)
-    names = [p.employer_name for p in filtered]
+def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
+    dictionary = employers_mod.load_dictionary(run.config.dictionary)
+    names = [p.employer_name for p, kept in _drain(run, _load_corpus(run, args.input)) if kept]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
     raw_count = len(set(names) - set(rejected))
     canonical_count = len({e.canonical_name for e in mapping.values()})
@@ -392,22 +394,21 @@ def cmd_disambiguate(run: _Run, postings: list[Posting], diagnostics: list) -> s
     return f"disambiguated {raw_count} raw employer names into {canonical_count}"
 
 
-def cmd_discover(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+def cmd_discover(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
-    taxonomy = load_taxonomy(config.taxonomy_path)
-    filtered = matcher_mod.filter_corpus(postings, config.industry_token, config.filter_mode)
+    taxonomy = load_taxonomy(config.taxonomy)
+    filtered = (p for p, kept in _drain(run, _load_corpus(run, args.input)) if kept)
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
     run.write_artifact("discovery.csv", csv_text(["phrase", "count"], candidates))
     return f"{len(candidates)} candidate titles at min_count={config.min_count}"
 
 
-def cmd_report(run: _Run, postings: list[Posting], diagnostics: list) -> str:
+def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
-    data = _run_match_stages(run, postings)
-    ledger = dedup_mod.weight_assignments(data.records)
-    run.count("demand_units", ledger.unit_count)
-    run.count("cross_region_groups", len(data.cross))
+    taxonomy = load_taxonomy(config.taxonomy)
+    dictionary = employers_mod.load_dictionary(config.dictionary)
+    data, ledger = _dedup_stages(run, taxonomy, _load_corpus(run, args.input))
 
     # Tables render through render_<table>_<format>; csv files end in .csv, text in .txt.
     ext = {"csv": "csv", "text": "txt"}[config.format]
@@ -424,7 +425,7 @@ def cmd_report(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     slices += [(function.name.lower(), "title", function) for function in JobFunction]
     tables = {}
     for name, level, function in slices:
-        tables[name] = report_mod.demand_by(level, ledger, data.taxonomy, function=function)
+        tables[name] = report_mod.demand_by(level, ledger, taxonomy, function=function)
         run.write_artifact(f"demand_{name}.{ext}", render(report_mod, "demand", tables[name]))
 
     totals = {row.label: row.total for row in tables["function"].rows}
@@ -438,7 +439,6 @@ def cmd_report(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     else:
         ratio_line = "technician:engineer ratio unavailable (a total is zero)"
 
-    dictionary = employers_mod.load_dictionary(config.dictionary_path)
     mapping, rejected = employers_mod.canonicalize(list(data.unit_employers.values()), dictionary)
     stats = employers_mod.employer_stats(ledger, mapping, data.unit_employers, config.top_k)
     run.count("employers_raw", stats.raw_name_count)
@@ -448,8 +448,6 @@ def cmd_report(run: _Run, postings: list[Posting], diagnostics: list) -> str:
     run.note("employers.top_share", stats.top_share_label)
     run.write_artifact(f"employers.{ext}", render(employers_mod, "employers", stats))
     run.write_chunks("employer_mapping.csv", employers_mod.mapping_csv_chunks(mapping))
-    run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
-    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
 
     employer_line = (
         f"{stats.employer_count} employers, mean {stats.mean_label} units each, "
@@ -496,7 +494,7 @@ def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     if args.division_rate:
         overrides["division_rate"] = _parse_fraction(args.division_rate, "division rate")
     synth_config = synth_mod.SynthConfig(**overrides)
-    taxonomy = load_taxonomy(config.taxonomy_path)
+    taxonomy = load_taxonomy(config.taxonomy)
     result = synth_mod.generate(synth_config, taxonomy, config.out_dir)
     run.note("synth.seed", synth_config.seed)
     run.count("postings_generated", result.posting_count)
@@ -519,7 +517,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--regions", help="comma-separated subset of LA,SB,SD")
     common.add_argument("--window-start", dest="window_start", help="collection window start (YYYY-MM-DD)")
     common.add_argument("--window-end", dest="window_end", help="collection window end (YYYY-MM-DD)")
-    common.add_argument("--out", help="output directory")
+    common.add_argument("--out", dest="out_dir", help="output directory")
     common.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
     # Flags of the subcommands that read posting files; synth reads none of them.
     pipeline = argparse.ArgumentParser(add_help=False)
@@ -532,8 +530,8 @@ def _build_parser() -> _Parser:
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
     subparsers = {}
-    for name, (_, help_text, with_input) in _COMMANDS.items():
-        parents = [common, pipeline] if with_input else [common]
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        parents = [common, pipeline] if keys is None else [common]
         subparsers[name] = sub.add_parser(name, parents=parents, help=help_text)
     subparsers["discover"].add_argument("--min-count", dest="min_count", type=int, help="minimum occurrences")
     subparsers["report"].add_argument("--top-k", dest="top_k", type=int, help="top employers to summarize")
@@ -551,15 +549,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# subcommand -> (function, help, whether it reads --input posting files)
+# subcommand -> (function, help, the settings it checks and records: None
+# for all). Those that read every setting also read posting files.
 _COMMANDS = {
-    "ingest": (cmd_ingest, "validate posting files and emit diagnostics", True),
-    "match": (cmd_match, "match postings against the taxonomy", True),
-    "dedup": (cmd_dedup, "build the fractional demand ledger", True),
-    "disambiguate": (cmd_disambiguate, "canonicalize employer names", True),
-    "discover": (cmd_discover, "report out-of-taxonomy title candidates", True),
-    "report": (cmd_report, "full pipeline: funnel, demand tables, employer stats", True),
-    "synth": (cmd_synth, "generate a synthetic corpus with ground truth", False),
+    "ingest": (cmd_ingest, "validate posting files and emit diagnostics", None),
+    "match": (cmd_match, "match postings against the taxonomy", None),
+    "dedup": (cmd_dedup, "build the fractional demand ledger", None),
+    "disambiguate": (cmd_disambiguate, "canonicalize employer names", None),
+    "discover": (cmd_discover, "report out-of-taxonomy title candidates", None),
+    "report": (cmd_report, "full pipeline: funnel, demand tables, employer stats", None),
+    "synth": (cmd_synth, "generate a synthetic corpus with ground truth", SYNTH_CONFIG_KEYS),
 }
 
 
@@ -580,29 +579,15 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        command, _, with_input = _COMMANDS[args.subcommand]
-        keys = None if with_input else SYNTH_CONFIG_KEYS
-        config = build_config(args, keys)
-        run = _Run(args.subcommand, config, keys)
-        diagnostics = []
-        if with_input:
-            run.record_inputs(args.input)
-            postings, diagnostics = _load_corpus(run, args.input)
-            summary = command(run, postings, diagnostics)
-        else:
-            summary = command(run, args)
+        command, _, keys = _COMMANDS[args.subcommand]
+        run = _Run(args.subcommand, build_config(args, keys), keys)
+        summary = command(run, args)
         run.finish()
         print(summary)
-        return 2 if diagnostics else 0
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if run.rejected else 0
     except JobPulseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ContractError) else 1
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
-import io
 import json
 import logging
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -248,27 +248,21 @@ def _surrogate_field(posting: Posting) -> str | None:
     return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
 
 
-def read_text_lines(path: str, kind: str) -> list[str]:
-    """The lines of a UTF-8 text file, as text mode reads them; an unreadable or undecodable file is fatal."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
-    return io.StringIO(text, newline=None).readlines()
-
-
-def _numbered_lines(path: str):
-    """Stream (line number, line) pairs of a UTF-8 file; an unreadable file is fatal."""
+def read_text_lines(path: str, kind: str) -> Iterator[str]:
+    """Stream the lines of a UTF-8 text file, as text mode reads them; an unreadable or undecodable file is fatal."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
+            yield from fh
     except OSError as exc:
-        raise InputError(f"cannot read posting file {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # Text mode names the byte's offset in its read buffer: decode the bytes to name it in the file.
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+        raise
 
 
 def load_postings(
@@ -291,7 +285,7 @@ def load_postings(
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
     for path in paths:
-        for line_no, line in _numbered_lines(path):
+        for line_no, line in enumerate(read_text_lines(path, "posting"), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

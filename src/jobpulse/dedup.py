@@ -133,17 +133,9 @@ class CrossRegionGroup:
     members: tuple[tuple[str, Region], ...]
 
 
-@dataclass(frozen=True)
-class CrossRegionReport:
-    groups: tuple[CrossRegionGroup, ...]
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
 def cross_region_report(
     by_content: dict[tuple[str, str, str], list[tuple[str, Region]]],
-) -> CrossRegionReport:
+) -> tuple[CrossRegionGroup, ...]:
     """List groups of content-identical postings spanning multiple regions.
 
     ``by_content`` maps each (title, job_description, employer_name) to the
@@ -156,12 +148,11 @@ def cross_region_report(
         for key, members in by_content.items()
         if len(members) > 1 and len({region for _, region in members}) > 1
     }
-    groups = []
-    for title, desc, employer in sorted(spanning):
-        # One job id may be listed in several regions, and Regions do not order.
-        members = sorted(spanning[title, desc, employer], key=lambda m: (m[0], m[1].value))
-        groups.append(CrossRegionGroup(title=title, employer_name=employer, members=tuple(members)))
-    return CrossRegionReport(groups=tuple(groups))
+    # One job id may be listed in several regions, and Regions do not order.
+    return tuple(
+        CrossRegionGroup(title, employer, tuple(sorted(members, key=lambda m: (m[0], m[1].value))))
+        for (title, _, employer), members in sorted(spanning.items())
+    )
 
 
 def ledger_csv_chunks(ledger: DemandLedger) -> Iterator[str]:

@@ -67,9 +67,8 @@ def default_dictionary() -> NameDictionary:
 
 def load_dictionary(path: str) -> NameDictionary:
     """Load a dictionary file: one token per line, '#' comments."""
-    lines = read_text_lines(path, "dictionary")
     tokens: set[str] = set()
-    for line in lines:
+    for line in list(read_text_lines(path, "dictionary")):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .corpus import Corpus, Posting, Region, normalize_text
@@ -200,7 +201,7 @@ def filter_corpus(
 
 
 def discover_candidate_titles(
-    postings: Corpus | list[Posting], taxonomy: Taxonomy, min_count: int = DEFAULT_MIN_COUNT
+    postings: Iterable[Posting], taxonomy: Taxonomy, min_count: int = DEFAULT_MIN_COUNT
 ) -> list[tuple[str, int]]:
     """Surface posting-title n-grams the taxonomy lacks.
 

@@ -250,15 +250,19 @@ def _atomic_file(path: str | Path):
 
     The temp file is created exclusively under a name holding the process id,
     so the file gets the permissions the umask allows (``mkstemp`` would make
-    it 0600).
+    it 0600). A directory or temp file that cannot be created is an
+    InputError; what the block raises passes through unchanged.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(tmp)  # left over by a dead process that had this process id
     try:
-        with open(tmp, "xb") as fh:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.unlink(missing_ok=True)  # left over by a dead process that had this process id
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -267,14 +271,13 @@ def _atomic_file(path: str | Path):
         raise
 
 
-def write_text_atomic(path: str | Path, content: str) -> None:
-    """Write a file atomically: temp file in the target directory, then rename."""
-    with _atomic_file(path) as fh:
-        fh.write(content.encode("utf-8"))
+def write_text_atomic(path: str | Path, content: str) -> str:
+    """Write a file atomically: temp file in the target directory, then rename; returns its sha256."""
+    return write_chunks_atomic(path, (content,))
 
 
 def write_chunks_atomic(path: str | Path, chunks: Iterable[str]) -> str:
-    """``write_text_atomic`` of the joined chunks, one at a time; returns the sha256 of the bytes written."""
+    """Write the joined chunks atomically, one at a time; returns the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with _atomic_file(path) as fh:
         for chunk in chunks:

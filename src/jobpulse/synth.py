@@ -46,10 +46,11 @@ from .corpus import (
 )
 from .errors import ContractError, InputError
 from .matcher import (
+    FILTER_ANY_FIELD,
     ROLE_WORDS,
     MatchIndex,
     expanded_tokens,
-    filter_corpus,
+    industry_predicate,
     validate_industry_token,
 )
 from .report import write_text_atomic
@@ -641,9 +642,9 @@ class _Generator:
 
         Every posting's terms are its title hits plus a scan of its job
         description, as the pipeline matches it, and its industry flag is
-        checked with ``filter_corpus``.
+        checked with the pipeline's default industry filter.
         """
-        on_industry = {id(p) for p in filter_corpus(postings, self.industry_token)}
+        on_industry = industry_predicate(self.industry_token, FILTER_ANY_FIELD)
         title_hits, scan = self.index.title_hits, self.index.scan
         for posting, row in zip(postings, rows):
             matched = title_hits(posting.title) | scan(expanded_tokens(posting.job_description))
@@ -653,7 +654,7 @@ class _Generator:
                     f"generator self-check failed for {posting.job_id}: planted "
                     f"{sorted(row.jsts)} but matching sees {seen}"
                 )
-            if (id(posting) in on_industry) == row.off_industry:
+            if on_industry(posting) == row.off_industry:
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: industry token "
                     f"presence contradicts the off_industry flag"
@@ -692,7 +693,6 @@ def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> Ge
     """Generate the corpus and write one posting file per region plus truth.csv."""
     postings, truth = build_corpus(config, taxonomy)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[Region, Path] = {}
     for region in Region:
         lines = [posting_to_json(p) for p in postings if p.region is region]

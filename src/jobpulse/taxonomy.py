@@ -177,10 +177,9 @@ def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     """Read CSV rows with their original line numbers; '#' lines and blanks skipped."""
-    raw_lines = read_text_lines(path, "taxonomy")
     numbered = [
         (no, line)
-        for no, line in enumerate(raw_lines, start=1)
+        for no, line in enumerate(read_text_lines(path, "taxonomy"), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
     rows: list[tuple[int, list[str]]] = []

@@ -1019,3 +1019,71 @@ def test_invalid_utf8_in_a_data_file_exits_1(tmp_path, fixture_corpus, capsys, f
     assert main(["report", "--input", *fixture_corpus, flag, str(path), "--out", str(tmp_path / "out")]) == 1
     offset = content.index(b"\xff")
     assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte {offset}\n"
+
+
+
+def test_invalid_utf8_in_a_posting_file_exits_1_and_writes_nothing(tmp_path, capsys):
+    # The bad byte sits past text mode's first read buffer, so the reported
+    # offset must be the file's, not the buffer's.
+    path = tmp_path / "postings.jsonl"
+    write_jsonl(path, [make_record(job_id=f"J{i}", job_description="semiconductor " * 20) for i in range(100)])
+    content = path.read_bytes() + b'{"job_id": "J\xff"}\n'
+    path.write_bytes(content + path.read_bytes())
+    offset = content.index(b"\xff")
+    assert offset > 8192
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte {offset}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["ingest", "report", "synth"])
+def test_out_naming_a_file_exits_1(tmp_path, fixture_corpus, capsys, subcommand):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    args = ["--n-postings", "10"] if subcommand == "synth" else ["--input", *fixture_corpus]
+    capsys.readouterr()
+    assert main([subcommand, *args, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}{os.sep}") and err.count("\n") == 1, err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("content", [b"advanced\nunivers\xffity\n", b"# only a comment\n\n"])
+def test_report_with_an_unusable_dictionary_writes_nothing(tmp_path, fixture_corpus, capsys, content):
+    dictionary = tmp_path / "words.txt"
+    dictionary.write_bytes(content)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["report", "--input", *fixture_corpus, "--dictionary", str(dictionary), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dictionary}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_disambiguate_frees_the_postings_before_grouping_names(tmp_path, monkeypatch, capsys):
+    # disambiguate drains the postings through the industry filter, so by the
+    # time it groups employer names less than half of what the load holds
+    # is still allocated. Holding every posting kept all of it.
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    canonicalize = employers.canonicalize
+    at_canonicalize = []
+
+    def spy(*args, **kwargs):
+        at_canonicalize.append(tracemalloc.get_traced_memory()[0])
+        return canonicalize(*args, **kwargs)
+
+    monkeypatch.setattr(employers, "canonicalize", spy)
+    tracemalloc.start()
+    try:
+        loaded = corpus_mod.load_postings(inputs)
+        load_size = tracemalloc.get_traced_memory()[0]
+        del loaded
+        assert main(["disambiguate", "--input", *inputs, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(at_canonicalize) == 1 and at_canonicalize[0] < load_size / 2, (at_canonicalize, load_size)
+    capsys.readouterr()

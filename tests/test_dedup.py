@@ -142,9 +142,9 @@ def test_cross_region_pair_is_two_units_and_one_group(shipped_taxonomy):
         _record(shipped_taxonomy, "J1", ["etch engineer"], Region.LA),
         _record(shipped_taxonomy, "J2", ["etch engineer"], Region.SD),
     ]
-    report = cross_region_report(content_groups(postings))
-    assert len(report) == 1
-    assert report.groups[0].members == (("J1", Region.LA), ("J2", Region.SD))
+    groups = cross_region_report(content_groups(postings))
+    assert len(groups) == 1
+    assert groups[0].members == (("J1", Region.LA), ("J2", Region.SD))
     assert weight_assignments(records).unit_count == 2
 
 
@@ -153,7 +153,7 @@ def test_cross_region_group_may_repeat_a_job_id():
         make_posting(job_id=job_id, title="A", job_description="x", region=region)
         for job_id, region in (("J2", Region.LA), ("J1", Region.SD), ("J1", Region.LA))
     ]
-    (group,) = cross_region_report(content_groups(postings)).groups
+    (group,) = cross_region_report(content_groups(postings))
     assert group.members == (("J1", Region.LA), ("J1", Region.SD), ("J2", Region.LA))
 
 

@@ -329,13 +329,13 @@ def test_recovery_employer_partition(recovery_run):
 
 def test_recovery_cross_region_groups(recovery_run):
     _, postings, truth = recovery_run
-    report = cross_region_report(content_groups(postings))
-    assert len(report) == 7
+    groups = cross_region_report(content_groups(postings))
+    assert len(groups) == 7
     truth_groups: dict[int, set[tuple]] = {}
     for row in truth.rows:
         if row.cross_region_group is not None:
             truth_groups.setdefault(row.cross_region_group, set()).add((row.job_id, row.region))
-    predicted = sorted(sorted(g.members) for g in report.groups)
+    predicted = sorted(sorted(g.members) for g in groups)
     expected = sorted(sorted(members) for members in truth_groups.values())
     assert predicted == expected
 
