@@ -232,34 +232,65 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _in_scope(
+    run: _Run, postings: Iterable[Posting], diagnostics: list[corpus_mod.Diagnostic]
+) -> Iterator[Posting]:
+    """Yield the postings of the run's regions, in turn.
+
+    Only once ``postings`` is used up does it record the rejects in
+    ``diagnostics`` and the counts and write diagnostics.csv, so an input
+    that fails midway leaves nothing written.
+    """
+    wanted = set(run.config.regions)
+    kept = out_of_scope = 0
+    for posting in postings:
+        if posting.region in wanted:
+            kept += 1
+            yield posting
+        else:
+            out_of_scope += 1
+    run.rejected = len(diagnostics)
+    run.count("postings_ingested", kept)
+    run.count("records_rejected", run.rejected)
+    run.count("postings_out_of_scope", out_of_scope)
+    rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
+    run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
+
+
+def _stream_corpus(run: _Run, inputs: list[str]) -> Iterator[Posting]:
+    """Record the inputs, then stream their in-scope postings in file order as each line is read."""
+    config = run.config
+    run.record_inputs(inputs)
+    diagnostics: list[corpus_mod.Diagnostic] = []
+    window = CollectionWindow(config.window_start, config.window_end)
+    return _in_scope(run, corpus_mod.iter_postings(inputs, window, diagnostics), diagnostics)
+
+
 def _load_corpus(run: _Run, inputs: list[str]) -> list[Posting]:
-    """The in-scope postings of the input files, in file order; records and writes the rejects."""
+    """Record the inputs, then load their in-scope postings, in file order, as one list.
+
+    match, dedup and report take this list rather than ``_stream_corpus``:
+    - The match pass counts job descriptions over every in-scope posting
+      before it starts, to keep cross-region keys only for repeated ones.
+    - perfbench's traced run counts ``corpus.records_in`` by wrapping
+      ``corpus_mod.load_postings``.
+    """
     config = run.config
     run.record_inputs(inputs)
     corpus, diagnostics = corpus_mod.load_postings(
         inputs, CollectionWindow(config.window_start, config.window_end)
     )
-    wanted = set(config.regions)
-    kept = [p for p in corpus.postings if p.region in wanted]
-    run.rejected = len(diagnostics)
-    run.count("postings_ingested", len(kept))
-    run.count("records_rejected", run.rejected)
-    run.count("postings_out_of_scope", len(corpus.postings) - len(kept))
-    rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
-    run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
-    return kept
+    return list(_in_scope(run, corpus.postings, diagnostics))
 
 
-def _drain(run: _Run, postings: list[Posting]) -> Iterator[tuple[Posting, bool]]:
-    """Empty ``postings`` in file order, yielding each with whether the industry filter keeps it.
+def _drain(run: _Run, postings: Iterable[Posting]) -> Iterator[tuple[Posting, bool]]:
+    """Yield each of ``postings`` in turn with whether the industry filter keeps it.
 
-    The list drops each posting as it is yielded, so a posting lives only
-    as long as its consumer keeps it.
+    It keeps no posting it has yielded, so over a stream or an emptied list
+    a posting lives only as long as its consumer keeps it.
     """
     keep = matcher_mod.industry_predicate(run.config.industry_token, run.config.filter_mode)
-    postings.reverse()  # so pop() takes them in file order
-    while postings:
-        posting = postings.pop()
+    for posting in postings:
         yield posting, keep(posting)
 
 
@@ -294,7 +325,8 @@ def _run_match_stages(
     repeated = {description for description, n in counts.items() if n > 1}
     del counts
     raw_obs = filtered_obs = 0
-    for p, kept in _drain(run, postings):
+    postings.reverse()  # so pop() takes them in file order
+    for p, kept in _drain(run, (postings.pop() for _ in range(len(postings)))):
         record = matcher_mod.match_posting(p, index)
         if kept:
             unit = (p.job_id, p.region)
@@ -361,8 +393,8 @@ def _render_cross_region_csv(groups: tuple[dedup_mod.CrossRegionGroup, ...]) -> 
 
 
 def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
-    postings = _load_corpus(run, args.input)
-    return f"ingested {len(postings)} postings, rejected {run.rejected} records"
+    ingested = sum(1 for _ in _stream_corpus(run, args.input))
+    return f"ingested {ingested} postings, rejected {run.rejected} records"
 
 
 def cmd_match(run: _Run, args: argparse.Namespace) -> str:
@@ -383,7 +415,7 @@ def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:
 
 def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
     dictionary = employers_mod.load_dictionary(run.config.dictionary)
-    names = [p.employer_name for p, kept in _drain(run, _load_corpus(run, args.input)) if kept]
+    names = [p.employer_name for p, kept in _drain(run, _stream_corpus(run, args.input)) if kept]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
     raw_count = len(set(names) - set(rejected))
     canonical_count = len({e.canonical_name for e in mapping.values()})
@@ -397,7 +429,7 @@ def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
 def cmd_discover(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy)
-    filtered = (p for p, kept in _drain(run, _load_corpus(run, args.input)) if kept)
+    filtered = (p for p, kept in _drain(run, _stream_corpus(run, args.input)) if kept)
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
     run.write_artifact("discovery.csv", csv_text(["phrase", "count"], candidates))
@@ -498,8 +530,8 @@ def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     result = synth_mod.generate(synth_config, taxonomy, config.out_dir)
     run.note("synth.seed", synth_config.seed)
     run.count("postings_generated", result.posting_count)
-    for path in [*result.posting_paths.values(), result.truth_path]:
-        run.items.append((f"artifact.{path.name}.sha256", _sha256_file(str(path))))
+    for name, digest in result.sha256.items():
+        run.items.append((f"artifact.{name}.sha256", digest))
     return f"synthetic corpus written to {config.out_dir} (seed {synth_config.seed})"
 
 

@@ -5,9 +5,11 @@ tokenizer, and the loader for line-delimited posting exports. Records come
 from offline exports (one JSON object per line); the scraper that produces
 them is out of scope here.
 
-The resulting Corpus is immutable after load and safe to share across
-workers; rejected records are reported as diagnostics, never dropped
-silently.
+``iter_postings`` streams the valid postings as it reads each line, so a
+consumer that keeps none of them runs in memory set by the distinct keys
+and names, not by the number of postings. ``load_postings`` collects that
+stream into an immutable Corpus. Either way, rejected records are reported
+as diagnostics, never dropped silently.
 """
 
 from __future__ import annotations
@@ -265,22 +267,27 @@ def read_text_lines(path: str, kind: str) -> Iterator[str]:
         raise
 
 
-def load_postings(
+def iter_postings(
     paths: list[str] | tuple[str, ...],
-    window: CollectionWindow | None = None,
-) -> tuple[Corpus, list[Diagnostic]]:
-    """Load posting files into a validated Corpus.
+    window: CollectionWindow | None,
+    diagnostics: list[Diagnostic],
+) -> Iterator[Posting]:
+    """Stream the valid postings of posting files, in file order, as each line is read.
 
     Each file is UTF-8, one JSON record per line; blank lines and lines
     starting with '#' are skipped. A record must hold exactly the seven
-    string fields of ``POSTING_FIELDS``. Invalid records become diagnostics
-    with file and line number. A duplicate (job_id, region) keeps the first
-    occurrence and rejects the rest. An unreadable file is fatal. Postings
-    of one load share one string object per distinct title and employer name.
+    string fields of ``POSTING_FIELDS``. Each invalid record is appended to
+    ``diagnostics``, empty at the start, with file and line number, before
+    any later posting is yielded. A duplicate (job_id, region) keeps the
+    first occurrence and rejects the rest. An unreadable or undecodable
+    file is fatal, raised when the stream reaches it. Postings of one
+    stream share one string object per distinct title and employer name.
+    The stream keeps no posting it has yielded, only each (job_id, region)
+    key and the shared strings. The ``rejected N of M`` warning is logged
+    once the last file is read.
     """
     window = window or CollectionWindow()
-    postings: list[Posting] = []
-    diagnostics: list[Diagnostic] = []
+    accepted = 0
     seen: set[tuple[str, Region]] = set()
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
@@ -305,10 +312,23 @@ def load_postings(
                 diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
                 continue
             seen.add(key)
-            postings.append(posting)
+            accepted += 1
+            yield posting
     if diagnostics:
-        logger.warning("rejected %d of %d input records", len(diagnostics), len(diagnostics) + len(postings))
-    return Corpus(postings=tuple(postings)), diagnostics
+        logger.warning("rejected %d of %d input records", len(diagnostics), len(diagnostics) + accepted)
+
+
+def load_postings(
+    paths: list[str] | tuple[str, ...],
+    window: CollectionWindow | None = None,
+) -> tuple[Corpus, list[Diagnostic]]:
+    """Load posting files into a validated Corpus and the list of rejects.
+
+    ``iter_postings`` collected: the same postings, diagnostics and
+    warning, with every posting held at once.
+    """
+    diagnostics: list[Diagnostic] = []
+    return Corpus(postings=tuple(iter_postings(paths, window, diagnostics))), diagnostics
 
 
 def posting_to_json(p: Posting) -> str:

@@ -687,6 +687,7 @@ class GenerateResult:
     posting_paths: dict[Region, Path]
     truth_path: Path
     posting_count: int
+    sha256: dict[str, str]  # file name -> sha256 of the bytes written, in write order
 
 
 def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> GenerateResult:
@@ -694,11 +695,12 @@ def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> Ge
     postings, truth = build_corpus(config, taxonomy)
     out = Path(out_dir)
     paths: dict[Region, Path] = {}
+    sha256: dict[str, str] = {}
     for region in Region:
         lines = [posting_to_json(p) for p in postings if p.region is region]
         path = out / f"{region.value.lower()}.jsonl"
-        write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+        sha256[path.name] = write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
         paths[region] = path
     truth_path = out / "truth.csv"
-    write_text_atomic(truth_path, render_truth_csv(truth))
-    return GenerateResult(posting_paths=paths, truth_path=truth_path, posting_count=len(postings))
+    sha256[truth_path.name] = write_text_atomic(truth_path, render_truth_csv(truth))
+    return GenerateResult(posting_paths=paths, truth_path=truth_path, posting_count=len(postings), sha256=sha256)

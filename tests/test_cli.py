@@ -663,13 +663,13 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path, capsys):
 
 def test_main_runs_without_cyclic_gc_and_restores_its_state(tmp_path, fixture_corpus, monkeypatch, capsys):
     seen = []
-    load_postings = corpus_mod.load_postings
+    iter_postings = corpus_mod.iter_postings
 
     def spy(*args, **kwargs):
         seen.append(gc.isenabled())
-        return load_postings(*args, **kwargs)
+        return iter_postings(*args, **kwargs)
 
-    monkeypatch.setattr(corpus_mod, "load_postings", spy)
+    monkeypatch.setattr(corpus_mod, "iter_postings", spy)
     dirty = tmp_path / "dirty.jsonl"
     write_jsonl(dirty, [make_record(), "not json"])
     was_enabled = gc.isenabled()
@@ -863,7 +863,24 @@ def test_report_groups_cross_region_content_exactly(tmp_path, regions, capsys):
     capsys.readouterr()
 
 
-def test_report_peak_memory_stays_near_the_load(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def seed7_inputs(tmp_path_factory) -> list[str]:
+    """The posting files of the seed-7, 5,000-posting synth fixture."""
+    fixture = tmp_path_factory.mktemp("seed7")
+    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
+    return [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_peak_memory_stays_near_the_load(tmp_path, seed7_inputs, capsys):
     # report keeps no posting past its match/filter pass, keeps content keys
     # only for repeated descriptions, shares equal term sets and writes its
     # large artifacts in chunks, so its traced peak stays within a fifth
@@ -871,21 +888,22 @@ def test_report_peak_memory_stays_near_the_load(tmp_path, capsys):
     # filtered description and a term set per record peaked near 1.25
     # times the load; holding every posting to the end and each artifact
     # as one string, near twice.
-    fixture = tmp_path / "fixture"
-    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
-    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
-
-    def traced_peak(fn, *args) -> int:
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    load_peak = traced_peak(corpus_mod.load_postings, inputs)
-    report_peak = traced_peak(main, ["report", "--input", *inputs, "--out", str(tmp_path / "out")])
+    load_peak = _traced_peak(corpus_mod.load_postings, seed7_inputs)
+    report_peak = _traced_peak(main, ["report", "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
     assert report_peak < 1.2 * load_peak, (report_peak, load_peak)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("subcommand", ["ingest", "disambiguate", "discover"])
+def test_streaming_subcommands_peak_below_the_load(tmp_path, seed7_inputs, capsys, subcommand):
+    # These subcommands stream the postings: each is dropped once its line
+    # is counted, its employer name kept or its title scanned, so their
+    # traced peak stays well under that of holding every posting at once.
+    # Loading the list first, as match, dedup and report do, peaked at
+    # 1.02-1.03 times the load.
+    load_peak = _traced_peak(corpus_mod.load_postings, seed7_inputs)
+    peak = _traced_peak(main, [subcommand, "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
+    assert peak < 0.8 * load_peak, (peak, load_peak)
     capsys.readouterr()
 
 
@@ -1024,18 +1042,28 @@ def test_invalid_utf8_in_a_data_file_exits_1(tmp_path, fixture_corpus, capsys, f
 
 def test_invalid_utf8_in_a_posting_file_exits_1_and_writes_nothing(tmp_path, capsys):
     # The bad byte sits past text mode's first read buffer, so the reported
-    # offset must be the file's, not the buffer's.
+    # offset must be the file's, not the buffer's. The streaming subcommands
+    # have used every posting of the good file before they reach it.
+    good = tmp_path / "good.jsonl"
+    write_jsonl(good, [make_record(job_id=f"G{i}", title="Etch Engineer", job_description="semiconductor")
+                       for i in range(50)])
     path = tmp_path / "postings.jsonl"
     write_jsonl(path, [make_record(job_id=f"J{i}", job_description="semiconductor " * 20) for i in range(100)])
     content = path.read_bytes() + b'{"job_id": "J\xff"}\n'
     path.write_bytes(content + path.read_bytes())
     offset = content.index(b"\xff")
     assert offset > 8192
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main(["ingest", "--input", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte {offset}\n"
-    assert not out.exists()
+    for subcommand, inputs in (
+        ("ingest", [path]),
+        ("ingest", [good, path]),
+        ("disambiguate", [good, path]),
+        ("discover", [good, path]),
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([subcommand, "--input", *map(str, inputs), "--out", str(out)]) == 1, subcommand
+        assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte {offset}\n"
+        assert not out.exists(), subcommand
 
 
 @pytest.mark.parametrize("subcommand", ["ingest", "report", "synth"])
@@ -1060,30 +1088,3 @@ def test_report_with_an_unusable_dictionary_writes_nothing(tmp_path, fixture_cor
     assert main(["report", "--input", *fixture_corpus, "--dictionary", str(dictionary), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dictionary}: ")
     assert list(out.iterdir()) == []
-
-
-def test_disambiguate_frees_the_postings_before_grouping_names(tmp_path, monkeypatch, capsys):
-    # disambiguate drains the postings through the industry filter, so by the
-    # time it groups employer names less than half of what the load holds
-    # is still allocated. Holding every posting kept all of it.
-    fixture = tmp_path / "fixture"
-    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
-    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
-    canonicalize = employers.canonicalize
-    at_canonicalize = []
-
-    def spy(*args, **kwargs):
-        at_canonicalize.append(tracemalloc.get_traced_memory()[0])
-        return canonicalize(*args, **kwargs)
-
-    monkeypatch.setattr(employers, "canonicalize", spy)
-    tracemalloc.start()
-    try:
-        loaded = corpus_mod.load_postings(inputs)
-        load_size = tracemalloc.get_traced_memory()[0]
-        del loaded
-        assert main(["disambiguate", "--input", *inputs, "--out", str(tmp_path / "out")]) == 0
-    finally:
-        tracemalloc.stop()
-    assert len(at_canonicalize) == 1 and at_canonicalize[0] < load_size / 2, (at_canonicalize, load_size)
-    capsys.readouterr()

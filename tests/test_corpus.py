@@ -14,6 +14,7 @@ from jobpulse.corpus import (
     Diagnostic,
     Posting,
     Region,
+    iter_postings,
     load_postings,
     normalize_text,
     parse_region,
@@ -235,6 +236,23 @@ def test_read_error_mid_file_is_fatal(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus_mod, "open", lambda *a, **k: FailingFile(), raising=False)
     with pytest.raises(InputError, match="cannot read posting file .*device error"):
         load_postings([str(tmp_path / "flaky.jsonl")])
+
+
+def test_iter_postings_yields_each_posting_as_its_line_is_read(tmp_path):
+    # A reject is listed before the next posting is yielded, and a later
+    # undecodable file fails the stream only once it is reached.
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_jsonl(good, [make_record(job_id="J1"), "not json", make_record(job_id="J2")])
+    bad.write_bytes(b'{"job_id": "\xff"}\n')
+    diagnostics = []
+    stream = iter_postings([str(good), str(bad)], None, diagnostics)
+    assert next(stream).job_id == "J1" and diagnostics == []
+    assert next(stream).job_id == "J2" and [(d.line_no, d.reason) for d in diagnostics] == [
+        (2, "invalid JSON: Expecting value")
+    ]
+    with pytest.raises(InputError) as exc:
+        next(stream)
+    assert str(exc.value) == f"{bad}: invalid UTF-8 at byte 12"
 
 
 def test_empty_employer_description_is_accepted(tmp_path):
