@@ -37,7 +37,6 @@ from .corpus import CollectionWindow, Posting, Region, csv_line, csv_text, joine
 from .errors import ContractError, InputError, JobPulseError
 from .taxonomy import JobFunction, Taxonomy, load_taxonomy
 
-logger = logging.getLogger(__name__)
 
 ENV_CONFIG = "JOBPULSE_CONFIG"
 MANIFEST_NAME = "manifest.txt"

@@ -14,7 +14,6 @@ groups for transparency.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from .errors import ContractError
 from .matcher import MatchRecord
 from .taxonomy import Jst, JstLevel
 
-logger = logging.getLogger(__name__)
 
 LEDGER_HEADER = ("job_id", "region", "function", "family", "title", "weight_num", "weight_den")
 

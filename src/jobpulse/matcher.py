@@ -15,7 +15,6 @@ posting order.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections.abc import Iterable
 from typing import NamedTuple
@@ -24,7 +23,6 @@ from .corpus import Corpus, Posting, Region, normalize_text
 from .errors import InputError
 from .taxonomy import Jst, Taxonomy
 
-logger = logging.getLogger(__name__)
 
 ROLE_WORDS = frozenset({"engineer", "technician", "scientist", "analyst", "administrator"})
 DEFAULT_MIN_COUNT = 3

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import logging
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .taxonomy import JobFunction, Taxonomy
 
-logger = logging.getLogger(__name__)
 
 LEVEL_FUNCTION = "function"
 LEVEL_FAMILY = "family"

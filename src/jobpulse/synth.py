@@ -17,8 +17,9 @@ Design constraints that keep the truth exact:
   planted (the plant would imply the shorter match);
 - employer names only exhibit phenomena the disambiguation rules cover,
   and a division name is only drawn after its parent appears; no name is a
-  token prefix of another identity's name, which the name registry checks
-  per candidate with one dict lookup per token, in time linear in the stock.
+  token prefix of another identity's name. Names are enumerated from
+  shuffled families, and the name registry checks each candidate at most
+  once, with one dict lookup per token, in time linear in the stock.
 
 Generation is single-threaded and deterministic for a given (seed, config,
 taxonomy); the same seed twice yields byte-identical files.
@@ -29,8 +30,10 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -40,7 +43,8 @@ from .corpus import (
     DEFAULT_WINDOW_START,
     Posting,
     Region,
-    csv_text,
+    csv_line,
+    joined_chunks,
     normalize_text,
     posting_to_json,
 )
@@ -53,7 +57,7 @@ from .matcher import (
     industry_predicate,
     validate_industry_token,
 )
-from .report import write_text_atomic
+from .report import write_chunks_atomic
 from .taxonomy import JobFunction, Jst, Taxonomy
 
 TRUTH_HEADER = (
@@ -256,69 +260,6 @@ def _display(tokens: tuple[str, ...] | list[str]) -> str:
     return " ".join(t.capitalize() for t in tokens)
 
 
-class _Draws:
-    """Cheaper ``choice`` and ``randint`` draws from a ``random.Random``'s own stream.
-
-    Each method rejects ``getrandbits(n.bit_length())`` values of ``n`` or
-    more, exactly as ``Random._randbelow`` does, so it consumes the stream of
-    a ``random.Random`` and returns the values its ``choice`` and ``randint``
-    would, in one Python frame per call. ``sample``, ``shuffle`` and
-    ``random`` are drawn from the generator itself and interleave with these
-    draws as they would with its own.
-    """
-
-    __slots__ = ("getrandbits",)
-
-    def __init__(self, rng: random.Random) -> None:
-        self.getrandbits = rng.getrandbits
-
-    def choice(self, seq):
-        n = len(seq)
-        if not n:
-            raise IndexError("Cannot choose from an empty sequence")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return seq[r]
-
-    def choice_each(self, seqs) -> tuple:
-        """``tuple(self.choice(seq) for seq in seqs)``."""
-        getrandbits = self.getrandbits
-        out = []
-        for seq in seqs:
-            n = len(seq)
-            if not n:
-                raise IndexError("Cannot choose from an empty sequence")
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            out.append(seq[r])
-        return tuple(out)
-
-    def extend_choices(self, out: list, seq, low: int, high: int) -> None:
-        """``out.extend(self.choice(seq) for _ in range(self.randint(low, high)))``."""
-        getrandbits = self.getrandbits
-        n = high - low + 1
-        if n < 1:
-            raise ValueError(f"empty range for randint({low}, {high})")
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        count = low + r
-        n = len(seq)
-        if count > 0 and not n:
-            raise IndexError("Cannot choose from an empty sequence")
-        k = n.bit_length()
-        for _ in range(count):
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            out.append(seq[r])
-
-
 class _NameRegistry:
     """Tracks claimed token sequences; forbids cross-identity prefix relations.
 
@@ -348,6 +289,27 @@ class _NameRegistry:
             owners[key] = identity if owners.get(key, identity) == identity else self._SHARED
 
 
+def _family(rng: random.Random, prefix: tuple[str, ...], pools: tuple) -> Iterator[tuple[str, ...]]:
+    """Every ``prefix`` + one word per pool with no repeated token, in a seeded shuffled order.
+
+    A Fisher-Yates shuffle of the names' indexes, run one step per name
+    taken and holding only the slots it has moved, so a family costs draws
+    and memory only for the names its caller reads.
+    """
+    moved: dict[int, int] = {}
+    for i in reversed(range(math.prod(map(len, pools)))):
+        j = rng.randrange(i + 1)
+        index = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        words = []
+        for pool in pools:
+            index, r = divmod(index, len(pool))
+            words.append(pool[r])
+        name = prefix + tuple(words)
+        if len(set(name)) == len(name):
+            yield name
+
+
 def build_employer_stock(
     rng: random.Random,
     n_names: int,
@@ -364,8 +326,6 @@ def build_employer_stock(
     """
     if n_names < 1:
         raise InputError(f"employer stock needs at least one name, got {n_names}")
-    division_rate = _as_fraction(division_rate)
-    collision_rate = _as_fraction(collision_rate)
     n_divisions = _round_half_up(division_rate * n_names)
     n_base = n_names - n_divisions
     if n_base < 1:
@@ -375,63 +335,46 @@ def build_employer_stock(
     n_collide = _round_half_up(collision_rate * n_base)
 
     registry = _NameRegistry()
-    conflicts = registry.conflicts
-    choice_each = _Draws(rng).choice_each
-    fallback_pools = (_DISTINCTIVE_WORDS, _DISTINCTIVE_WORDS, _ORG_NOUNS)
+    pair, single = (_DISTINCTIVE_WORDS, _ORG_NOUNS), (_DISTINCTIVE_WORDS,)
+    triple = (_DISTINCTIVE_WORDS, _DISTINCTIVE_WORDS, _ORG_NOUNS)
+    shared: dict[tuple, Iterator[tuple[str, ...]]] = {}
     identities: list[EmployerIdentity] = []
-    salt = 0
 
-    def invent(identity: str, prefix: tuple[str, ...], pools: list[tuple[str, ...]]) -> tuple[str, ...]:
-        nonlocal salt
-        for _ in range(32):
-            candidate = prefix + choice_each(pools)
-            if len(set(candidate)) == len(candidate) and not conflicts(candidate, identity):
-                return candidate
-        for _ in range(32):
-            candidate = prefix + choice_each(fallback_pools)
-            if len(set(candidate)) == len(candidate) and not conflicts(candidate, identity):
-                return candidate
-        for _ in range(10_000):
-            salt += 1
-            candidate = prefix + choice_each(pools) + (f"x{salt}",)
-            if not conflicts(candidate, identity):
-                return candidate
+    def family(prefix: tuple[str, ...], pools: tuple) -> Iterator[tuple[str, ...]]:
+        """The one cursor over ``prefix`` + one word per pool that every new identity takes from."""
+        return shared.setdefault((prefix, pools), _family(rng, prefix, pools))
+
+    def invent(identity: str, *families: Iterator[tuple[str, ...]]) -> tuple[str, ...]:
+        """Claim the first name of the families, in order, that no other identity blocks.
+
+        A name that blocks one new identity blocks every later one, since
+        claims only grow, so a shared cursor never revisits a name.
+        """
+        for seq in chain(*families):
+            if not registry.conflicts(seq, identity):
+                registry.claim(seq, identity)
+                return seq
         raise ContractError("employer name stock exhausted")
 
     base_seqs: list[tuple[str, ...]] = []
     for i in range(n_base):
-        ident = f"id{i}"
-        if i < n_collide:
-            first = _COLLISION_FIRST_WORDS[i % len(_COLLISION_FIRST_WORDS)]
-            seq = invent(ident, (first,), [_DISTINCTIVE_WORDS, _ORG_NOUNS])
-        elif rng.random() < 0.15:
-            seq = invent(ident, (), [_DISTINCTIVE_WORDS])
-        else:
-            seq = invent(ident, (), [_DISTINCTIVE_WORDS, _ORG_NOUNS])
-        registry.claim(seq, ident)
+        prefix = (_COLLISION_FIRST_WORDS[i % len(_COLLISION_FIRST_WORDS)],) if i < n_collide else ()
+        pools = single if not prefix and rng.random() < 0.15 else pair
+        seq = invent(f"id{i}", family(prefix, pools), family(prefix, triple))
         base_seqs.append(seq)
         identities.append(EmployerIdentity(key=" ".join(seq), parent_display=_display(seq)))
 
     parent_order = list(range(n_base))
     rng.shuffle(parent_order)
-    divisions_by_parent: dict[int, list[str]] = {}
-    for d in range(mergeable):
-        parent_idx = parent_order[d % n_base]
-        ident = f"id{parent_idx}"
-        parent_seq = base_seqs[parent_idx]
+    for parent_idx in parent_order[:mergeable]:  # mergeable <= n_base: one division per parent
         n_ext = 1 if rng.random() < 0.7 else 2
-        seq = invent(ident, parent_seq, [_DIVISION_EXTENSIONS] * n_ext)
-        registry.claim(seq, ident)
-        divisions_by_parent.setdefault(parent_idx, []).append(_display(seq))
-    for idx, divs in divisions_by_parent.items():
-        identities[idx] = replace(identities[idx], division_displays=tuple(divs))
+        seq = invent(f"id{parent_idx}", _family(rng, base_seqs[parent_idx], (_DIVISION_EXTENSIONS,) * n_ext))
+        identities[parent_idx] = replace(identities[parent_idx], division_displays=(_display(seq),))
 
     for o in range(orphans):
         ghost_id = f"ghost{o}"
-        ghost = invent(ghost_id, (), [_DISTINCTIVE_WORDS, _ORG_NOUNS])
-        registry.claim(ghost, ghost_id)  # withheld parent blocks reuse of its prefix
-        seq = invent(ghost_id, ghost, [_DIVISION_EXTENSIONS])
-        registry.claim(seq, ghost_id)
+        ghost = invent(ghost_id, family((), pair), family((), triple))  # a withheld parent
+        seq = invent(ghost_id, _family(rng, ghost, (_DIVISION_EXTENSIONS,)))
         identities.append(EmployerIdentity(key=" ".join(seq), parent_display=_display(seq)))
 
     return EmployerStock(identities=tuple(identities))
@@ -468,7 +411,6 @@ class _Generator:
     def __init__(self, config: SynthConfig, taxonomy: Taxonomy) -> None:
         self.config = config
         self.rng = random.Random(config.seed)
-        self.draws = _Draws(self.rng)
         self.industry_token = validate_industry_token(config.industry_token)
         self.fillers = _safe_fillers(taxonomy, self.industry_token)
         self.pools = plantable_jsts(taxonomy)
@@ -490,15 +432,14 @@ class _Generator:
 
     def _description(self, lead: tuple[int, int], jsts: list[Jst], with_token: bool) -> str:
         """Filler, then each term followed by filler, then maybe the industry token and filler."""
-        filler, fillers = self.draws.extend_choices, self.fillers
-        words: list[str] = []
-        filler(words, fillers, *lead)
+        choices, randint, fillers = self.rng.choices, self.rng.randint, self.fillers
+        words = choices(fillers, k=randint(*lead))
         for jst in jsts:
             words += jst.tokens
-            filler(words, fillers, 1, 3)
+            words += choices(fillers, k=randint(1, 3))
         if with_token:
             words.append(self.industry_token)
-            filler(words, fillers, 1, 2)
+            words += choices(fillers, k=randint(1, 2))
         return " ".join(words)
 
     def _neutral_title(self) -> str:
@@ -530,18 +471,15 @@ class _Generator:
                 region_counts = apportion(m, REGION_MIX)
                 region_deck = [r for r, c in region_counts.items() for _ in range(c)]
                 self.rng.shuffle(region_deck)
-                pos = 0
-                for k, cnt in sorted(k_quota.items()):
-                    for _ in range(cnt):
-                        slots.append((function, k, off, region_deck[pos]))
-                        pos += 1
+                ks = [k for k, cnt in sorted(k_quota.items()) for _ in range(cnt)]
+                slots += [(function, k, off, region) for k, region in zip(ks, region_deck)]
         self.rng.shuffle(slots)
         return slots
 
     def run(self) -> tuple[list[Posting], GroundTruth]:
         config = self.config
         rng = self.rng
-        choice, random_, sample = self.draws.choice, rng.random, rng.sample
+        choice, random_, sample = rng.choice, rng.random, rng.sample
         slots = self._build_slots()
 
         # Sized so on-industry demand lands near 3.6 units per employer.
@@ -598,7 +536,9 @@ class _Generator:
             )
 
         pools, pools_off = self.pools, self.pools_off
-        for function, k, off, region in slots:
+        slots.reverse()
+        while slots:  # each slot freed as its posting is built
+            function, k, off, region = slots.pop()
             pool = pools_off[function] if off else pools[function]
             jsts = sorted(sample(pool, min(k, len(pool))), key=_phrase)
             placement = _TOKEN_ABSENT if off else choice(_TOKEN_PLACEMENTS)
@@ -666,7 +606,8 @@ def build_corpus(config: SynthConfig, taxonomy: Taxonomy) -> tuple[list[Posting]
     return _Generator(config, taxonomy).run()
 
 
-def render_truth_csv(truth: GroundTruth) -> str:
+def render_truth_csv(truth: GroundTruth) -> Iterator[str]:
+    """truth.csv in chunks of ``CHUNK_LINES`` lines."""
     rows = (
         [
             row.job_id,
@@ -679,7 +620,7 @@ def render_truth_csv(truth: GroundTruth) -> str:
         ]
         for row in truth.rows
     )
-    return csv_text(TRUTH_HEADER, rows)
+    return joined_chunks(map(csv_line, chain((TRUTH_HEADER,), rows)))
 
 
 @dataclass(frozen=True)
@@ -691,16 +632,14 @@ class GenerateResult:
 
 
 def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> GenerateResult:
-    """Generate the corpus and write one posting file per region plus truth.csv."""
+    """Generate the corpus and write one posting file per region plus truth.csv, each in chunks."""
     postings, truth = build_corpus(config, taxonomy)
     out = Path(out_dir)
-    paths: dict[Region, Path] = {}
+    paths = {region: out / f"{region.value.lower()}.jsonl" for region in Region}
     sha256: dict[str, str] = {}
-    for region in Region:
-        lines = [posting_to_json(p) for p in postings if p.region is region]
-        path = out / f"{region.value.lower()}.jsonl"
-        sha256[path.name] = write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
-        paths[region] = path
+    for region, path in paths.items():
+        lines = (posting_to_json(p) + "\n" for p in postings if p.region is region)
+        sha256[path.name] = write_chunks_atomic(path, joined_chunks(lines))
     truth_path = out / "truth.csv"
-    sha256[truth_path.name] = write_text_atomic(truth_path, render_truth_csv(truth))
+    sha256[truth_path.name] = write_chunks_atomic(truth_path, render_truth_csv(truth))
     return GenerateResult(posting_paths=paths, truth_path=truth_path, posting_count=len(postings), sha256=sha256)

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import tracemalloc
 
 import pytest
 
@@ -77,3 +78,13 @@ def write_taxonomy_csv(path, rows) -> str:
     lines.extend(f"{fn},{fam},{title}" for fn, fam, title in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from jobpulse.cli import (
 )
 from jobpulse.corpus import Region
 
-from conftest import content_groups, make_record, write_jsonl, write_taxonomy_csv
+from conftest import content_groups, make_record, traced_peak, write_jsonl, write_taxonomy_csv
 
 
 @pytest.fixture()
@@ -565,18 +564,18 @@ def test_report_artifact_hashes_pinned(tmp_path, capsys):
     }
     assert hashes == {
         "cross_region.csv": "2ddc7b15b27c035461fb1a73132d080f655e4e12d8b6d9dddd12d6b1f657a769",
-        "demand_engineer.csv": "982828f8734c0388432754177ebf64f099f19e0c2a0e5f952982e253ce00d6f5",
-        "demand_family.csv": "b48f3b9920d2c75de654a35368db2dfd4c78614dc890fd8e3d8b5eb9104314e3",
+        "demand_engineer.csv": "3713c0a49ca0e95e3ac32def78020935e72a545bd85ff12d2f33e25fc808ee99",
+        "demand_family.csv": "2fe6b3e996dcb1bd5508e139ead9108d831d159c07d536bb29c126a4240455a9",
         "demand_function.csv": "81f7a710828771bf7c977921409cede4a909e312774261a51dacab5d1012d78d",
-        "demand_operational_support.csv": "e944cc8907c182a62193f7840f13f1a0b53f80316c4583ca5a3472fac769d11b",
+        "demand_operational_support.csv": "c096c6aad85216a4a09a9ee7b93d3d2652b331986bf223a65ebfc90e3c09e081",
         "demand_region.csv": "5e532a5f58a35d3353501ed274eae7b592a6d3cc25e0cf3fcaed98ab425baab6",
-        "demand_scientist.csv": "768f9787418ee096535e29bb3fd7aab31aa4d77ae3b859c68baf83194d291e21",
-        "demand_technician.csv": "16e1811df0f44d90a11351adc7b79f5a907ffac814a0b34f5de611321c10cc71",
+        "demand_scientist.csv": "3edd27a224dd68754c65d5a4d099cf570da4b2c43c79c3db42d05025bd011a8a",
+        "demand_technician.csv": "2ba6aacfcfb96937f3ed44082df99b22cbb6759d3acb216070f821a693f8290e",
         "diagnostics.csv": "e4a4d6e9381a5631088c8c4c472c27c3cd619b115e760ec71e260687529e5e9e",
-        "employer_mapping.csv": "e2f57cd99e270dfdfb8085b3bfcaf66af2e040847db1ff813670bc201ac22b8d",
-        "employers.csv": "1d3300d4e55888ca7347a8b18b445567c52cfef2e147fe713e44ae7e61f8ed7b",
+        "employer_mapping.csv": "6087f1e8b94daaba1f46c318b2f928f6326b9ff5ff56522eb80caebe2d2e79ae",
+        "employers.csv": "5b2fd45de460fdd4a9a4e1fb947b6a84f540e7c9d9d0203f7bbbb44a343f277c",
         "funnel.csv": "2ee5ff08a7b96084f75d22bcbd7f3a562ea407146f5dd2864e77a4ac61092f65",
-        "ledger.csv": "0795591b4f45c208de869193343b5a5f485b265e93bf7abd25a81b5f6db2a071",
+        "ledger.csv": "1e074691291d9b1c499c3b1c1094cdcf9bcc3be59ee258c5e1723cbbb17a4ad7",
     }
     capsys.readouterr()
 
@@ -871,15 +870,6 @@ def seed7_inputs(tmp_path_factory) -> list[str]:
     return [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_report_peak_memory_stays_near_the_load(tmp_path, seed7_inputs, capsys):
     # report keeps no posting past its match/filter pass, keeps content keys
     # only for repeated descriptions, shares equal term sets and writes its
@@ -888,8 +878,8 @@ def test_report_peak_memory_stays_near_the_load(tmp_path, seed7_inputs, capsys):
     # filtered description and a term set per record peaked near 1.25
     # times the load; holding every posting to the end and each artifact
     # as one string, near twice.
-    load_peak = _traced_peak(corpus_mod.load_postings, seed7_inputs)
-    report_peak = _traced_peak(main, ["report", "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
+    load_peak = traced_peak(corpus_mod.load_postings, seed7_inputs)
+    report_peak = traced_peak(main, ["report", "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
     assert report_peak < 1.2 * load_peak, (report_peak, load_peak)
     capsys.readouterr()
 
@@ -901,8 +891,8 @@ def test_streaming_subcommands_peak_below_the_load(tmp_path, seed7_inputs, capsy
     # traced peak stays well under that of holding every posting at once.
     # Loading the list first, as match, dedup and report do, peaked at
     # 1.02-1.03 times the load.
-    load_peak = _traced_peak(corpus_mod.load_postings, seed7_inputs)
-    peak = _traced_peak(main, [subcommand, "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
+    load_peak = traced_peak(corpus_mod.load_postings, seed7_inputs)
+    peak = traced_peak(main, [subcommand, "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
     assert peak < 0.8 * load_peak, (peak, load_peak)
     capsys.readouterr()
 
@@ -984,7 +974,7 @@ def test_match_pinned_on_messy_input_and_a_seeded_fixture(tmp_path, monkeypatch,
                         capsys.readouterr().out)
     assert pinned == {
         "messy": ("cee3fc0f322bcf77", "8", "9", "matched 8 of 9 postings\n"),
-        "seed23": ("775165647870d3fa", "1009", "2464", "matched 1009 of 1019 postings\n"),
+        "seed23": ("42c01ef77e05ba52", "1009", "2472", "matched 1009 of 1019 postings\n"),
     }
 
 

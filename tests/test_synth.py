@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from jobpulse import corpus as corpus_mod
 from jobpulse import synth as synth_mod
 from jobpulse.corpus import Region, load_postings
 from jobpulse.dedup import cross_region_report, weight_assignments
 from jobpulse.employers import canonicalize, load_dictionary
-from jobpulse.errors import InputError
+from jobpulse.errors import ContractError, InputError
 from jobpulse.matcher import discover_candidate_titles, filter_corpus, industry_predicate, match_corpus
 from jobpulse.cli import DEFAULT_DICTIONARY
 from jobpulse.synth import (
     SynthConfig,
-    _Draws,
     _NameRegistry,
     apportion,
     build_corpus,
@@ -23,7 +23,7 @@ from jobpulse.synth import (
 )
 from jobpulse.taxonomy import JobFunction, load_taxonomy
 
-from conftest import content_groups, write_taxonomy_csv
+from conftest import content_groups, traced_peak, write_taxonomy_csv
 
 
 def _hash_dir(paths) -> list[str]:
@@ -107,10 +107,10 @@ def test_default_fixture_hashes_pinned(tmp_path, shipped_taxonomy):
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in [*result.posting_paths.values(), result.truth_path]}
     assert hashes == {
-        "la.jsonl": "678232770b821ac2a6fc51cdbe23ee9c0fb508cc58781578507a7066f6914276",
-        "sb.jsonl": "88aeab53013ab25c2f98d80c38c960750590ea0e7aa96ce98e580c6b355e75de",
-        "sd.jsonl": "399d5f6c1508b8ac879ed623641401872e7b6497ba243bde1477ae4e5474cbd7",
-        "truth.csv": "a2979d8ca8be7e68946da51ff98875c9cff448e15bd5ac2fdc530a834b6853fe",
+        "la.jsonl": "2dd75d8dccbf0d53fc4933363a10678c38a38ab2d176ae732eddcc5bd5c38399",
+        "sb.jsonl": "b96ad74be5ac1561aa226604a77509994bcac7f15d300ae33307a7b064df3634",
+        "sd.jsonl": "64d1d0ae6cb27c5b153fbcf5b9a381d073977287eec0f8e7158e4dd4a297c1ff",
+        "truth.csv": "bac9bdfeb9f6235704685a797a5ce8758a5254baf1eccef79af29e3df56c68b9",
     }
     assert result.posting_count == 5300
 
@@ -130,63 +130,26 @@ def test_fixture_with_plants_repeats_and_rates_pinned(tmp_path, shipped_taxonomy
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in [*result.posting_paths.values(), result.truth_path]}
     assert hashes == {
-        "la.jsonl": "9e0a31adf2d4154eb98baff224d6326833b432f84380f52fdee802fd9d75cf2b",
-        "sb.jsonl": "ac88e86714629a83edbecc6289fb7e2e8d81aef8174985e190f908cf40d90509",
-        "sd.jsonl": "8c518d47e69d736ee54219abe9e709c770c6795474cab270a53e8db9b65297ec",
-        "truth.csv": "bf95df73f576e24ae5ecfe6bd30afaa9f85041ad9bf8d078ec6657cbec44d217",
+        "la.jsonl": "ebdd823b9d9b0e04d2f526d76d4e76e90b0c718e6b0f1035ded071d835b9a329",
+        "sb.jsonl": "88fb58c6c848cd0753d82b549c8d7886a2fd413da7b8ebd8f3879905eca0f1f3",
+        "sd.jsonl": "a8c948d5c9258e5070ba07e34bf61f85bf90527a5402c6955262039d62d191c1",
+        "truth.csv": "d3c5b654ec0635d47beeea828fa883345a31957d76d30af0a5c9e70430acaa6f",
     }
     assert result.posting_count == 1019
 
 
-def test_draws_follow_the_random_stream():
-    # _Draws must return what Random.choice and Random.randint return and
-    # leave the generator where they would, with the generator's own sample,
-    # shuffle and random calls mixed in.
-    seqs = [tuple(f"s{size}.{i}" for i in range(size)) for size in range(1, 71)]  # 1, 2, 4, ..., 64 included
-    for seed in (0, 7, 2024):
-        plan = random.Random(seed + 1)
-        ref, gen = random.Random(seed), random.Random(seed)
-        draws = _Draws(gen)
-        for _ in range(4000):
-            seq = plan.choice(seqs)
-            kind = plan.randrange(6)
-            if kind == 0:
-                assert draws.choice(seq) == ref.choice(seq)
-            elif kind == 1:
-                picks = plan.sample(seqs, plan.randint(0, 3))
-                assert draws.choice_each(picks) == tuple(ref.choice(s) for s in picks)
-            elif kind == 2:
-                low = plan.randint(0, 3)
-                high = low + plan.choice([0, 1, 2, 3, 7, 15, 31, 63, 69])
-                out = ["kept"]
-                draws.extend_choices(out, seq, low, high)
-                assert out == ["kept"] + [ref.choice(seq) for _ in range(ref.randint(low, high))]
-            elif kind == 3:
-                k = plan.randint(0, len(seq))
-                assert gen.sample(seq, k) == ref.sample(seq, k)
-            elif kind == 4:
-                mine, theirs = list(seq), list(seq)
-                gen.shuffle(mine)
-                ref.shuffle(theirs)
-                assert mine == theirs
-            else:
-                assert gen.random() == ref.random()
-        assert gen.getstate() == ref.getstate()
-
-
-def test_draws_reject_empty_choices_and_ranges():
-    draws = _Draws(random.Random(1))
-    with pytest.raises(IndexError):
-        draws.choice(())
-    with pytest.raises(IndexError):
-        draws.choice_each([("a",), ()])
-    with pytest.raises(IndexError):
-        draws.extend_choices([], (), 1, 2)
-    with pytest.raises(ValueError):
-        draws.extend_choices([], ("a",), 3, 2)
-    out = []
-    draws.extend_choices(out, (), 0, 0)  # no draw asked for, none made
-    assert out == []
+def test_generate_writes_in_chunks_near_the_build_peak(tmp_path, shipped_taxonomy, monkeypatch):
+    # generate holds the postings and truth rows that build_corpus builds and
+    # writes each file in chunks of lines, so its traced peak stays within
+    # half again that of the build. Joining each region's JSON lines and
+    # truth.csv into one string each peaked near twice the build. Chunks of
+    # 256 lines split every file here, as 4,096-line chunks split the
+    # files of a 100k-posting corpus.
+    monkeypatch.setattr(corpus_mod, "CHUNK_LINES", 256)
+    config = SynthConfig(seed=7, n_postings=3000)
+    build_peak = traced_peak(build_corpus, config, shipped_taxonomy)
+    generate_peak = traced_peak(generate, config, shipped_taxonomy, tmp_path)
+    assert generate_peak < 1.5 * build_peak, (generate_peak, build_peak)
 
 
 def test_distinct_seeds_differ(tmp_path, shipped_taxonomy):
@@ -409,6 +372,34 @@ def test_division_share_matches_plan():
     stock = build_employer_stock(rng, 1000, Fraction(3, 20), Fraction(1, 5))
     division_names = sum(len(i.division_displays) for i in stock.identities)
     assert division_names == 105  # 70% of the 150 planted division names merge
+
+
+def test_employer_stock_is_built_in_linear_work(monkeypatch):
+    # The 100k fixture's stock: names are enumerated from shuffled families,
+    # so the registry checks each candidate at most once. Drawing random
+    # names and rejecting the taken ones made 23 checks per name.
+    calls = 0
+    conflicts = _NameRegistry.conflicts
+
+    def counting(self, seq, identity):
+        nonlocal calls
+        calls += 1
+        return conflicts(self, seq, identity)
+
+    monkeypatch.setattr(_NameRegistry, "conflicts", counting)
+    stock = build_employer_stock(random.Random(100), 18_519, Fraction(3, 20), Fraction(1, 5))
+    assert len(stock.all_names()) == 18_519
+    assert calls <= 2 * 18_519, calls
+
+
+def test_exhausted_name_families_raise(monkeypatch):
+    # Three words and one noun make 3 + 3 + 6 names with no repeated token:
+    # a larger stock ends in ContractError, never in an endless search.
+    monkeypatch.setattr(synth_mod, "_DISTINCTIVE_WORDS", ("apex", "nova", "orion"))
+    monkeypatch.setattr(synth_mod, "_ORG_NOUNS", ("works",))
+    assert len(build_employer_stock(random.Random(1), 4, Fraction(0), Fraction(0)).all_names()) == 4
+    with pytest.raises(ContractError, match="exhausted"):
+        build_employer_stock(random.Random(1), 40, Fraction(0), Fraction(0))
 
 
 # -- name registry -----------------------------------------------------------
