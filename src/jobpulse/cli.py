@@ -224,7 +224,7 @@ def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
                 digest.update(chunk)
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc}") from exc
@@ -269,8 +269,9 @@ def _load_corpus(run: _Run, inputs: list[str]) -> list[Posting]:
     """Record the inputs, then load their in-scope postings, in file order, as one list.
 
     match, dedup and report take this list rather than ``_stream_corpus``:
-    - The match pass counts job descriptions over every in-scope posting
-      before it starts, to keep cross-region keys only for repeated ones.
+    - Before the match pass starts, a sweep tests every in-scope posting
+      against the industry filter and counts the job descriptions of those
+      it keeps, to keep cross-region keys only for repeated ones.
     - perfbench's traced run counts ``corpus.records_in`` by wrapping
       ``corpus_mod.load_postings``.
     """
@@ -282,20 +283,15 @@ def _load_corpus(run: _Run, inputs: list[str]) -> list[Posting]:
     return list(_in_scope(run, corpus.postings, diagnostics))
 
 
-def _drain(run: _Run, postings: Iterable[Posting]) -> Iterator[tuple[Posting, bool]]:
-    """Yield each of ``postings`` in turn with whether the industry filter keeps it.
-
-    It keeps no posting it has yielded, so over a stream or an emptied list
-    a posting lives only as long as its consumer keeps it.
-    """
-    keep = matcher_mod.industry_predicate(run.config.industry_token, run.config.filter_mode)
-    for posting in postings:
-        yield posting, keep(posting)
+def _industry_filter(run: _Run):
+    """The run's industry filter: the test of whether it keeps a posting."""
+    return matcher_mod.industry_predicate(run.config.industry_token, run.config.filter_mode)
 
 
 @dataclass
 class _PipelineData:
-    # Match records of the filtered postings (of every matched posting when asked for).
+    # Match records of the filtered postings (of every matched posting when
+    # asked for); _dedup_stages empties the list once the ledger is built.
     records: list[matcher_mod.MatchRecord]
     # (job_id, region) of each filtered posting -> its raw employer name
     unit_employers: dict[tuple[str, Region], str]
@@ -309,23 +305,29 @@ def _run_match_stages(
 ) -> _PipelineData:
     """Match, filter and count observations in one pass that empties ``postings``.
 
-    The pass keeps only what later stages read: the match records, each
+    A sweep before the pass tests each posting against the industry filter
+    once, keeps the results as one flag byte per posting, and counts the
+    job descriptions of the postings the filter keeps. The pass reads the
+    flags and keeps only what later stages read: the match records, each
     filtered posting's employer name, and, for the cross-region report, the
     content key of each filtered posting whose job description occurs more
-    than once in ``postings``. A group needs two postings with equal
-    descriptions, so a description seen once is freed with its posting;
-    the report is built here so the repeated ones are freed on return.
+    than once among the filtered ones. A group needs two filtered postings
+    with equal descriptions, so any other description is freed with its
+    posting; the report is built here so the repeated ones are freed on
+    return.
     """
     index = matcher_mod.MatchIndex(taxonomy)
     records = []
     unit_employers = {}
     by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
-    counts = Counter(p.job_description for p in postings)
+    flags = bytearray(map(_industry_filter(run), postings))
+    counts = Counter(p.job_description for p, kept in zip(postings, flags) if kept)
     repeated = {description for description, n in counts.items() if n > 1}
     del counts
     raw_obs = filtered_obs = 0
     postings.reverse()  # so pop() takes them in file order
-    for p, kept in _drain(run, (postings.pop() for _ in range(len(postings)))):
+    for kept in flags:
+        p = postings.pop()
         record = matcher_mod.match_posting(p, index)
         if kept:
             unit = (p.job_id, p.region)
@@ -352,9 +354,13 @@ def _run_match_stages(
 def _dedup_stages(
     run: _Run, taxonomy: Taxonomy, postings: list[Posting]
 ) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
-    """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv."""
+    """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv.
+
+    The match records are freed once the ledger is built: no later stage reads them.
+    """
     data = _run_match_stages(run, taxonomy, postings)
     ledger = dedup_mod.weight_assignments(data.records)
+    data.records.clear()
     run.count("demand_units", ledger.unit_count)
     run.count("cross_region_groups", len(data.cross))
     run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
@@ -414,7 +420,7 @@ def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:
 
 def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
     dictionary = employers_mod.load_dictionary(run.config.dictionary)
-    names = [p.employer_name for p, kept in _drain(run, _stream_corpus(run, args.input)) if kept]
+    names = [p.employer_name for p in filter(_industry_filter(run), _stream_corpus(run, args.input))]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
     raw_count = len(set(names) - set(rejected))
     canonical_count = len({e.canonical_name for e in mapping.values()})
@@ -428,7 +434,7 @@ def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
 def cmd_discover(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy)
-    filtered = (p for p, kept in _drain(run, _stream_corpus(run, args.input)) if kept)
+    filtered = filter(_industry_filter(run), _stream_corpus(run, args.input))
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
     run.write_artifact("discovery.csv", csv_text(["phrase", "count"], candidates))

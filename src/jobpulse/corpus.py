@@ -282,13 +282,13 @@ def iter_postings(
     first occurrence and rejects the rest. An unreadable or undecodable
     file is fatal, raised when the stream reaches it. Postings of one
     stream share one string object per distinct title and employer name.
-    The stream keeps no posting it has yielded, only each (job_id, region)
-    key and the shared strings. The ``rejected N of M`` warning is logged
-    once the last file is read.
+    The stream keeps no posting it has yielded, only the shared strings
+    and, per region, a set of the accepted postings' own job_id strings.
+    The ``rejected N of M`` warning is logged once the last file is read.
     """
     window = window or CollectionWindow()
     accepted = 0
-    seen: set[tuple[str, Region]] = set()
+    seen: dict[Region, set[str]] = {region: set() for region in Region}
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
     for path in paths:
@@ -301,8 +301,8 @@ def iter_postings(
             except InputError as exc:
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
                 continue
-            key = (posting.job_id, posting.region)
-            if key in seen:
+            job_ids = seen[posting.region]
+            if posting.job_id in job_ids:
                 diagnostics.append(
                     Diagnostic(path, line_no, f"duplicate (job_id, region) {posting.job_id}/{posting.region}")
                 )
@@ -311,7 +311,7 @@ def iter_postings(
             if "\\u" in stripped and (name := _surrogate_field(posting)):
                 diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
                 continue
-            seen.add(key)
+            job_ids.add(posting.job_id)
             accepted += 1
             yield posting
     if diagnostics:

@@ -182,7 +182,7 @@ def employer_stats(
     upstream contract was violated.
     """
     try:
-        raw_units = Counter([unit_employers[job_id, region] for job_id, region, _ in ledger.units])
+        raw_units = Counter(unit_employers[job_id, region] for job_id, region, _ in ledger.units)
     except KeyError as exc:
         raise ContractError(f"demand unit {exc.args[0]} has no employer name") from None
     counts: dict[str, int] = {}

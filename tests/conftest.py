@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from jobpulse.cli import DEFAULT_TAXONOMY
+from jobpulse.cli import DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Posting, Region
 from jobpulse.taxonomy import Taxonomy, load_taxonomy
 
@@ -12,6 +12,14 @@ from jobpulse.taxonomy import Taxonomy, load_taxonomy
 @pytest.fixture(scope="session")
 def shipped_taxonomy() -> Taxonomy:
     return load_taxonomy(str(DEFAULT_TAXONOMY))
+
+
+@pytest.fixture(scope="session")
+def seed7_inputs(tmp_path_factory) -> list[str]:
+    """The posting files of the seed-7, 5,000-posting synth fixture."""
+    fixture = tmp_path_factory.mktemp("seed7")
+    assert main(["synth", "--seed", "7", "--n-postings", "5000", "--out", str(fixture)]) == 0
+    return [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
 
 
 def make_posting(
@@ -80,11 +88,16 @@ def write_taxonomy_csv(path, rows) -> str:
     return str(path)
 
 
-def traced_peak(fn, *args) -> int:
-    """The tracemalloc peak of one call of ``fn``."""
+def traced_memory(fn, *args) -> tuple[int, int]:
+    """(held, peak): the traced memory still held once one call of ``fn`` returns, its result kept alive, and the call's peak."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)  # alive while the memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call of ``fn``."""
+    return traced_memory(fn, *args)[1]
