@@ -32,7 +32,6 @@ from . import dedup as dedup_mod
 from . import employers as employers_mod
 from . import matcher as matcher_mod
 from . import report as report_mod
-from . import synth as synth_mod
 from .corpus import CollectionWindow, Posting, Region, csv_line, csv_text, joined_chunks
 from .errors import ContractError, InputError, JobPulseError
 from .taxonomy import JobFunction, Taxonomy, load_taxonomy
@@ -422,7 +421,8 @@ def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
     dictionary = employers_mod.load_dictionary(run.config.dictionary)
     names = [p.employer_name for p in filter(_industry_filter(run), _stream_corpus(run, args.input))]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
-    raw_count = len(set(names) - set(rejected))
+    del names
+    raw_count = len(mapping)  # the distinct names not rejected
     canonical_count = len({e.canonical_name for e in mapping.values()})
     run.count("employers_raw", raw_count)
     run.count("employers_canonical", canonical_count)
@@ -476,7 +476,7 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     else:
         ratio_line = "technician:engineer ratio unavailable (a total is zero)"
 
-    mapping, rejected = employers_mod.canonicalize(list(data.unit_employers.values()), dictionary)
+    mapping, rejected = employers_mod.canonicalize(data.unit_employers.values(), dictionary)
     stats = employers_mod.employer_stats(ledger, mapping, data.unit_employers, config.top_k)
     run.count("employers_raw", stats.raw_name_count)
     run.count("employers_canonical", stats.employer_count)
@@ -506,6 +506,8 @@ SYNTH_CONFIG_KEYS = ("taxonomy", "industry_token", "regions", "window_start", "w
 
 
 def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
+    from . import synth as synth_mod  # imported here, so the other subcommands start without it
+
     config = run.config
     window = (corpus_mod.DEFAULT_WINDOW_START, corpus_mod.DEFAULT_WINDOW_END)
     if set(config.regions) != set(Region) or (config.window_start, config.window_end) != window:

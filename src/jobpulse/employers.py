@@ -17,8 +17,14 @@ distinct companies. The remedy implemented here:
 Each name looks up only its own prefixes: its group is rooted at its
 shortest proper prefix that is itself a name and is longer than its
 leading run of dictionary tokens. Every such prefix has the same root, so
-grouping costs one set lookup per name token, however many names share a
+grouping costs one lookup per name token, however many names share a
 first word.
+
+Grouping holds memory per distinct name and token: one dict interns the
+tokens, so each distinct normalized name keeps one tuple of shared token
+strings and one list of its raw spellings. Once every name has found its
+root, those tables are freed and each group holds only its raw names until
+the mapping is built.
 
 Net effect: merges happen exactly for identical normalized names and for
 guarded prefix extensions, nothing else. The mapping is deterministic and
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -78,7 +84,7 @@ def load_dictionary(path: str) -> NameDictionary:
     return NameDictionary(common_tokens=frozenset(tokens))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalEmployer:
     """A disambiguated employer identity and its member raw names."""
 
@@ -103,41 +109,46 @@ def normalize_name(raw: str) -> tuple[str, ...]:
 
 
 def canonicalize(
-    names: list[str], dictionary: NameDictionary | None = None
+    names: Collection[str], dictionary: NameDictionary | None = None
 ) -> tuple[dict[str, CanonicalEmployer], list[str]]:
     """Group raw employer names into canonical identities.
 
     Returns (mapping of raw name -> CanonicalEmployer, rejected raw names).
     Empty or token-less names are rejected with a diagnostic. Names whose
-    first tokens differ are never merged.
+    first tokens differ are never merged. ``names`` is read twice.
     """
     common = (dictionary or default_dictionary()).common_tokens
+    interned: dict[str, str] = {}  # one string per distinct token, shared by every sequence
     empty: set[str] = set()
-    by_sequence: dict[tuple[str, ...], set[str]] = {}
+    spellings: dict[tuple[str, ...], list[str]] = {}  # distinct raw names per sequence, first seen first
     for raw in dict.fromkeys(names):  # each distinct name once, in first-seen order
-        tokens = normalize_name(raw)
-        if tokens:
-            by_sequence.setdefault(tokens, set()).add(raw)
+        seq = tuple([interned.setdefault(token, token) for token in normalize_name(raw)])
+        if seq:
+            spellings.setdefault(seq, []).append(raw)
         else:
             empty.add(raw)
+    del interned
     rejected = [raw for raw in names if raw in empty]  # every occurrence, in input order
     for raw in rejected:
         logger.warning("employer name %r normalizes to nothing; excluded", raw)
 
-    # Sorted, so the mapping's order does not depend on the input order.
-    groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for seq in sorted(by_sequence):
+    # Sorted, so groups come in the order of their roots, and each root, its
+    # own root, keys its group before its extensions find it. Spellings pass
+    # through a set: that fixes the order in which they enter the group's
+    # frozenset, and so the order of the mapping's keys.
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for seq in sorted(spellings):
         head = 0  # length of the leading run of dictionary tokens
         while head < len(seq) and seq[head] in common:
             head += 1
-        root = next((seq[:i] for i in range(head + 1, len(seq)) if seq[:i] in by_sequence), seq)
-        groups.setdefault(root, []).append(seq)
+        root = next((seq[:i] for i in range(head + 1, len(seq)) if seq[:i] in spellings), seq)
+        groups.setdefault(root, []).extend(set(spellings[seq]))
+    del spellings
 
     mapping: dict[str, CanonicalEmployer] = {}
-    for root, member_seqs in groups.items():
-        members = frozenset(raw for seq in member_seqs for raw in by_sequence[seq])
-        employer = CanonicalEmployer(canonical_name=" ".join(root), members=members)
-        for raw in members:
+    for root, raws in groups.items():
+        employer = CanonicalEmployer(canonical_name=" ".join(root), members=frozenset(raws))
+        for raw in employer.members:
             mapping[raw] = employer
     return mapping, rejected
 

@@ -168,6 +168,52 @@ def test_disambiguate_artifacts(tmp_path, fixture_corpus):
     assert int(manifest["count.employers_canonical"]) <= int(manifest["count.employers_raw"])
 
 
+def test_disambiguate_pinned_on_shared_prefix_names(tmp_path, capsys):
+    # Worked by hand: a parent absorbs its divisions and its case and legal
+    # suffix variants; a dictionary-only name absorbs nothing; divisions of
+    # an absent parent stay apart. Rejected names count per occurrence and
+    # off-industry postings do not count.
+    names = [
+        "Amazon", "Amazon Web Services", "AMAZON Inc", "amazon, llc", "Amazon",
+        "Advanced", "Advanced Micro Devices", "Advanced Micro Devices Inc", "Advanced Micro Devices Research",
+        "Advanced Systems", "University of", "University of California Los Angeles",
+        "University of California Santa Barbara", "Vortex Dynamics Research", "Vortex Dynamics Labs",
+        'Foo, "Bar" Inc', "", "!!!", "", "!!!", "Advanced Systems",
+    ]
+    records = [make_record(job_id=f"J{i}", job_description="semiconductor fab", employer_name=name)
+               for i, name in enumerate(names)]
+    records.append(make_record(job_id="X1", job_description="bakery", employer_name="Zeta Offsite"))
+    write_jsonl(tmp_path / "postings.jsonl", records)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["disambiguate", "--input", str(tmp_path / "postings.jsonl"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "disambiguated 15 raw employer names into 10\n"
+    assert (out / "employer_mapping.csv").read_text(encoding="utf-8") == (
+        "raw_name,canonical_name\n"
+        "AMAZON Inc,amazon\n"
+        "Advanced,advanced\n"
+        "Advanced Micro Devices,advanced micro devices\n"
+        "Advanced Micro Devices Inc,advanced micro devices\n"
+        "Advanced Micro Devices Research,advanced micro devices\n"
+        "Advanced Systems,advanced systems\n"
+        "Amazon,amazon\n"
+        "Amazon Web Services,amazon\n"
+        '"Foo, ""Bar"" Inc",foo bar\n'
+        "University of,university of\n"
+        "University of California Los Angeles,university of california los angeles\n"
+        "University of California Santa Barbara,university of california santa barbara\n"
+        "Vortex Dynamics Labs,vortex dynamics labs\n"
+        "Vortex Dynamics Research,vortex dynamics research\n"
+        '"amazon, llc",amazon\n'
+    )
+    manifest = _manifest(out / "manifest.txt")
+    assert {k: v for k, v in manifest.items() if k.startswith("count.employer")} == {
+        "count.employer_names_rejected": "4",
+        "count.employers_canonical": "10",
+        "count.employers_raw": "15",
+    }
+
+
 def test_discover_via_cli(tmp_path):
     fixture = tmp_path / "fixture"
     rc = main(
@@ -578,6 +624,16 @@ def test_report_artifact_hashes_pinned(tmp_path, capsys):
         "ledger.csv": "1e074691291d9b1c499c3b1c1094cdcf9bcc3be59ee258c5e1723cbbb17a4ad7",
     }
     capsys.readouterr()
+
+
+def test_importing_the_cli_leaves_synth_unloaded():
+    # Only the synth subcommand reads the generator's code; the others start without it.
+    src = str(Path(jobpulse.__file__).parents[1])
+    code = "import sys, jobpulse.cli; print('jobpulse.synth' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True
+    )
+    assert result.stdout == "False\n"
 
 
 def test_manifest_identical_across_checkouts(tmp_path):

@@ -24,6 +24,8 @@ from jobpulse.matcher import MatchRecord
 from jobpulse.synth import build_employer_stock
 from jobpulse.taxonomy import lookup
 
+from conftest import traced_memory
+
 
 def _groups(mapping):
     by_canonical: dict[str, set[str]] = {}
@@ -310,11 +312,16 @@ def test_every_rejected_occurrence_is_kept_and_logged(caplog):
     assert set(mapping) == {"Apex", "Apex Labs"}
 
 
-def test_one_block_of_twenty_thousand_names_groups_by_prefix():
+def _one_block_of_twenty_thousand_names() -> list[str]:
+    """Parents with two divisions each, orphan divisions in pairs, and two dictionary-only names."""
     parents = [f"University of P{i}" for i in range(4000)]
     divisions = [f"{p} Medical{tail}" for p in parents for tail in ("", " Center")]
     orphans = [f"University of Q{j} Labs{tail}" for j in range(3999) for tail in ("", " West")]
-    names = parents + divisions + orphans + ["University", "University of"]
+    return parents + divisions + orphans + ["University", "University of"]
+
+
+def test_one_block_of_twenty_thousand_names_groups_by_prefix():
+    names = _one_block_of_twenty_thousand_names()
     assert len(names) == 20_000
     mapping, rejected = canonicalize(names)
     assert rejected == []
@@ -324,6 +331,19 @@ def test_one_block_of_twenty_thousand_names_groups_by_prefix():
     assert mapping["University of Q7 Labs West"].canonical_name == "university of q7 labs"
     assert mapping["University"].members == frozenset({"University"})
     assert mapping["University of"].members == frozenset({"University of"})
+
+
+def test_grouping_memory_stays_below_twice_the_normalized_names():
+    # canonicalize keeps one tuple of shared token strings and one list of
+    # spellings per distinct normalized name, and frees them once the groups
+    # hold the raw names, so its traced peak, result included, stays under
+    # twice what the normalized names alone hold: 0.81 times on Python 3.11.
+    # A set of spellings and fresh token strings per name, kept until the
+    # mapping was built, peaked at 2.40 times.
+    names = _one_block_of_twenty_thousand_names()
+    normalized, _ = traced_memory(list, map(normalize_name, names))
+    _, peak = traced_memory(canonicalize, names)
+    assert peak < 2 * normalized, (peak, normalized)
 
 
 def _ledger_units(n_units, shipped_taxonomy):
