@@ -142,7 +142,7 @@ def _parse_regions(text: str, label: str) -> tuple[Region, ...]:
 
 def _parse_date(text: str, label: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return corpus_mod.parse_date(text)
     except ValueError:
         raise InputError(f"{label} must be YYYY-MM-DD, got {text!r}") from None
 

@@ -169,13 +169,11 @@ class Corpus:
         return iter(self.postings)
 
 
-def _parse_date(text: str) -> dt.date:
-    if _DATE_RE.fullmatch(text):
-        try:
-            return dt.date.fromisoformat(text)
-        except ValueError:
-            pass
-    raise InputError(f"bad retrieved_at {text!r}: expected YYYY-MM-DD")
+def parse_date(text: str) -> dt.date:
+    """``date.fromisoformat`` held to ASCII ``YYYY-MM-DD`` on every Python: ValueError otherwise."""
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 def _parse_record(
@@ -218,7 +216,10 @@ def _parse_record(
         raise InputError("empty job_id")
     parse_region(obj["region"])
     if obj["retrieved_at"] not in days:
-        day = _parse_date(obj["retrieved_at"])
+        try:
+            day = parse_date(obj["retrieved_at"])
+        except ValueError:
+            raise InputError(f"bad retrieved_at {obj['retrieved_at']!r}: expected YYYY-MM-DD") from None
         if not window.contains(day):
             raise InputError(f"retrieved_at {day} outside collection window {window.start}..{window.end}")
         days[obj["retrieved_at"]] = day

@@ -28,8 +28,9 @@ the mapping is built.
 
 Net effect: merges happen exactly for identical normalized names and for
 guarded prefix extensions, nothing else. The mapping is deterministic and
-input-order-invariant; the canonical name of a group is its root, which is
-its shortest member (the parent), ties broken lexicographically.
+input-order-invariant, key order included: groups in the order of their
+roots, each group's raw names sorted. The canonical name of a group is its
+root, which is its shortest member (the parent), ties broken lexicographically.
 """
 
 from __future__ import annotations
@@ -133,22 +134,20 @@ def canonicalize(
         logger.warning("employer name %r normalizes to nothing; excluded", raw)
 
     # Sorted, so groups come in the order of their roots, and each root, its
-    # own root, keys its group before its extensions find it. Spellings pass
-    # through a set: that fixes the order in which they enter the group's
-    # frozenset, and so the order of the mapping's keys.
+    # own root, keys its group before its extensions find it.
     groups: dict[tuple[str, ...], list[str]] = {}
     for seq in sorted(spellings):
         head = 0  # length of the leading run of dictionary tokens
         while head < len(seq) and seq[head] in common:
             head += 1
         root = next((seq[:i] for i in range(head + 1, len(seq)) if seq[:i] in spellings), seq)
-        groups.setdefault(root, []).extend(set(spellings[seq]))
+        groups.setdefault(root, []).extend(spellings[seq])
     del spellings
 
     mapping: dict[str, CanonicalEmployer] = {}
     for root, raws in groups.items():
         employer = CanonicalEmployer(canonical_name=" ".join(root), members=frozenset(raws))
-        for raw in employer.members:
+        for raw in sorted(raws):
             mapping[raw] = employer
     return mapping, rejected
 

@@ -11,7 +11,10 @@ corpus tokenizer, so terms and posting text share one token space; a term's
 ``match_tokens`` holds its tokens with hyphenated ones split into parts,
 the form the matcher compares.
 
-A loaded Taxonomy is immutable and safe for concurrent reads.
+A loaded Taxonomy is immutable and safe for concurrent reads. Its families
+and terms compare by identity: each equals only itself, and two loads of
+one file give distinct, unequal objects. Hashing one is then a C-level
+slot, however often matching and aggregation hash every term occurrence.
 """
 
 from __future__ import annotations
@@ -70,13 +73,13 @@ class JstLevel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class JobFamily:
     name: str
     function: JobFunction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Jst:
     """One job-specific term: a family or title phrase used as a match keyword.
 
@@ -89,28 +92,22 @@ class Jst:
     tokens: tuple[str, ...]
     level: JstLevel
     family: JobFamily
-    # Both derived once: matching reads the split tokens of every term, and
-    # matching and aggregation hash every term occurrence. Equality stays by value.
-    match_tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    # Derived once: matching reads the split tokens of every term.
+    match_tokens: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         split = tuple(part for token in self.tokens for part in token.split("-"))
         object.__setattr__(self, "match_tokens", split)
-        object.__setattr__(self, "_hash", hash((self.phrase, self.tokens, self.level, self.family)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Taxonomy:
     """Validated, immutable hierarchy with exact-phrase lookup."""
 
     families: tuple[JobFamily, ...]
     jsts: tuple[Jst, ...]
     warnings: tuple[str, ...] = ()
-    _index: dict[tuple[str, ...], Jst] = field(default_factory=dict, repr=False, compare=False)
+    _index: dict[tuple[str, ...], Jst] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         index = {jst.tokens: jst for jst in self.jsts}
@@ -140,9 +137,8 @@ def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
     for entry in entries:
         by_tokens.setdefault(entry.tokens, []).append(entry)
 
-    survivors: list[Jst] = []
     warnings: list[str] = []
-    dropped: set[int] = set()
+    dropped: set[Jst] = set()
     for tokens, group in by_tokens.items():
         family_entries = [e for e in group if e.level is JstLevel.FAMILY]
         title_entries = [e for e in group if e.level is JstLevel.TITLE]
@@ -157,16 +153,13 @@ def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
                     f"phrase {e.phrase!r} used as both family and title: family takes "
                     f"precedence, removed as a title in family {e.family.name!r}"
                 )
-                dropped.add(id(e))
+                dropped.add(e)
         elif len(title_entries) > 1:
             names = sorted({e.family.name for e in title_entries})
             raise InputError(
                 f"title phrase {' '.join(tokens)!r} claimed by multiple families ({', '.join(names)})"
             )
-    for entry in entries:
-        if id(entry) not in dropped:
-            survivors.append(entry)
-    return survivors, warnings
+    return [entry for entry in entries if entry not in dropped], warnings
 
 
 def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:

@@ -574,24 +574,48 @@ def test_config_key_file_flag_and_manifest(tmp_path, row, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["20250315", "2025-W23-3"])
+@pytest.mark.parametrize("key", ["window_start", "window_end"])
+def test_window_dates_other_than_ascii_iso_exit_1(tmp_path, fixture_corpus, capsys, key, value):
+    # date.fromisoformat takes both forms from Python 3.11 on; the window does on no version.
+    config = tmp_path / "jobpulse.conf"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    for given in (["--config", str(config)], [flag, value]):
+        capsys.readouterr()
+        assert main(["ingest", "--input", *fixture_corpus, *given, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be YYYY-MM-DD, got {value!r}\n"
+        assert not out.exists()
+
+
 def test_artifacts_identical_across_hash_seeds(tmp_path):
-    """synth + report in fresh processes give the same bytes under any PYTHONHASHSEED."""
-    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    """synth + report in fresh processes give the same bytes under any PYTHONHASHSEED.
+
+    Terms and families hash by address, so this also checks that no output
+    follows the iteration order of a set or dict keyed by them.
+    """
+    dirs = [tmp_path / name for name in ("fixture", "repeats", "out", "text")]
+    fixture, repeats, out, text = dirs
     inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    repeat_inputs = [str(repeats / f"{r.value.lower()}.jsonl") for r in Region]
     src = str(Path(jobpulse.__file__).parents[1])
     snapshots = []
     for hash_seed in ("1", "2", "3"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
         for args in (
             ["synth", "--n-postings", "3000", "--out", str(fixture)],
+            ["synth", "--n-postings", "3000", "--cross-region-repeats", "25", "--out", str(repeats)],
             ["report", "--input", *inputs, "--out", str(out)],
+            ["report", "--format", "text", "--input", *repeat_inputs, "--out", str(text)],
         ):
             subprocess.run([sys.executable, "-m", "jobpulse.cli", *args], env=env, check=True, capture_output=True)
         files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
         snapshots.append({p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in files})
-        shutil.rmtree(fixture)
-        shutil.rmtree(out)
+        for directory in dirs:
+            shutil.rmtree(directory)
     assert "out/manifest.txt" in snapshots[0] and "out/ledger.csv" in snapshots[0]
+    assert "text/demand_family.txt" in snapshots[0] and snapshots[0]["text/cross_region.csv"].count(b"\n") > 25
     for snapshot in snapshots[1:]:
         assert snapshot.keys() == snapshots[0].keys()
         for name, content in snapshot.items():

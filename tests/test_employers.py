@@ -118,6 +118,21 @@ def test_canonicalize_order_invariant():
         assert _groups(mapping) == base_groups
 
 
+def test_mapping_key_order_ignores_input_order():
+    spellings = [
+        "Vortex Dynamics", "VORTEX DYNAMICS", "vortex dynamics", "Vortex  Dynamics", "Vortex Dynamics Inc",
+        "Vortex Dynamics, LLC", "Vortex Dynamics Corp", "vortex dynamics ltd", "Vortex Dynamics Co", "Vortex Dynamics!",
+    ]
+    rng = random.Random(73)
+    orders = set()
+    for _ in range(200):
+        rng.shuffle(spellings)
+        mapping, _ = canonicalize(spellings)
+        assert len(_groups(mapping)) == 1
+        orders.add(tuple(mapping))
+    assert orders == {tuple(sorted(spellings))}
+
+
 def test_canonicalize_idempotent_on_canonical_names():
     names = ["Amazon", "Amazon Web Services", "Advanced Micro Devices", "Vortex Dynamics Inc"]
     mapping, _ = canonicalize(names)
@@ -242,7 +257,7 @@ def _pairwise_canonicalize(names, dictionary=None):
         canonical_seq = min(member_seqs, key=lambda s: (len(s), s))
         members = frozenset(raw for seq in member_seqs for raw in by_sequence[seq])
         employer = CanonicalEmployer(" ".join(canonical_seq), members)
-        for raw in members:
+        for raw in sorted(members):
             mapping[raw] = employer
     return mapping, rejected
 

@@ -10,6 +10,7 @@ from jobpulse.taxonomy import (
     JobFunction,
     Jst,
     JstLevel,
+    Taxonomy,
     load_taxonomy,
     lookup,
     parse_function,
@@ -316,12 +317,15 @@ def test_normalize_phrase():
     assert normalize_text("RF-Engineer") == ("rf-engineer",)
 
 
-def test_term_hash_is_by_value_and_cached():
-    # Two loads give distinct but equal term objects: equal hashes, one set entry.
+def test_terms_and_families_compare_by_identity():
+    # Two loads give distinct, unequal objects of equal value; hashing is object's C slot.
     first = load_taxonomy(str(DEFAULT_TAXONOMY))
     second = load_taxonomy(str(DEFAULT_TAXONOMY))
     for a, b in zip(first.jsts, second.jsts, strict=True):
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert hash(a) == hash((a.phrase, a.tokens, a.level, a.family))
-    assert len(set(first.jsts) | set(second.jsts)) == len(first.jsts)
-    assert "_hash" not in repr(first.jsts[0])
+        assert (a.phrase, a.tokens, a.level) == (b.phrase, b.tokens, b.level)
+        assert a is not b and a != b
+        assert a.family != b.family
+    assert len(set(first.jsts) | set(second.jsts)) == 2 * len(first.jsts)
+    assert first != second
+    for cls in (Jst, JobFamily, Taxonomy):
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
