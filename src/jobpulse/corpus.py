@@ -152,9 +152,6 @@ class Diagnostic:
     line_no: int
     reason: str
 
-    def __str__(self) -> str:
-        return f"{self.source}:{self.line_no}: {self.reason}"
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -51,29 +51,14 @@ logger = logging.getLogger(__name__)
 
 LEGAL_SUFFIXES = frozenset({"inc", "llc", "corp", "co", "ltd"})
 
-# Tokens named or implied by the source methodology; extend via a dictionary
-# file, not code.
-DEFAULT_DICTIONARY_TOKENS = ("american", "advanced", "university", "of")
-
 MAPPING_HEADER = ("raw_name", "canonical_name")
 
 
-@dataclass(frozen=True)
-class NameDictionary:
-    """Common name words that must never identify a company on their own."""
+def load_dictionary(path: str) -> frozenset[str]:
+    """Load a dictionary file: one token per line, '#' comments.
 
-    common_tokens: frozenset[str]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.common_tokens
-
-
-def default_dictionary() -> NameDictionary:
-    return NameDictionary(common_tokens=frozenset(DEFAULT_DICTIONARY_TOKENS))
-
-
-def load_dictionary(path: str) -> NameDictionary:
-    """Load a dictionary file: one token per line, '#' comments."""
+    Its tokens are common name words, which never identify a company on their own.
+    """
     tokens: set[str] = set()
     for line in list(read_text_lines(path, "dictionary")):
         stripped = line.strip()
@@ -82,15 +67,14 @@ def load_dictionary(path: str) -> NameDictionary:
         tokens.update(normalize_text(stripped))
     if not tokens:
         raise InputError(f"{path}: dictionary file declares no tokens")
-    return NameDictionary(common_tokens=frozenset(tokens))
+    return frozenset(tokens)
 
 
 @dataclass(frozen=True, slots=True)
 class CanonicalEmployer:
-    """A disambiguated employer identity and its member raw names."""
+    """A disambiguated employer identity, shared by the raw names of its group."""
 
     canonical_name: str
-    members: frozenset[str]
 
 
 def normalize_name(raw: str) -> tuple[str, ...]:
@@ -110,7 +94,7 @@ def normalize_name(raw: str) -> tuple[str, ...]:
 
 
 def canonicalize(
-    names: Collection[str], dictionary: NameDictionary | None = None
+    names: Collection[str], dictionary: frozenset[str]
 ) -> tuple[dict[str, CanonicalEmployer], list[str]]:
     """Group raw employer names into canonical identities.
 
@@ -118,7 +102,6 @@ def canonicalize(
     Empty or token-less names are rejected with a diagnostic. Names whose
     first tokens differ are never merged. ``names`` is read twice.
     """
-    common = (dictionary or default_dictionary()).common_tokens
     interned: dict[str, str] = {}  # one string per distinct token, shared by every sequence
     empty: set[str] = set()
     spellings: dict[tuple[str, ...], list[str]] = {}  # distinct raw names per sequence, first seen first
@@ -138,7 +121,7 @@ def canonicalize(
     groups: dict[tuple[str, ...], list[str]] = {}
     for seq in sorted(spellings):
         head = 0  # length of the leading run of dictionary tokens
-        while head < len(seq) and seq[head] in common:
+        while head < len(seq) and seq[head] in dictionary:
             head += 1
         root = next((seq[:i] for i in range(head + 1, len(seq)) if seq[:i] in spellings), seq)
         groups.setdefault(root, []).extend(spellings[seq])
@@ -146,7 +129,7 @@ def canonicalize(
 
     mapping: dict[str, CanonicalEmployer] = {}
     for root, raws in groups.items():
-        employer = CanonicalEmployer(canonical_name=" ".join(root), members=frozenset(raws))
+        employer = CanonicalEmployer(" ".join(root))
         for raw in sorted(raws):
             mapping[raw] = employer
     return mapping, rejected

@@ -87,7 +87,6 @@ class MatchIndex:
     """
 
     def __init__(self, taxonomy: Taxonomy) -> None:
-        self.taxonomy = taxonomy
         self._title_hits: dict[str, frozenset[Jst]] = {}
         self._term_sets: dict[frozenset[Jst], frozenset[Jst]] = {}
         # First token -> (" phrase tokens ", term): tokens hold no spaces, so a

@@ -231,11 +231,6 @@ class TruthRow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    rows: tuple[TruthRow, ...]
-
-
-@dataclass(frozen=True)
 class EmployerIdentity:
     """One true company: a parent display name plus any division display names."""
 
@@ -476,7 +471,7 @@ class _Generator:
         self.rng.shuffle(slots)
         return slots
 
-    def run(self) -> tuple[list[Posting], GroundTruth]:
+    def run(self) -> tuple[list[Posting], tuple[TruthRow, ...]]:
         config = self.config
         rng = self.rng
         choice, random_, sample = rng.choice, rng.random, rng.sample
@@ -575,7 +570,7 @@ class _Generator:
                 rows.append(rows[source_idx]._replace(job_id=copy.job_id, region=target))
 
         self._self_check(postings, rows)
-        return postings, GroundTruth(rows=tuple(rows))
+        return postings, tuple(rows)
 
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
         """Planted truth must agree with exact matching semantics by construction.
@@ -601,12 +596,12 @@ class _Generator:
                 )
 
 
-def build_corpus(config: SynthConfig, taxonomy: Taxonomy) -> tuple[list[Posting], GroundTruth]:
+def build_corpus(config: SynthConfig, taxonomy: Taxonomy) -> tuple[list[Posting], tuple[TruthRow, ...]]:
     """Generate postings and their ground truth in memory."""
     return _Generator(config, taxonomy).run()
 
 
-def render_truth_csv(truth: GroundTruth) -> Iterator[str]:
+def render_truth_csv(truth: tuple[TruthRow, ...]) -> Iterator[str]:
     """truth.csv in chunks of ``CHUNK_LINES`` lines."""
     rows = (
         [
@@ -618,15 +613,13 @@ def render_truth_csv(truth: GroundTruth) -> Iterator[str]:
             row.employer_identity,
             row.cross_region_group if row.cross_region_group is not None else "",
         ]
-        for row in truth.rows
+        for row in truth
     )
     return joined_chunks(map(csv_line, chain((TRUTH_HEADER,), rows)))
 
 
 @dataclass(frozen=True)
 class GenerateResult:
-    posting_paths: dict[Region, Path]
-    truth_path: Path
     posting_count: int
     sha256: dict[str, str]  # file name -> sha256 of the bytes written, in write order
 
@@ -635,11 +628,10 @@ def generate(config: SynthConfig, taxonomy: Taxonomy, out_dir: str | Path) -> Ge
     """Generate the corpus and write one posting file per region plus truth.csv, each in chunks."""
     postings, truth = build_corpus(config, taxonomy)
     out = Path(out_dir)
-    paths = {region: out / f"{region.value.lower()}.jsonl" for region in Region}
     sha256: dict[str, str] = {}
-    for region, path in paths.items():
+    for region in Region:
+        path = out / f"{region.value.lower()}.jsonl"
         lines = (posting_to_json(p) + "\n" for p in postings if p.region is region)
         sha256[path.name] = write_chunks_atomic(path, joined_chunks(lines))
-    truth_path = out / "truth.csv"
-    sha256[truth_path.name] = write_chunks_atomic(truth_path, render_truth_csv(truth))
-    return GenerateResult(posting_paths=paths, truth_path=truth_path, posting_count=len(postings), sha256=sha256)
+    sha256["truth.csv"] = write_chunks_atomic(out / "truth.csv", render_truth_csv(truth))
+    return GenerateResult(posting_count=len(postings), sha256=sha256)

@@ -106,7 +106,6 @@ class Taxonomy:
 
     families: tuple[JobFamily, ...]
     jsts: tuple[Jst, ...]
-    warnings: tuple[str, ...] = ()
     _index: dict[tuple[str, ...], Jst] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -251,4 +250,4 @@ def load_taxonomy(path: str) -> Taxonomy:
     survivors, warnings = resolve_precedence(candidates)
     for message in warnings:
         logger.warning("%s: %s", path, message)
-    return Taxonomy(families=tuple(families.values()), jsts=tuple(survivors), warnings=tuple(warnings))
+    return Taxonomy(families=tuple(families.values()), jsts=tuple(survivors))

@@ -4,9 +4,13 @@ import tracemalloc
 
 import pytest
 
-from jobpulse.cli import DEFAULT_TAXONOMY, main
+from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Posting, Region
+from jobpulse.employers import load_dictionary
 from jobpulse.taxonomy import Taxonomy, load_taxonomy
+
+# The name dictionary every subcommand reads unless --dictionary names another.
+BUNDLED_DICTIONARY = load_dictionary(str(DEFAULT_DICTIONARY))
 
 
 @pytest.fixture(scope="session")

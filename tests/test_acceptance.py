@@ -15,14 +15,14 @@ import pytest
 from jobpulse.cli import DEFAULT_DICTIONARY, main
 from jobpulse.corpus import Region, load_postings
 from jobpulse.dedup import weight_assignments
-from jobpulse.employers import canonicalize, employer_stats, load_dictionary
+from jobpulse.employers import canonicalize, employer_stats
 from jobpulse.matcher import discover_candidate_titles, filter_corpus, match_corpus
 from jobpulse.report import build_funnel, demand_by, ratio
 from jobpulse.synth import SynthConfig, build_corpus, build_employer_stock, generate
 from jobpulse.taxonomy import load_taxonomy, lookup
 from jobpulse.matcher import MatchRecord
 
-from conftest import make_posting
+from conftest import BUNDLED_DICTIONARY, make_posting
 
 
 def _ok(name: str) -> None:
@@ -231,8 +231,7 @@ def test_criterion_disambiguation():
     stock = build_employer_stock(rng, 1300, Fraction(3, 20), Fraction(1, 5))
     names = stock.all_names()
     assert len(names) == 1300
-    dictionary = load_dictionary(str(DEFAULT_DICTIONARY))
-    mapping, rejected = canonicalize([raw for raw, _ in names], dictionary)
+    mapping, rejected = canonicalize([raw for raw, _ in names], BUNDLED_DICTIONARY)
     assert rejected == []
     canonical = {e.canonical_name for e in mapping.values()}
     reduction = Fraction(len(names) - len(canonical), len(names))
@@ -257,21 +256,21 @@ def test_criterion_disambiguation():
 
 
 def test_criterion_disambiguation_amazon_merge():
-    mapping, _ = canonicalize(["Amazon", "Amazon Web Services"])
+    mapping, _ = canonicalize(["Amazon", "Amazon Web Services"], BUNDLED_DICTIONARY)
     assert mapping["Amazon"] is mapping["Amazon Web Services"]
     assert mapping["Amazon"].canonical_name == "amazon"
     _ok("disambiguation named case: Amazon + Amazon Web Services merge")
 
 
 def test_criterion_disambiguation_advanced_split():
-    mapping, _ = canonicalize(["Advanced Micro Devices", "Advanced Systems"])
+    mapping, _ = canonicalize(["Advanced Micro Devices", "Advanced Systems"], BUNDLED_DICTIONARY)
     assert mapping["Advanced Micro Devices"] is not mapping["Advanced Systems"]
     _ok("disambiguation named case: Advanced Micro vs Advanced Systems split")
 
 
 def test_criterion_disambiguation_university_split():
     mapping, _ = canonicalize(
-        ["University of California Los Angeles", "University of California Santa Barbara"]
+        ["University of California Los Angeles", "University of California Santa Barbara"], BUNDLED_DICTIONARY
     )
     names = {e.canonical_name for e in mapping.values()}
     assert len(names) == 2
@@ -305,7 +304,7 @@ def test_criterion_employer_stats(shipped_taxonomy):
             unit_employers[(f"J{unit}", Region.LA)] = name
             unit += 1
     ledger = weight_assignments(records)
-    mapping, _ = canonicalize([f"emp{idx:04d}" for idx in range(n_employers)])
+    mapping, _ = canonicalize([f"emp{idx:04d}" for idx in range(n_employers)], BUNDLED_DICTIONARY)
     report = employer_stats(ledger, mapping, unit_employers, top_k=3)
     assert report.employer_count == 1135
     assert report.mean_label == "3.6"

@@ -21,7 +21,7 @@ from jobpulse.cli import (
 )
 from jobpulse.corpus import Region
 
-from conftest import content_groups, make_record, traced_peak, write_jsonl, write_taxonomy_csv
+from conftest import BUNDLED_DICTIONARY, content_groups, make_record, traced_peak, write_jsonl, write_taxonomy_csv
 
 
 @pytest.fixture()
@@ -212,6 +212,30 @@ def test_disambiguate_pinned_on_shared_prefix_names(tmp_path, capsys):
         "count.employers_canonical": "10",
         "count.employers_raw": "15",
     }
+
+
+def test_report_and_disambiguate_write_the_same_mapping(tmp_path):
+    # report canonicalizes the employer of every filtered posting, a demand
+    # unit or not, and disambiguate those of the streamed, filtered postings:
+    # the two mappings agree on filtered postings that match no term, a
+    # region left out of scope and a rejected duplicate line.
+    fx = tmp_path / "fx"
+    assert main(["synth", "--seed", "3", "--n-postings", "600", "--plant", "quantum widget wrangler=40",
+                 "--out", str(fx)]) == 0
+    inputs = [str(fx / f"{r.value.lower()}.jsonl") for r in Region]
+    dup = tmp_path / "dup.jsonl"
+    dup.write_text((fx / "la.jsonl").read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    outs = {}
+    for cmd in ("report", "disambiguate"):
+        outs[cmd] = tmp_path / cmd
+        assert main([cmd, "--input", *inputs, str(dup), "--regions", "LA,SB", "--out", str(outs[cmd])]) == 2
+    report = _manifest(outs["report"] / "manifest.txt")
+    assert report["count.records_rejected"] == "1"
+    assert int(report["count.postings_out_of_scope"]) > 0
+    mapping = (outs["report"] / "employer_mapping.csv").read_bytes()
+    assert mapping == (outs["disambiguate"] / "employer_mapping.csv").read_bytes()
+    # Planted postings match no term, so some mapped names have no demand unit.
+    assert int(report["count.employers_raw"]) < len(mapping.splitlines()) - 1
 
 
 def test_discover_via_cli(tmp_path):
@@ -1014,7 +1038,7 @@ def test_streamed_ledger_and_mapping_equal_the_string_renderers(tmp_path, shippe
     assert main(["synth", "--seed", "13", "--n-postings", "1500", "--out", str(fixture)]) == 0
     corpus, _ = corpus_mod.load_postings([str(fixture / f"{r.value.lower()}.jsonl") for r in Region])
     ledger = dedup.weight_assignments(matcher.match_corpus(corpus, shipped_taxonomy))
-    mapping, _ = employers.canonicalize([p.employer_name for p in corpus])
+    mapping, _ = employers.canonicalize([p.employer_name for p in corpus], BUNDLED_DICTIONARY)
     whole = {
         "ledger.csv": dedup.render_ledger_csv(ledger),
         "employer_mapping.csv": employers.render_mapping_csv(mapping),

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from jobpulse import corpus as corpus_mod
+from jobpulse.cli import DEFAULT_DICTIONARY
 from jobpulse.corpus import Region, csv_text
 from jobpulse.dedup import weight_assignments
 from jobpulse.employers import (
     CanonicalEmployer,
-    NameDictionary,
     canonicalize,
-    default_dictionary,
     employer_stats,
     load_dictionary,
     normalize_name,
@@ -24,7 +23,7 @@ from jobpulse.matcher import MatchRecord
 from jobpulse.synth import build_employer_stock
 from jobpulse.taxonomy import lookup
 
-from conftest import traced_memory
+from conftest import BUNDLED_DICTIONARY, traced_memory
 
 
 def _groups(mapping):
@@ -35,7 +34,7 @@ def _groups(mapping):
 
 
 def test_amazon_and_amazon_web_services_merge():
-    mapping, rejected = canonicalize(["Amazon", "Amazon Web Services"])
+    mapping, rejected = canonicalize(["Amazon", "Amazon Web Services"], BUNDLED_DICTIONARY)
     assert rejected == []
     assert mapping["Amazon"].canonical_name == "amazon"
     assert mapping["Amazon Web Services"].canonical_name == "amazon"
@@ -43,37 +42,37 @@ def test_amazon_and_amazon_web_services_merge():
 
 
 def test_advanced_micro_and_advanced_systems_stay_distinct():
-    mapping, _ = canonicalize(["Advanced Micro Devices", "Advanced Systems"])
+    mapping, _ = canonicalize(["Advanced Micro Devices", "Advanced Systems"], BUNDLED_DICTIONARY)
     assert mapping["Advanced Micro Devices"].canonical_name == "advanced micro devices"
     assert mapping["Advanced Systems"].canonical_name == "advanced systems"
 
 
 def test_university_of_california_campuses_stay_distinct():
     mapping, _ = canonicalize(
-        ["University of California Los Angeles", "University of California Santa Barbara"]
+        ["University of California Los Angeles", "University of California Santa Barbara"], BUNDLED_DICTIONARY
     )
     names = {e.canonical_name for e in mapping.values()}
     assert len(names) == 2
 
 
 def test_dictionary_word_alone_never_absorbs_longer_names():
-    mapping, _ = canonicalize(["Advanced", "Advanced Micro Devices"])
+    mapping, _ = canonicalize(["Advanced", "Advanced Micro Devices"], BUNDLED_DICTIONARY)
     assert mapping["Advanced"].canonical_name == "advanced"
     assert mapping["Advanced Micro Devices"].canonical_name == "advanced micro devices"
 
 
 def test_legal_suffix_is_not_distinguishing():
-    mapping, _ = canonicalize(["Amazon", "Amazon Inc", "Amazon, LLC"])
+    mapping, _ = canonicalize(["Amazon", "Amazon Inc", "Amazon, LLC"], BUNDLED_DICTIONARY)
     assert len({e.canonical_name for e in mapping.values()}) == 1
 
 
 def test_parent_absorbs_multiple_divisions():
-    mapping, _ = canonicalize(["Amazon", "Amazon Web Services", "Amazon Robotics"])
+    mapping, _ = canonicalize(["Amazon", "Amazon Web Services", "Amazon Robotics"], BUNDLED_DICTIONARY)
     assert {e.canonical_name for e in mapping.values()} == {"amazon"}
 
 
 def test_divisions_without_parent_stay_apart():
-    mapping, _ = canonicalize(["Amazon Web Services", "Amazon Robotics"])
+    mapping, _ = canonicalize(["Amazon Web Services", "Amazon Robotics"], BUNDLED_DICTIONARY)
     assert len({e.canonical_name for e in mapping.values()}) == 2
 
 
@@ -91,7 +90,7 @@ def test_first_tokens_differ_never_merged():
     names = []
     for i, first in enumerate(firsts):
         names.append(f"{first} {rng.choice(seconds)} {i}")
-    mapping, _ = canonicalize(names)
+    mapping, _ = canonicalize(names, BUNDLED_DICTIONARY)
     for raw, employer in mapping.items():
         assert raw.split()[0].lower() == employer.canonical_name.split()[0]
     assert len(_groups(mapping)) == len(firsts)
@@ -109,12 +108,12 @@ def test_canonicalize_order_invariant():
         "University of California Los Angeles",
         "University of California Santa Barbara",
     ]
-    baseline, _ = canonicalize(names)
+    baseline, _ = canonicalize(names, BUNDLED_DICTIONARY)
     base_groups = _groups(baseline)
     for _ in range(10):
         shuffled = names[:]
         rng.shuffle(shuffled)
-        mapping, _ = canonicalize(shuffled)
+        mapping, _ = canonicalize(shuffled, BUNDLED_DICTIONARY)
         assert _groups(mapping) == base_groups
 
 
@@ -127,7 +126,7 @@ def test_mapping_key_order_ignores_input_order():
     orders = set()
     for _ in range(200):
         rng.shuffle(spellings)
-        mapping, _ = canonicalize(spellings)
+        mapping, _ = canonicalize(spellings, BUNDLED_DICTIONARY)
         assert len(_groups(mapping)) == 1
         orders.add(tuple(mapping))
     assert orders == {tuple(sorted(spellings))}
@@ -135,55 +134,55 @@ def test_mapping_key_order_ignores_input_order():
 
 def test_canonicalize_idempotent_on_canonical_names():
     names = ["Amazon", "Amazon Web Services", "Advanced Micro Devices", "Vortex Dynamics Inc"]
-    mapping, _ = canonicalize(names)
+    mapping, _ = canonicalize(names, BUNDLED_DICTIONARY)
     canonical_names = sorted({e.canonical_name for e in mapping.values()})
-    second, _ = canonicalize(canonical_names)
+    second, _ = canonicalize(canonical_names, BUNDLED_DICTIONARY)
     for name in canonical_names:
         assert second[name].canonical_name == name
-        assert second[name].members == frozenset({name})
+        assert _groups(second)[name] == {name}
 
 
 def test_canonical_count_bounds():
-    merged, _ = canonicalize(["Amazon", "Amazon Web Services"])
+    merged, _ = canonicalize(["Amazon", "Amazon Web Services"], BUNDLED_DICTIONARY)
     assert len(_groups(merged)) < 2
-    untouched, _ = canonicalize(["Apex Labs", "Zenith Works"])
+    untouched, _ = canonicalize(["Apex Labs", "Zenith Works"], BUNDLED_DICTIONARY)
     assert len(_groups(untouched)) == 2
 
 
 def test_identical_normalized_names_collapse():
-    mapping, _ = canonicalize(["Vortex  Dynamics", "vortex dynamics", "Vortex Dynamics Inc"])
+    mapping, _ = canonicalize(["Vortex  Dynamics", "vortex dynamics", "Vortex Dynamics Inc"], BUNDLED_DICTIONARY)
     assert len(_groups(mapping)) == 1
-    assert mapping["vortex dynamics"].members == frozenset(
-        {"Vortex  Dynamics", "vortex dynamics", "Vortex Dynamics Inc"}
-    )
+    assert _groups(mapping)["vortex dynamics"] == {"Vortex  Dynamics", "vortex dynamics", "Vortex Dynamics Inc"}
 
 
 def test_empty_names_rejected_with_diagnostic():
-    mapping, rejected = canonicalize(["", "   ", "!!!", "Apex Labs"])
+    mapping, rejected = canonicalize(["", "   ", "!!!", "Apex Labs"], BUNDLED_DICTIONARY)
     assert rejected == ["", "   ", "!!!"]
     assert list(mapping) == ["Apex Labs"]
 
 
 def test_custom_dictionary_guard():
     # "pacific" alone must not absorb when it is a dictionary token.
-    dictionary = NameDictionary(common_tokens=frozenset({"pacific"}))
-    mapping, _ = canonicalize(["Pacific", "Pacific Circuits"], dictionary)
+    mapping, _ = canonicalize(["Pacific", "Pacific Circuits"], frozenset({"pacific"}))
     assert len(_groups(mapping)) == 2
-    open_dictionary = NameDictionary(common_tokens=frozenset({"unused"}))
-    mapping2, _ = canonicalize(["Pacific", "Pacific Circuits"], open_dictionary)
+    mapping2, _ = canonicalize(["Pacific", "Pacific Circuits"], frozenset({"unused"}))
     assert len(_groups(mapping2)) == 1
 
 
-def test_default_dictionary_tokens():
-    d = default_dictionary()
+def test_bundled_dictionary_tokens():
+    d = load_dictionary(str(DEFAULT_DICTIONARY))
+    assert type(d) is frozenset
     assert "advanced" in d and "university" in d and "of" in d and "american" in d
+    # The words the CLI guards beyond the methodology's four keep these apart.
+    mapping, _ = canonicalize(["Pacific", "Pacific Circuits", "National", "National Instruments"], d)
+    assert len(_groups(mapping)) == 4
 
 
 def test_load_dictionary(tmp_path):
     path = tmp_path / "dict.txt"
     path.write_text("# comment\nadvanced\nAmerican\n\nof\n", encoding="utf-8")
     d = load_dictionary(str(path))
-    assert d.common_tokens == frozenset({"advanced", "american", "of"})
+    assert d == frozenset({"advanced", "american", "of"})
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")
     with pytest.raises(InputError):
@@ -195,7 +194,7 @@ def test_planted_stock_recovers_exactly():
     stock = build_employer_stock(rng, 400, Fraction(3, 20), Fraction(1, 5))
     names = stock.all_names()
     assert len(names) == 400
-    mapping, rejected = canonicalize([raw for raw, _ in names])
+    mapping, rejected = canonicalize([raw for raw, _ in names], BUNDLED_DICTIONARY)
     assert rejected == []
     truth_groups: dict[str, set[str]] = {}
     for raw, key in names:
@@ -226,9 +225,8 @@ class _UnionFind:
                 self.parent[ra] = rb
 
 
-def _pairwise_canonicalize(names, dictionary=None):
+def _pairwise_canonicalize(names, dictionary):
     """Reference grouping: union every guarded prefix pair within a first-token block."""
-    common = (dictionary or default_dictionary()).common_tokens
     rejected = []
     by_sequence = {}
     for raw in names:
@@ -244,7 +242,7 @@ def _pairwise_canonicalize(names, dictionary=None):
         by_first.setdefault(seq[0], []).append(seq)
     for block in by_first.values():
         for short in block:
-            if all(t in common for t in short):
+            if all(t in dictionary for t in short):
                 continue
             for other in block:
                 if len(other) > len(short) and other[: len(short)] == short:
@@ -255,9 +253,8 @@ def _pairwise_canonicalize(names, dictionary=None):
     mapping = {}
     for member_seqs in groups.values():
         canonical_seq = min(member_seqs, key=lambda s: (len(s), s))
-        members = frozenset(raw for seq in member_seqs for raw in by_sequence[seq])
-        employer = CanonicalEmployer(" ".join(canonical_seq), members)
-        for raw in sorted(members):
+        employer = CanonicalEmployer(" ".join(canonical_seq))
+        for raw in sorted(raw for seq in member_seqs for raw in by_sequence[seq]):
             mapping[raw] = employer
     return mapping, rejected
 
@@ -289,7 +286,11 @@ def _random_names(rng):
 
 def test_canonicalize_matches_pairwise_oracle_on_random_name_sets():
     rng = random.Random(67)
-    dictionaries = [None, default_dictionary(), NameDictionary(frozenset({"apex", "micro", "of"}))]
+    dictionaries = [
+        BUNDLED_DICTIONARY,
+        frozenset({"american", "advanced", "university", "of"}),
+        frozenset({"apex", "micro", "of"}),
+    ]
     for _ in range(2000):
         names = _random_names(rng)
         dictionary = rng.choice(dictionaries)
@@ -300,9 +301,8 @@ def test_canonicalize_matches_pairwise_oracle_on_random_name_sets():
         assert {raw: e.canonical_name for raw, e in mapping.items()} == {
             raw: e.canonical_name for raw, e in expected.items()
         }, names
-        assert {raw: e.members for raw, e in mapping.items()} == {
-            raw: e.members for raw, e in expected.items()
-        }, names
+        assert _groups(mapping) == _groups(expected), names
+        assert len({id(e) for e in mapping.values()}) == len(_groups(mapping)), names  # one object per group
 
 
 def test_canonicalize_repeated_names_match_per_occurrence_oracle():
@@ -311,8 +311,8 @@ def test_canonicalize_repeated_names_match_per_occurrence_oracle():
         distinct = _random_names(rng) + rng.choices(_JUNK, k=2)
         names = distinct + rng.choices(distinct, k=rng.randint(1, 2 * len(distinct)))
         rng.shuffle(names)
-        mapping, rejected = canonicalize(names)
-        expected, expected_rejected = _pairwise_canonicalize(names)
+        mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
+        expected, expected_rejected = _pairwise_canonicalize(names, BUNDLED_DICTIONARY)
         assert rejected == expected_rejected, names
         assert list(mapping) == list(expected), names
         assert mapping == expected, names
@@ -321,7 +321,7 @@ def test_canonicalize_repeated_names_match_per_occurrence_oracle():
 def test_every_rejected_occurrence_is_kept_and_logged(caplog):
     names = ["", "Apex", "   ", "!!!", "Apex Labs", "!!!", "", "Apex"]
     with caplog.at_level("WARNING", logger="jobpulse.employers"):
-        mapping, rejected = canonicalize(names)
+        mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
     assert rejected == ["", "   ", "!!!", "!!!", ""]
     assert [r.args[0] for r in caplog.records] == rejected
     assert set(mapping) == {"Apex", "Apex Labs"}
@@ -338,14 +338,14 @@ def _one_block_of_twenty_thousand_names() -> list[str]:
 def test_one_block_of_twenty_thousand_names_groups_by_prefix():
     names = _one_block_of_twenty_thousand_names()
     assert len(names) == 20_000
-    mapping, rejected = canonicalize(names)
+    mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
     assert rejected == []
     sizes = sorted(len(group) for group in _groups(mapping).values())
     assert sizes == [1] * 2 + [2] * 3999 + [3] * 4000
     assert mapping["University of P7 Medical Center"].canonical_name == "university of p7"
     assert mapping["University of Q7 Labs West"].canonical_name == "university of q7 labs"
-    assert mapping["University"].members == frozenset({"University"})
-    assert mapping["University of"].members == frozenset({"University of"})
+    assert _groups(mapping)["university"] == {"University"}
+    assert _groups(mapping)["university of"] == {"University of"}
 
 
 def test_grouping_memory_stays_below_twice_the_normalized_names():
@@ -357,7 +357,7 @@ def test_grouping_memory_stays_below_twice_the_normalized_names():
     # mapping was built, peaked at 2.40 times.
     names = _one_block_of_twenty_thousand_names()
     normalized, _ = traced_memory(list, map(normalize_name, names))
-    _, peak = traced_memory(canonicalize, names)
+    _, peak = traced_memory(canonicalize, names, BUNDLED_DICTIONARY)
     assert peak < 2 * normalized, (peak, normalized)
 
 
@@ -389,7 +389,7 @@ def test_employer_stats_mean_and_top_share(shipped_taxonomy):
             unit_employers[(f"J{unit}", Region.LA)] = name
             unit += 1
     ledger = _ledger_units(n_units, shipped_taxonomy)
-    mapping, _ = canonicalize(names)
+    mapping, _ = canonicalize(names, BUNDLED_DICTIONARY)
     report = employer_stats(ledger, mapping, unit_employers, top_k=3)
     assert report.employer_count == 1135
     assert report.unit_total == 4044
@@ -400,7 +400,7 @@ def test_employer_stats_mean_and_top_share(shipped_taxonomy):
 
 def test_employer_stats_singleton(shipped_taxonomy):
     ledger = _ledger_units(1, shipped_taxonomy)
-    mapping, _ = canonicalize(["Solo Systems"])
+    mapping, _ = canonicalize(["Solo Systems"], BUNDLED_DICTIONARY)
     report = employer_stats(ledger, mapping, {("J0", Region.LA): "Solo Systems"})
     assert report.employer_count == 1
     assert report.mean_label == "1.0"
@@ -409,14 +409,14 @@ def test_employer_stats_singleton(shipped_taxonomy):
 
 def test_employer_stats_unmapped_name_is_contract_error(shipped_taxonomy):
     ledger = _ledger_units(1, shipped_taxonomy)
-    mapping, _ = canonicalize(["Known Name"])
+    mapping, _ = canonicalize(["Known Name"], BUNDLED_DICTIONARY)
     with pytest.raises(ContractError, match="missing from canonical mapping"):
         employer_stats(ledger, mapping, {("J0", Region.LA): "Unknown Name"})
 
 
 def test_employer_stats_missing_unit_link_is_contract_error(shipped_taxonomy):
     ledger = _ledger_units(1, shipped_taxonomy)
-    mapping, _ = canonicalize(["Known Name"])
+    mapping, _ = canonicalize(["Known Name"], BUNDLED_DICTIONARY)
     with pytest.raises(ContractError, match="no employer name"):
         employer_stats(ledger, mapping, {})
 
@@ -429,7 +429,7 @@ def test_employer_stats_fractional_units(shipped_taxonomy):
         MatchRecord(job_id="J2", region=Region.SD, matched_jsts=frozenset({d}), matched_in_title=frozenset()),
     ]
     ledger = weight_assignments(records)
-    mapping, _ = canonicalize(["Apex Labs"])
+    mapping, _ = canonicalize(["Apex Labs"], BUNDLED_DICTIONARY)
     stats = employer_stats(
         ledger, mapping, {("J1", Region.LA): "Apex Labs", ("J2", Region.SD): "Apex Labs"}
     )
@@ -437,7 +437,7 @@ def test_employer_stats_fractional_units(shipped_taxonomy):
 
 
 def test_render_mapping_csv():
-    mapping, _ = canonicalize(["Amazon Web Services", "Amazon"])
+    mapping, _ = canonicalize(["Amazon Web Services", "Amazon"], BUNDLED_DICTIONARY)
     content = render_mapping_csv(mapping)
     assert content.splitlines()[0] == "raw_name,canonical_name"
     assert "Amazon Web Services,amazon" in content
@@ -445,7 +445,7 @@ def test_render_mapping_csv():
 
 def test_mapping_chunks_quote_awkward_names(monkeypatch):
     names = ["Foo, Inc", 'Bar "Q" Labs', "Line\nBreak Co", "Société Générale", "Ünïcode GmbH", "Foo Bar, Inc"]
-    mapping, rejected = canonicalize(names)
+    mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
     assert not rejected
     rows = sorted((raw, employer.canonical_name) for raw, employer in mapping.items())
     expected = csv_text(["raw_name", "canonical_name"], rows)
@@ -460,7 +460,7 @@ def test_mapping_chunks_quote_awkward_names(monkeypatch):
 
 def test_render_employers_csv(shipped_taxonomy):
     ledger = _ledger_units(2, shipped_taxonomy)
-    mapping, _ = canonicalize(["Apex Labs", "Zenith Works"])
+    mapping, _ = canonicalize(["Apex Labs", "Zenith Works"], BUNDLED_DICTIONARY)
     stats = employer_stats(
         ledger, mapping, {("J0", Region.LA): "Apex Labs", ("J1", Region.LA): "Zenith Works"}
     )
@@ -471,7 +471,7 @@ def test_render_employers_csv(shipped_taxonomy):
 
 def test_render_employers_text_aligns_names_shorter_than_the_header(shipped_taxonomy):
     ledger = _ledger_units(2, shipped_taxonomy)
-    mapping, _ = canonicalize(["ab", "c"])
+    mapping, _ = canonicalize(["ab", "c"], BUNDLED_DICTIONARY)
     stats = employer_stats(ledger, mapping, {("J0", Region.LA): "ab", ("J1", Region.LA): "c"})
     assert render_employers_text(stats).splitlines()[-3:] == [
         "employer      units  share",

@@ -24,6 +24,8 @@ from jobpulse.report import (
 )
 from jobpulse.taxonomy import JobFunction, lookup
 
+from conftest import BUNDLED_DICTIONARY
+
 
 def _ledger(shipped_taxonomy, spec):
     """spec: list of (job_id, region, phrases)."""
@@ -395,7 +397,7 @@ def test_integer_aggregation_matches_fraction_oracle_on_synth(shipped_taxonomy):
     assert ledger.term_sums[0] > 1  # several k values, so the common denominator is not trivial
     _assert_matches_oracle(ledger, shipped_taxonomy)
 
-    mapping, _ = canonicalize([p.employer_name for p in filtered])
+    mapping, _ = canonicalize([p.employer_name for p in filtered], BUNDLED_DICTIONARY)
     unit_employers = {(p.job_id, p.region): p.employer_name for p in filtered}
     stats = employer_stats(ledger, mapping, unit_employers)
     expected = _oracle_employer_counts(ledger, mapping, unit_employers)

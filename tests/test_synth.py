@@ -8,10 +8,9 @@ from jobpulse import corpus as corpus_mod
 from jobpulse import synth as synth_mod
 from jobpulse.corpus import Region, load_postings
 from jobpulse.dedup import cross_region_report, weight_assignments
-from jobpulse.employers import canonicalize, load_dictionary
+from jobpulse.employers import canonicalize
 from jobpulse.errors import ContractError, InputError
 from jobpulse.matcher import discover_candidate_titles, filter_corpus, industry_predicate, match_corpus
-from jobpulse.cli import DEFAULT_DICTIONARY
 from jobpulse.synth import (
     SynthConfig,
     _NameRegistry,
@@ -23,7 +22,12 @@ from jobpulse.synth import (
 )
 from jobpulse.taxonomy import JobFunction, load_taxonomy
 
-from conftest import content_groups, traced_peak, write_taxonomy_csv
+from conftest import BUNDLED_DICTIONARY, content_groups, traced_peak, write_taxonomy_csv
+
+
+def _posting_paths(out) -> list:
+    """The posting files ``generate`` writes to ``out``, one per region; truth.csv sits beside them."""
+    return [out / f"{region.value.lower()}.jsonl" for region in Region]
 
 
 def _hash_dir(paths) -> list[str]:
@@ -93,10 +97,10 @@ def test_config_coerces_floats_via_decimal_text():
 
 def test_same_seed_twice_is_byte_identical(tmp_path, shipped_taxonomy):
     config = SynthConfig(seed=7, n_postings=300, cross_region_repeat_count=3)
-    a = generate(config, shipped_taxonomy, tmp_path / "a")
-    b = generate(config, shipped_taxonomy, tmp_path / "b")
-    paths_a = list(a.posting_paths.values()) + [a.truth_path]
-    paths_b = list(b.posting_paths.values()) + [b.truth_path]
+    generate(config, shipped_taxonomy, tmp_path / "a")
+    generate(config, shipped_taxonomy, tmp_path / "b")
+    paths_a = _posting_paths(tmp_path / "a") + [tmp_path / "a" / "truth.csv"]
+    paths_b = _posting_paths(tmp_path / "b") + [tmp_path / "b" / "truth.csv"]
     assert _hash_dir(paths_a) == _hash_dir(paths_b)
 
 
@@ -105,7 +109,7 @@ def test_default_fixture_hashes_pinned(tmp_path, shipped_taxonomy):
     # version whose random module draws differently, changes these hashes.
     result = generate(SynthConfig(), shipped_taxonomy, tmp_path)
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in [*result.posting_paths.values(), result.truth_path]}
+              for p in [*_posting_paths(tmp_path), tmp_path / "truth.csv"]}
     assert hashes == {
         "la.jsonl": "2dd75d8dccbf0d53fc4933363a10678c38a38ab2d176ae732eddcc5bd5c38399",
         "sb.jsonl": "b96ad74be5ac1561aa226604a77509994bcac7f15d300ae33307a7b064df3634",
@@ -128,7 +132,7 @@ def test_fixture_with_plants_repeats_and_rates_pinned(tmp_path, shipped_taxonomy
     )
     result = generate(config, shipped_taxonomy, tmp_path)
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in [*result.posting_paths.values(), result.truth_path]}
+              for p in [*_posting_paths(tmp_path), tmp_path / "truth.csv"]}
     assert hashes == {
         "la.jsonl": "ebdd823b9d9b0e04d2f526d76d4e76e90b0c718e6b0f1035ded071d835b9a329",
         "sb.jsonl": "88fb58c6c848cd0753d82b549c8d7886a2fd413da7b8ebd8f3879905eca0f1f3",
@@ -153,16 +157,16 @@ def test_generate_writes_in_chunks_near_the_build_peak(tmp_path, shipped_taxonom
 
 
 def test_distinct_seeds_differ(tmp_path, shipped_taxonomy):
-    a = generate(SynthConfig(seed=1, n_postings=200), shipped_taxonomy, tmp_path / "a")
-    b = generate(SynthConfig(seed=2, n_postings=200), shipped_taxonomy, tmp_path / "b")
-    assert _hash_dir(list(a.posting_paths.values())) != _hash_dir(list(b.posting_paths.values()))
+    generate(SynthConfig(seed=1, n_postings=200), shipped_taxonomy, tmp_path / "a")
+    generate(SynthConfig(seed=2, n_postings=200), shipped_taxonomy, tmp_path / "b")
+    assert _hash_dir(_posting_paths(tmp_path / "a")) != _hash_dir(_posting_paths(tmp_path / "b"))
 
 
 def test_zero_postings(tmp_path, shipped_taxonomy):
-    result = generate(SynthConfig(n_postings=0), shipped_taxonomy, tmp_path)
-    corpus, diagnostics = load_postings([str(p) for p in result.posting_paths.values()])
+    generate(SynthConfig(n_postings=0), shipped_taxonomy, tmp_path)
+    corpus, diagnostics = load_postings([str(p) for p in _posting_paths(tmp_path)])
     assert len(corpus) == 0 and not diagnostics
-    assert result.truth_path.read_text(encoding="utf-8") == ",".join(synth_mod.TRUTH_HEADER) + "\n"
+    assert (tmp_path / "truth.csv").read_text(encoding="utf-8") == ",".join(synth_mod.TRUTH_HEADER) + "\n"
 
 
 # -- realized mixes ----------------------------------------------------------
@@ -170,9 +174,8 @@ def test_zero_postings(tmp_path, shipped_taxonomy):
 
 def test_default_mixes_realized_exactly(shipped_taxonomy):
     config = SynthConfig(seed=3, n_postings=2000)
-    postings, truth = build_corpus(config, shipped_taxonomy)
+    postings, rows = build_corpus(config, shipped_taxonomy)
     assert len(postings) == 2000
-    rows = truth.rows
     off = sum(1 for r in rows if r.off_industry)
     assert abs(Fraction(off, 2000) - Fraction(1, 3)) < Fraction(1, 100)
     la = sum(1 for r in rows if r.region is Region.LA)
@@ -202,11 +205,11 @@ def test_funnel_reduction_equals_truth_fraction_exactly(shipped_taxonomy):
     units = len(filtered_keys)
     funnel = build_funnel([raw_obs, filtered_obs, units])
 
-    truth_total_obs = sum(len(r.jsts) for r in truth.rows)
-    truth_off_obs = sum(len(r.jsts) for r in truth.rows if r.off_industry)
+    truth_total_obs = sum(len(r.jsts) for r in truth)
+    truth_off_obs = sum(len(r.jsts) for r in truth if r.off_industry)
     assert raw_obs == truth_total_obs
     assert funnel.reductions[0] == Fraction(truth_off_obs, truth_total_obs)
-    truth_units = sum(1 for r in truth.rows if r.jsts and not r.off_industry)
+    truth_units = sum(1 for r in truth if r.jsts and not r.off_industry)
     assert funnel.reductions[1] == Fraction(filtered_obs - truth_units, filtered_obs)
 
 
@@ -214,7 +217,7 @@ def test_plants_are_additional_postings(shipped_taxonomy):
     config = SynthConfig(seed=5, n_postings=100, unknown_title_plants=(("rf engineer", 7),))
     postings, truth = build_corpus(config, shipped_taxonomy)
     assert len(postings) == 107
-    planted = [r for r in truth.rows if r.jsts == ()]
+    planted = [r for r in truth if r.jsts == ()]
     assert len(planted) == 7
     assert all(not r.off_industry for r in planted)
 
@@ -236,7 +239,7 @@ def recovery_run(shipped_taxonomy):
 
 def test_recovery_match_sets(recovery_run, shipped_taxonomy):
     _, postings, truth = recovery_run
-    by_unit = {(r.job_id, r.region): r for r in truth.rows}
+    by_unit = {(r.job_id, r.region): r for r in truth}
     records = {(r.job_id, r.region): r for r in match_corpus(postings, shipped_taxonomy)}
     for posting in postings:
         row = by_unit[(posting.job_id, posting.region)]
@@ -247,7 +250,7 @@ def test_recovery_match_sets(recovery_run, shipped_taxonomy):
 
 def test_recovery_industry_flags(recovery_run):
     _, postings, truth = recovery_run
-    by_unit = {(r.job_id, r.region): r for r in truth.rows}
+    by_unit = {(r.job_id, r.region): r for r in truth}
     for posting in postings:
         row = by_unit[(posting.job_id, posting.region)]
         assert industry_predicate("semiconductor", "any_field")(posting) == (not row.off_industry)
@@ -258,12 +261,12 @@ def test_recovery_weights(recovery_run, shipped_taxonomy):
     filtered = filter_corpus(postings, "semiconductor")
     records = match_corpus(filtered, shipped_taxonomy)
     ledger = weight_assignments(records)
-    by_unit = {(r.job_id, r.region): r for r in truth.rows}
+    by_unit = {(r.job_id, r.region): r for r in truth}
     per_unit: dict[tuple, list] = {}
     for a in ledger.assignments:
         per_unit.setdefault((a.job_id, a.region), []).append(a)
     expected_units = {
-        (r.job_id, r.region) for r in truth.rows if r.jsts and not r.off_industry
+        (r.job_id, r.region) for r in truth if r.jsts and not r.off_industry
     }
     assert set(per_unit) == expected_units
     for key, assignments in per_unit.items():
@@ -276,11 +279,10 @@ def test_recovery_weights(recovery_run, shipped_taxonomy):
 def test_recovery_employer_partition(recovery_run):
     _, postings, truth = recovery_run
     names = sorted({p.employer_name for p in postings})
-    dictionary = load_dictionary(str(DEFAULT_DICTIONARY))
-    mapping, rejected = canonicalize(names, dictionary)
+    mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
     assert rejected == []
     truth_partition: dict[str, set[str]] = {}
-    for row in truth.rows:
+    for row in truth:
         truth_partition.setdefault(row.employer_identity, set()).add(row.employer_name)
     predicted_partition: dict[str, set[str]] = {}
     for name in names:
@@ -295,7 +297,7 @@ def test_recovery_cross_region_groups(recovery_run):
     groups = cross_region_report(content_groups(postings))
     assert len(groups) == 7
     truth_groups: dict[int, set[tuple]] = {}
-    for row in truth.rows:
+    for row in truth:
         if row.cross_region_group is not None:
             truth_groups.setdefault(row.cross_region_group, set()).add((row.job_id, row.region))
     predicted = sorted(sorted(g.members) for g in groups)

@@ -20,13 +20,14 @@ from jobpulse.taxonomy import (
 from conftest import write_taxonomy_csv
 
 
-def test_shipped_taxonomy_shape(shipped_taxonomy):
-    t = shipped_taxonomy
+def test_shipped_taxonomy_shape(caplog):
+    with caplog.at_level("WARNING", logger="jobpulse.taxonomy"):
+        t = load_taxonomy(str(DEFAULT_TAXONOMY))
+    assert caplog.records == []
     assert len(t.families) == 31
     n_titles = sum(j.level is JstLevel.TITLE for j in t.jsts)
     assert n_titles >= 40
     assert len(t.jsts) == len(t.families) + n_titles
-    assert t.warnings == ()
     assert {f.function for f in t.families} == set(JobFunction)
 
 
@@ -58,7 +59,7 @@ def test_minimal_file(tmp_path):
     assert t.jsts[0].family.function is JobFunction.TECHNICIAN
 
 
-def test_family_takes_precedence_over_title(tmp_path):
+def test_family_takes_precedence_over_title(tmp_path, caplog):
     path = write_taxonomy_csv(
         tmp_path / "collide.csv",
         [
@@ -67,12 +68,14 @@ def test_family_takes_precedence_over_title(tmp_path):
             ("Engineer", "design engineer", "semiconductor packaging engineer"),
         ],
     )
-    t = load_taxonomy(path)
+    with caplog.at_level("WARNING", logger="jobpulse.taxonomy"):
+        t = load_taxonomy(path)
     surviving = lookup(t, "semiconductor packaging engineer")
     assert surviving is not None
     assert surviving.level is JstLevel.FAMILY
     assert surviving.family.name == "semiconductor packaging engineer"
-    assert len(t.warnings) == 1
+    assert len(caplog.records) == 1
+    assert "family takes precedence" in caplog.records[0].getMessage()
     assert len(t.jsts) == 2
 
 
