@@ -69,36 +69,32 @@ class PipelineConfig:
     min_count: int = matcher_mod.DEFAULT_MIN_COUNT
     top_k: int = 3
 
-    def validate(self, keys: tuple[str, ...] | None = None) -> None:
-        """Check the settings a subcommand reads: those named in ``keys``, or all of them."""
-
-        def reads(key: str) -> bool:
-            return keys is None or key in keys
-
-        if reads("taxonomy") and not Path(self.taxonomy).is_file():
+    def validate(self, keys: tuple[str, ...]) -> None:
+        """Check the settings named in ``keys``, those a subcommand reads."""
+        if "taxonomy" in keys and not Path(self.taxonomy).is_file():
             raise InputError(f"taxonomy file not found: {self.taxonomy}")
-        if reads("dictionary") and not Path(self.dictionary).is_file():
+        if "dictionary" in keys and not Path(self.dictionary).is_file():
             raise InputError(f"dictionary file not found: {self.dictionary}")
-        if reads("filter_mode") and self.filter_mode not in matcher_mod.FILTER_MODES:
+        if "filter_mode" in keys and self.filter_mode not in matcher_mod.FILTER_MODES:
             raise InputError(f"filter_mode must be one of {matcher_mod.FILTER_MODES}")
-        if reads("regions") and not self.regions:
+        if "regions" in keys and not self.regions:
             raise InputError("regions must name at least one of LA, SB, SD")
-        if reads("format") and self.format not in ("csv", "text"):
+        if "format" in keys and self.format not in ("csv", "text"):
             raise InputError(f"format must be csv or text, got {self.format!r}")
-        if reads("min_count") and self.min_count < 1:
+        if "min_count" in keys and self.min_count < 1:
             raise InputError(f"min_count must be positive, got {self.min_count}")
-        if reads("top_k") and self.top_k < 1:
+        if "top_k" in keys and self.top_k < 1:
             raise InputError(f"top_k must be positive, got {self.top_k}")
-        if reads("window_start") and reads("window_end") and self.window_start > self.window_end:
+        if "window_start" in keys and self.window_start > self.window_end:
             raise InputError("window_start is after window_end")
-        if reads("industry_token"):
+        if "industry_token" in keys:
             matcher_mod.validate_industry_token(self.industry_token)
 
-    def as_manifest_items(self, keys: tuple[str, ...] | None = None) -> list[tuple[str, str]]:
-        """The recorded settings, all of them or only those named in ``keys``."""
+    def as_manifest_items(self, keys: tuple[str, ...]) -> list[tuple[str, str]]:
+        """The recorded settings: those named in ``keys``."""
         items = []
         for key in SETTINGS:
-            if key != "out_dir" and (keys is None or key in keys):
+            if key in keys:
                 value = getattr(self, key)
                 text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
                 default = _DATA_FILE_DEFAULTS.get(key)
@@ -164,13 +160,13 @@ _PARSERS = {
 }
 
 
-def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) -> PipelineConfig:
+def build_config(args: argparse.Namespace, keys: tuple[str, ...]) -> PipelineConfig:
     """Merge defaults, the config file, and command-line flags.
 
     Every file value is parsed before any flag. A flag applies when it is
     given and not empty (``--min-count`` and ``--top-k`` are already ints).
-    Every setting is parsed; only those named in ``keys`` (all when None),
-    the ones the subcommand reads, are checked.
+    Every setting in the file is parsed; only those named in ``keys``, the
+    ones the subcommand reads, are checked.
     """
     config_path = args.config or os.environ.get(ENV_CONFIG)
     file_values = parse_config_file(config_path) if config_path else {}
@@ -185,10 +181,10 @@ def build_config(args: argparse.Namespace, keys: tuple[str, ...] | None = None) 
 class _Run:
     """Accumulates artifacts, counts, and inputs for one subcommand run."""
 
-    def __init__(self, subcommand: str, config: PipelineConfig, config_keys: tuple[str, ...] | None = None) -> None:
+    def __init__(self, subcommand: str, config: PipelineConfig) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.config_items = config.as_manifest_items(config_keys)
+        self.config_items = config.as_manifest_items(_COMMANDS[subcommand][2])
         self.items: list[tuple[str, str]] = [("subcommand", subcommand), *self.config_items]
         self.rejected = 0  # input records rejected with a diagnostic: the run exits 2
 
@@ -501,10 +497,6 @@ def _parse_fraction(text: str, label: str) -> Fraction:
         raise InputError(f"{label} must be a fraction like 1/3, got {text!r}") from None
 
 
-# The settings the generator reads; synth checks and records only these.
-SYNTH_CONFIG_KEYS = ("taxonomy", "industry_token", "regions", "window_start", "window_end")
-
-
 def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     from . import synth as synth_mod  # imported here, so the other subcommands start without it
 
@@ -547,57 +539,59 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# argparse options of each setting's flag, --<key with hyphens>; out_dir's is --out.
+_FLAG_OPTIONS = {
+    "taxonomy": {"help": "taxonomy CSV path"},
+    "dictionary": {"help": "name dictionary path"},
+    "industry_token": {"help": "industry filter token"},
+    "filter_mode": {"choices": matcher_mod.FILTER_MODES, "help": "industry filter semantics"},
+    "regions": {"help": "comma-separated subset of LA,SB,SD"},
+    "window_start": {"help": "collection window start (YYYY-MM-DD)"},
+    "window_end": {"help": "collection window end (YYYY-MM-DD)"},
+    "format": {"choices": ("csv", "text"), "help": "table output format"},
+    "min_count": {"type": int, "help": "minimum occurrences"},
+    "top_k": {"type": int, "help": "top employers to summarize"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="jobpulse", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=f"config file path (or ${ENV_CONFIG})")
-    common.add_argument("--taxonomy", help="taxonomy CSV path")
-    common.add_argument("--industry-token", dest="industry_token", help="industry filter token")
-    common.add_argument("--regions", help="comma-separated subset of LA,SB,SD")
-    common.add_argument("--window-start", dest="window_start", help="collection window start (YYYY-MM-DD)")
-    common.add_argument("--window-end", dest="window_end", help="collection window end (YYYY-MM-DD)")
-    common.add_argument("--out", dest="out_dir", help="output directory")
-    common.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
-    # Flags of the subcommands that read posting files; synth reads none of them.
-    pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--input", nargs="+", required=True, help="posting files (JSONL)")
-    pipeline.add_argument("--dictionary", help="name dictionary path")
-    pipeline.add_argument(
-        "--filter-mode", dest="filter_mode", choices=matcher_mod.FILTER_MODES, help="industry filter semantics"
-    )
-    pipeline.add_argument("--format", choices=("csv", "text"), help="table output format")
-
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers = {}
     for name, (_, help_text, keys) in _COMMANDS.items():
-        parents = [common, pipeline] if keys is None else [common]
-        subparsers[name] = sub.add_parser(name, parents=parents, help=help_text)
-    subparsers["discover"].add_argument("--min-count", dest="min_count", type=int, help="minimum occurrences")
-    subparsers["report"].add_argument("--top-k", dest="top_k", type=int, help="top employers to summarize")
-    synth = subparsers["synth"]
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", help=f"config file path (or ${ENV_CONFIG})")
+        if name != "synth":
+            command.add_argument("--input", nargs="+", required=True, help="posting files (JSONL)")
+        for key in keys:
+            command.add_argument("--" + key.replace("_", "-"), **_FLAG_OPTIONS[key])
+        command.add_argument("--out", dest="out_dir", help="output directory")
+        command.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
+    synth = sub.choices["synth"]
     synth.add_argument("--seed", type=int, default=42, help="generator seed")
     synth.add_argument("--n-postings", dest="n_postings", type=int, default=5300)
     synth.add_argument("--cross-region-repeats", dest="cross_region_repeats", type=int, default=0)
     synth.add_argument("--off-industry-rate", dest="off_industry_rate", help="fraction, e.g. 1/3")
     synth.add_argument("--division-rate", dest="division_rate", help="fraction, e.g. 3/20")
-    synth.add_argument(
-        "--plant",
-        action="append",
-        help="plant an out-of-taxonomy title, 'phrase=count' (repeatable)",
-    )
+    synth.add_argument("--plant", action="append", help="plant an out-of-taxonomy title, 'phrase=count' (repeatable)")
     return parser
 
 
-# subcommand -> (function, help, the settings it checks and records: None
-# for all). Those that read every setting also read posting files.
+_SCOPE = ("regions", "window_start", "window_end")
+_MATCH = ("taxonomy", "industry_token", "filter_mode", *_SCOPE)
+# subcommand -> (function, help, the settings it reads: it has flags for,
+# checks and records only these). All but synth read posting files.
 _COMMANDS = {
-    "ingest": (cmd_ingest, "validate posting files and emit diagnostics", None),
-    "match": (cmd_match, "match postings against the taxonomy", None),
-    "dedup": (cmd_dedup, "build the fractional demand ledger", None),
-    "disambiguate": (cmd_disambiguate, "canonicalize employer names", None),
-    "discover": (cmd_discover, "report out-of-taxonomy title candidates", None),
-    "report": (cmd_report, "full pipeline: funnel, demand tables, employer stats", None),
-    "synth": (cmd_synth, "generate a synthetic corpus with ground truth", SYNTH_CONFIG_KEYS),
+    "ingest": (cmd_ingest, "validate posting files and emit diagnostics", _SCOPE),
+    "match": (cmd_match, "match postings against the taxonomy", _MATCH),
+    "dedup": (cmd_dedup, "build the fractional demand ledger", _MATCH),
+    "disambiguate": (
+        cmd_disambiguate, "canonicalize employer names", ("dictionary", "industry_token", "filter_mode", *_SCOPE)
+    ),
+    "discover": (cmd_discover, "report out-of-taxonomy title candidates", (*_MATCH, "min_count")),
+    "report": (
+        cmd_report, "full pipeline: funnel, demand tables, employer stats", (*_MATCH, "dictionary", "format", "top_k")
+    ),
+    "synth": (cmd_synth, "generate a synthetic corpus with ground truth", ("taxonomy", "industry_token", *_SCOPE)),
 }
 
 
@@ -613,13 +607,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
+        gc.collect(0)  # argparse leaves its parser and a help formatter per flag in reference cycles
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
         command, _, keys = _COMMANDS[args.subcommand]
-        run = _Run(args.subcommand, build_config(args, keys), keys)
+        run = _Run(args.subcommand, build_config(args, keys))
         summary = command(run, args)
         run.finish()
         print(summary)

@@ -248,6 +248,16 @@ def _surrogate_field(posting: Posting) -> str | None:
     return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
 
 
+def _repeated_field(line: str) -> str | None:
+    """The first field name that a decodable record line gives more than once."""
+    seen = set()
+    for name, _ in json.loads(line, object_pairs_hook=list):
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def read_text_lines(path: str, kind: str) -> Iterator[str]:
     """Stream the lines of a UTF-8 text file, as text mode reads them; an unreadable or undecodable file is fatal."""
     try:
@@ -273,16 +283,16 @@ def iter_postings(
     """Stream the valid postings of posting files, in file order, as each line is read.
 
     Each file is UTF-8, one JSON record per line; blank lines and lines
-    starting with '#' are skipped. A record must hold exactly the seven
-    string fields of ``POSTING_FIELDS``. Each invalid record is appended to
-    ``diagnostics``, empty at the start, with file and line number, before
-    any later posting is yielded. A duplicate (job_id, region) keeps the
-    first occurrence and rejects the rest. An unreadable or undecodable
-    file is fatal, raised when the stream reaches it. Postings of one
-    stream share one string object per distinct title and employer name.
-    The stream keeps no posting it has yielded, only the shared strings
-    and, per region, a set of the accepted postings' own job_id strings.
-    The ``rejected N of M`` warning is logged once the last file is read.
+    starting with '#' are skipped. A record must hold exactly the seven string
+    fields of ``POSTING_FIELDS``, once each. Each invalid record is appended
+    to ``diagnostics``, empty at the start, with file and line number, before
+    any later posting is yielded. A duplicate (job_id, region) keeps the first
+    occurrence and rejects the rest. An unreadable or undecodable file is
+    fatal, raised when the stream reaches it. Postings of one stream share one
+    string object per distinct title and employer name. The stream keeps no
+    posting it has yielded, only the shared strings and, per region, a set of
+    the accepted postings' own job_id strings. The ``rejected N of M`` warning
+    is logged once the last file is read.
     """
     window = window or CollectionWindow()
     accepted = 0
@@ -308,6 +318,10 @@ def iter_postings(
             # Checked after every other fault, so no earlier reject reason changes.
             if "\\u" in stripped and (name := _surrogate_field(posting)):
                 diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
+                continue
+            # Seven fields take seven name separators: only a longer line can give a name twice.
+            if stripped.count(":") > 7 and (name := _repeated_field(stripped)):
+                diagnostics.append(Diagnostic(path, line_no, f"field {name!r} given more than once"))
                 continue
             job_ids.add(posting.job_id)
             accepted += 1

@@ -8,9 +8,9 @@ fuzzy matching; the discovery report is the sanctioned recall-recovery
 mechanism, and discovered phrases are appended to the taxonomy by hand,
 never automatically.
 
-match_posting and the tests industry_predicate builds are pure per-posting
-functions; fan-out across postings is safe with a deterministic merge in
-posting order.
+The tests industry_predicate builds are pure per-posting functions, but
+match_posting adds to its MatchIndex's title memo and shared term sets: a
+fan-out needs one index per worker and a deterministic merge in posting order.
 """
 
 from __future__ import annotations

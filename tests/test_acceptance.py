@@ -4,7 +4,9 @@ Each test prints a single PASS line once its assertions hold, so a verbose
 run reads as a checklist. Tolerances are pinned here, not configurable.
 """
 
+import csv
 import hashlib
+import io
 import random
 import time
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 
 from jobpulse.cli import DEFAULT_DICTIONARY, main
 from jobpulse.corpus import Region, load_postings
-from jobpulse.dedup import weight_assignments
+from jobpulse.dedup import LEDGER_HEADER, ledger_csv_chunks, weight_assignments
 from jobpulse.employers import canonicalize, employer_stats
 from jobpulse.matcher import discover_candidate_titles, filter_corpus, match_corpus
 from jobpulse.report import build_funnel, demand_by, ratio
@@ -52,9 +54,9 @@ def default_pipeline(shipped_taxonomy):
 
 
 def test_criterion_weight_conservation(shipped_taxonomy):
-    # 1,000 random generated corpora of up to 200 postings: per-unit weight
-    # sums and the ledger total must hold with exact rational equality,
-    # within a 60 second budget.
+    # 1,000 random generated corpora of up to 200 postings: the weights of
+    # each unit in the ledger.csv the CLI writes, and the ledger total, must
+    # sum with exact rational equality, within a 60 second budget.
     started = time.monotonic()
     rng = random.Random(2025)
     pool = list(shipped_taxonomy.jsts)
@@ -74,11 +76,14 @@ def test_criterion_weight_conservation(shipped_taxonomy):
                 )
             )
         ledger = weight_assignments(records)
+        header, *rows = csv.reader(io.StringIO("".join(ledger_csv_chunks(ledger))))
+        assert tuple(header) == LEDGER_HEADER
         per_unit: dict[tuple, Fraction] = {}
-        for a in ledger.assignments:
-            key = (a.job_id, a.region)
-            per_unit[key] = per_unit.get(key, Fraction(0)) + a.weight
+        for job_id, region, _, _, _, weight_num, weight_den in rows:
+            key = (job_id, region)
+            per_unit[key] = per_unit.get(key, Fraction(0)) + Fraction(int(weight_num), int(weight_den))
         assert all(total == 1 for total in per_unit.values())
+        assert len(per_unit) == n
         assert ledger.total_weight() == ledger.unit_count == n
         corpora_checked += 1
     elapsed = time.monotonic() - started

@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -112,6 +114,40 @@ def test_report_on_lines_that_broke_the_decoder_or_the_writer(tmp_path, fixture_
     manifest = _manifest(out / "manifest.txt")
     written = {key.split(".", 1)[1].rsplit(".", 1)[0] for key in manifest if key.startswith("artifact.")}
     assert written == {p.name for p in out.iterdir()} - {"manifest.txt"} and len(written) == 13
+    capsys.readouterr()
+
+
+def test_field_given_more_than_once_is_rejected_after_every_other_fault(tmp_path, capsys):
+    def record(job_id: str, **fields) -> str:
+        return json.dumps(make_record(job_id=job_id, **fields))
+
+    path = tmp_path / "repeats.jsonl"
+    write_jsonl(
+        path,
+        [
+            record("J1"),
+            '{"job_id": "J2", ' + record("J2")[1:],  # equal values
+            record("J3")[:-1] + ', "job_id": "J4"}',  # unequal values: the record would read J4
+            json.dumps(make_record(job_id="J5"), separators=(", ", " : "))[:-1] + ', "title" : "Tech"}',
+            record("J6", region="NY")[:-1] + ', "job_id": "J6"}',  # the other fault's reason wins
+            record("J1")[:-1] + ', "job_id": "J1"}',  # so does a duplicate (job_id, region)
+            record("J7", job_description='"job_id": "J1" at 9:30; shift: nights; pay: hourly; site: fab: 2'),
+            record("J4"),  # the rejected J4 above is not recorded
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", str(path), "--out", str(out)]) == 2
+    with open(out / "diagnostics.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[1:] for row in rows] == [
+        ["2", "field 'job_id' given more than once"],
+        ["3", "field 'job_id' given more than once"],
+        ["4", "field 'title' given more than once"],
+        ["5", "unknown region 'NY': expected one of LA, SB, SD"],
+        ["6", "duplicate (job_id, region) J1/LA"],
+    ]
+    manifest = _manifest(out / "manifest.txt")
+    assert (manifest["count.postings_ingested"], manifest["count.records_rejected"]) == ("3", "5")
     capsys.readouterr()
 
 
@@ -427,30 +463,85 @@ def test_synth_rejects_window_from_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+# The settings each subcommand does not read, written out by hand: it has no
+# flag for them, does not check them and does not record them.
+_UNREAD_SETTINGS = {
+    "ingest": ("taxonomy", "dictionary", "industry_token", "filter_mode", "format", "min_count", "top_k"),
+    "match": ("dictionary", "format", "min_count", "top_k"),
+    "dedup": ("dictionary", "format", "min_count", "top_k"),
+    "disambiguate": ("taxonomy", "format", "min_count", "top_k"),
+    "discover": ("dictionary", "format", "top_k"),
+    "report": ("min_count",),
+    "synth": ("dictionary", "filter_mode", "format", "min_count", "top_k"),
+}
+# setting -> (a value that parses but fails the setting's check, the start of its message)
+_FAILING_VALUES = {
+    "taxonomy": ("{tmp}/missing/tax.csv", "taxonomy file not found: "),
+    "dictionary": ("{tmp}/missing/words.txt", "dictionary file not found: "),
+    "industry_token": ("semi-conductor", "industry token must be a single token"),
+    "filter_mode": ("every_field", "filter_mode must be one of "),
+    "format": ("xml", "format must be csv or text"),
+    "min_count": ("0", "min_count must be positive"),
+    "top_k": ("0", "top_k must be positive"),
+}
+_FLAG_VALUES = {
+    "taxonomy": "tax.csv",
+    "dictionary": "words.txt",
+    "industry_token": "wafer",
+    "filter_mode": "all_fields",
+    "format": "text",
+    "min_count": "4",
+    "top_k": "4",
+}
+
+
+def _source_args(subcommand: str, tmp_path: Path) -> list[str]:
+    """What the subcommand reads from: a few generated postings for synth, a clean posting file for the rest."""
+    if subcommand == "synth":
+        return ["--n-postings", "10"]
+    path = tmp_path / "postings.jsonl"
+    write_jsonl(path, [make_record(job_id="J1", title="Design Engineer", job_description="semiconductor fab")])
+    return ["--input", str(path)]
+
+
 @pytest.mark.parametrize(
-    "flag, value", [("--dictionary", "words.txt"), ("--filter-mode", "all_fields"), ("--format", "text")]
+    "subcommand, key", [(name, key) for name, keys in _UNREAD_SETTINGS.items() for key in keys]
 )
-def test_synth_has_no_flags_for_settings_it_ignores(tmp_path, capsys, flag, value):
+def test_subcommand_has_no_flags_for_settings_it_ignores(tmp_path, capsys, subcommand, key):
+    flag, value = "--" + key.replace("_", "-"), _FLAG_VALUES[key]
     out = tmp_path / "o"
-    rc = main(["synth", flag, value, "--n-postings", "10", "--out", str(out)])
+    rc = main([subcommand, flag, value, *_source_args(subcommand, tmp_path), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
     assert not out.exists()
 
 
-def test_synth_ignores_unread_settings_that_would_fail_their_checks(tmp_path, capsys):
-    # synth never opens the dictionary nor reads format or top_k; report does.
+@pytest.mark.parametrize("subcommand", list(_UNREAD_SETTINGS))
+def test_subcommand_ignores_unread_settings_that_would_fail_their_checks(tmp_path, capsys, subcommand):
+    # A config file shared between subcommands may hold values only another one can use.
     config = tmp_path / "jobpulse.conf"
-    config.write_text(
-        f"dictionary = {tmp_path / 'missing' / 'words.txt'}\nformat = xml\ntop_k = 0\n", encoding="utf-8"
-    )
+    unread = _UNREAD_SETTINGS[subcommand]
+    lines = [f"{key} = {_FAILING_VALUES[key][0].format(tmp=tmp_path)}\n" for key in unread]
+    config.write_text("".join(lines), encoding="utf-8")
     out = tmp_path / "o"
-    assert main(["synth", "--config", str(config), "--n-postings", "10", "--out", str(out)]) == 0
+    source = _source_args(subcommand, tmp_path)
+    assert main([subcommand, "--config", str(config), *source, "--out", str(out)]) == 0
     assert (out / "manifest.txt").is_file()
-    inputs = [str(p) for p in sorted(out.glob("*.jsonl"))]
-    rc = main(["report", "--config", str(config), "--input", *inputs, "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: dictionary file not found: ")
+    # Each value fails the check of a subcommand that reads it.
+    postings = _source_args("report", tmp_path)
+    for key, line in zip(unread, lines):
+        config.write_text(line, encoding="utf-8")
+        reader = "discover" if key == "min_count" else "report"
+        capsys.readouterr()
+        assert main([reader, "--config", str(config), *postings, "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {_FAILING_VALUES[key][1]}")
+        assert not (tmp_path / "r").exists()
+    # An unread value that does not parse still fails every subcommand.
+    key = next(key for key in ("min_count", "top_k") if key in unread)
+    config.write_text(f"{key} = many\n", encoding="utf-8")
+    assert main([subcommand, "--config", str(config), *source, "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got 'many'\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_synth_still_parses_every_config_key(tmp_path, capsys):
@@ -461,27 +552,48 @@ def test_synth_still_parses_every_config_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: min_count must be an integer, got 'many'\n"
 
 
-def test_synth_manifest_records_only_settings_it_reads(tmp_path):
-    # Keys synth does not read may sit in a shared config file; they are not recorded.
+# The config.* lines each subcommand's manifest records, written out by hand.
+_SCOPE_RECORDED = ["config.regions", "config.window_end", "config.window_start"]
+_MATCH_RECORDED = sorted(
+    ["config.filter_mode", "config.industry_token", "config.taxonomy", "config.taxonomy.sha256", *_SCOPE_RECORDED]
+)
+_RECORDED = {
+    "ingest": _SCOPE_RECORDED,
+    "match": _MATCH_RECORDED,
+    "dedup": _MATCH_RECORDED,
+    "disambiguate": [
+        "config.dictionary",
+        "config.dictionary.sha256",
+        "config.filter_mode",
+        "config.industry_token",
+        *_SCOPE_RECORDED,
+    ],
+    "discover": sorted([*_MATCH_RECORDED, "config.min_count"]),
+    "report": sorted(
+        [*_MATCH_RECORDED, "config.dictionary", "config.dictionary.sha256", "config.format", "config.top_k"]
+    ),
+    "synth": ["config.industry_token", "config.regions", "config.taxonomy", "config.taxonomy.sha256",
+              "config.window_end", "config.window_start"],
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_RECORDED))
+def test_manifest_records_only_settings_the_subcommand_reads(tmp_path, subcommand):
+    # Keys a subcommand does not read may sit in a shared config file; they are not recorded.
     config = tmp_path / "jobpulse.conf"
     config.write_text(
-        "filter_mode = all_fields\nformat = text\nmin_count = 7\ntop_k = 9\n"
-        f"dictionary = {DEFAULT_DICTIONARY}\nindustry_token = wafer\n",
+        f"taxonomy = {DEFAULT_TAXONOMY}\ndictionary = {DEFAULT_DICTIONARY}\nindustry_token = wafer\n"
+        "filter_mode = all_fields\nregions = LA,SB,SD\nwindow_start = 2025-03-15\nwindow_end = 2025-06-04\n"
+        "format = text\nmin_count = 7\ntop_k = 9\n",
         encoding="utf-8",
     )
     out = tmp_path / "o"
-    assert main(["synth", "--config", str(config), "--n-postings", "20", "--out", str(out)]) == 0
+    assert main([subcommand, "--config", str(config), *_source_args(subcommand, tmp_path), "--out", str(out)]) == 0
     manifest = _manifest(out / "manifest.txt")
     recorded = sorted(key for key in manifest if key.startswith("config."))
-    assert recorded == [
-        "config.industry_token",
-        "config.regions",
-        "config.taxonomy",
-        "config.taxonomy.sha256",
-        "config.window_end",
-        "config.window_start",
-    ]
-    assert manifest["config.industry_token"] == "wafer"
+    assert recorded == _RECORDED[subcommand]
+    if "config.industry_token" in recorded:
+        assert manifest["config.industry_token"] == "wafer"
     block = "".join(f"{key} = {manifest[key]}\n" for key in recorded)
     assert manifest["config_hash"] == hashlib.sha256(block.encode("utf-8")).hexdigest()
 
@@ -520,7 +632,7 @@ def test_report_when_nothing_matches(tmp_path):
 # file value with its error message.
 _CONFIG_KEYS = [
     ("taxonomy", "--taxonomy", "discover", "{tmp}/tax_file.csv", "{tmp}/tax_flag.csv", True, None),
-    ("dictionary", "--dictionary", "discover", "{tmp}/dict_file.txt", "{tmp}/dict_flag.txt", True, None),
+    ("dictionary", "--dictionary", "disambiguate", "{tmp}/dict_file.txt", "{tmp}/dict_flag.txt", True, None),
     ("industry_token", "--industry-token", "discover", "wafer", "fab", True, None),
     ("filter_mode", "--filter-mode", "discover", "all_fields", "any_field", False, None),
     ("regions", "--regions", "discover", "SB,LA", "SD", True,
@@ -530,7 +642,7 @@ _CONFIG_KEYS = [
     ("window_end", "--window-end", "discover", "2025-06-01", "2025-05-30", True,
      ("June", "window_end must be YYYY-MM-DD, got 'June'")),
     ("out_dir", "--out", "discover", "{tmp}/out_file", "{tmp}/out_flag", True, None),
-    ("format", "--format", "discover", "text", "csv", False, None),
+    ("format", "--format", "report", "text", "csv", False, None),
     ("min_count", "--min-count", "discover", "4", "6", False, ("x", "min_count must be an integer, got 'x'")),
     ("top_k", "--top-k", "report", "4", "6", False, ("2.5", "top_k must be an integer, got '2.5'")),
 ]
@@ -715,7 +827,7 @@ def test_manifest_records_given_data_file_path_and_hash(tmp_path, fixture_corpus
     taxonomy = tmp_path / "my_taxonomy.csv"
     taxonomy.write_bytes(DEFAULT_TAXONOMY.read_bytes() + b"# local copy\n")
     out = tmp_path / "out"
-    assert main(["match", "--input", *fixture_corpus, "--taxonomy", str(taxonomy), "--out", str(out)]) in (0, 2)
+    assert main(["report", "--input", *fixture_corpus, "--taxonomy", str(taxonomy), "--out", str(out)]) in (0, 2)
     manifest = _manifest(out / "manifest.txt")
     assert manifest["config.taxonomy"] == str(taxonomy)
     assert manifest["config.taxonomy.sha256"] == hashlib.sha256(taxonomy.read_bytes()).hexdigest()
