@@ -607,7 +607,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        gc.collect(0)  # argparse leaves its parser and a help formatter per flag in reference cycles
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

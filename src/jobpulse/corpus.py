@@ -55,7 +55,6 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _FIELD_SET = frozenset(POSTING_FIELDS)
 _fields_of = operator.itemgetter(*POSTING_FIELDS)
-_decode_json = json.JSONDecoder().raw_decode
 
 
 class Region(enum.Enum):
@@ -185,7 +184,7 @@ def _parse_record(
     of the common path is checked again field by field, in order, to name
     its first fault.
     """
-    if type(obj) is dict and obj.keys() == _FIELD_SET:
+    if isinstance(obj, dict) and obj.keys() == _FIELD_SET:
         job_id, title, job_description, employer_name, employer_description, code, retrieved_at = _fields_of(obj)
         if (
             type(job_id) is str
@@ -226,6 +225,26 @@ def _parse_record(
     return _parse_record(obj, window, days, shared)  # every check passed: the common path takes it
 
 
+class _Repeats(dict):
+    """A decoded JSON object that gives some name more than once: ``name`` is the first repeat."""
+
+    __slots__ = ("name",)
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """The decoder's object hook: later values win, as in a plain decode, and a repeated name is kept."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    repeats = _Repeats(obj)
+    seen: set[str] = set()
+    repeats.name = next(name for name, _ in pairs if name in seen or seen.add(name))
+    return repeats
+
+
+_decode_json = json.JSONDecoder(object_pairs_hook=_json_object).raw_decode
+
+
 def _decode(line: str) -> object:
     """Decode one stripped line as a single JSON value; raises InputError on failure."""
     try:
@@ -246,16 +265,6 @@ def _decode(line: str) -> object:
 def _surrogate_field(posting: Posting) -> str | None:
     """The first text field holding a lone surrogate, which no UTF-8 output can hold."""
     return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
-
-
-def _repeated_field(line: str) -> str | None:
-    """The first field name that a decodable record line gives more than once."""
-    seen = set()
-    for name, _ in json.loads(line, object_pairs_hook=list):
-        if name in seen:
-            return name
-        seen.add(name)
-    return None
 
 
 def read_text_lines(path: str, kind: str) -> Iterator[str]:
@@ -305,7 +314,8 @@ def iter_postings(
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                posting = _parse_record(_decode(stripped), window, days, shared)
+                obj = _decode(stripped)
+                posting = _parse_record(obj, window, days, shared)
             except InputError as exc:
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
                 continue
@@ -319,9 +329,8 @@ def iter_postings(
             if "\\u" in stripped and (name := _surrogate_field(posting)):
                 diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
                 continue
-            # Seven fields take seven name separators: only a longer line can give a name twice.
-            if stripped.count(":") > 7 and (name := _repeated_field(stripped)):
-                diagnostics.append(Diagnostic(path, line_no, f"field {name!r} given more than once"))
+            if type(obj) is _Repeats:  # also checked after every other fault
+                diagnostics.append(Diagnostic(path, line_no, f"field {obj.name!r} given more than once"))
                 continue
             job_ids.add(posting.job_id)
             accepted += 1

@@ -133,6 +133,8 @@ def test_field_given_more_than_once_is_rejected_after_every_other_fault(tmp_path
             record("J1")[:-1] + ', "job_id": "J1"}',  # so does a duplicate (job_id, region)
             record("J7", job_description='"job_id": "J1" at 9:30; shift: nights; pay: hourly; site: fab: 2'),
             record("J4"),  # the rejected J4 above is not recorded
+            '{"job_id": {"x": 1, "x": 2}, ' + record("J8")[1:],  # the record's name, not the nested one
+            record("J9")[:-1] + ', "title": {"x": 1, "x": 2}}',  # the last value is not a string
         ],
     )
     out = tmp_path / "out"
@@ -145,9 +147,11 @@ def test_field_given_more_than_once_is_rejected_after_every_other_fault(tmp_path
         ["4", "field 'title' given more than once"],
         ["5", "unknown region 'NY': expected one of LA, SB, SD"],
         ["6", "duplicate (job_id, region) J1/LA"],
+        ["9", "field 'job_id' given more than once"],
+        ["10", "field 'title' must be a string"],
     ]
     manifest = _manifest(out / "manifest.txt")
-    assert (manifest["count.postings_ingested"], manifest["count.records_rejected"]) == ("3", "5")
+    assert (manifest["count.postings_ingested"], manifest["count.records_rejected"]) == ("3", "7")
     capsys.readouterr()
 
 
