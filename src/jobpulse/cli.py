@@ -5,6 +5,12 @@ machine-readable manifest (inputs, effective config, content hashes,
 counts) to the output directory. Stage outputs are files so each step of
 the funnel can be inspected on its own.
 
+Every subcommand but synth reads its posting files line by line and keeps
+no posting past its line: ingest, disambiguate and discover through
+``_stream_corpus``, match, dedup and report through the one match and
+filter pass of ``_run_match_stages``. No artifact is written before the
+whole input has been read.
+
 Exit codes: 0 success; 1 invalid configuration or input files; 2 a data
 contract was violated (for example a duplicate (job_id, region) record).
 Errors print as single-line diagnostics on standard error.
@@ -19,11 +25,10 @@ import hashlib
 import logging
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, pairwise
 from operator import attrgetter
 from pathlib import Path
 
@@ -226,6 +231,16 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _record_scope(run: _Run, kept: int, out_of_scope: int, diagnostics: list[corpus_mod.Diagnostic]) -> None:
+    """Record the counts of a read input and write diagnostics.csv: the run's first artifact."""
+    run.rejected = len(diagnostics)
+    run.count("postings_ingested", kept)
+    run.count("records_rejected", run.rejected)
+    run.count("postings_out_of_scope", out_of_scope)
+    rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
+    run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
+
+
 def _in_scope(
     run: _Run, postings: Iterable[Posting], diagnostics: list[corpus_mod.Diagnostic]
 ) -> Iterator[Posting]:
@@ -243,39 +258,18 @@ def _in_scope(
             yield posting
         else:
             out_of_scope += 1
-    run.rejected = len(diagnostics)
-    run.count("postings_ingested", kept)
-    run.count("records_rejected", run.rejected)
-    run.count("postings_out_of_scope", out_of_scope)
-    rows = ([d.source, d.line_no, d.reason] for d in diagnostics)
-    run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
+    _record_scope(run, kept, out_of_scope, diagnostics)
 
 
 def _stream_corpus(run: _Run, inputs: list[str]) -> Iterator[Posting]:
     """Record the inputs, then stream their in-scope postings in file order as each line is read."""
-    config = run.config
     run.record_inputs(inputs)
     diagnostics: list[corpus_mod.Diagnostic] = []
-    window = CollectionWindow(config.window_start, config.window_end)
-    return _in_scope(run, corpus_mod.iter_postings(inputs, window, diagnostics), diagnostics)
+    return _in_scope(run, corpus_mod.iter_postings(inputs, _window(run), diagnostics), diagnostics)
 
 
-def _load_corpus(run: _Run, inputs: list[str]) -> list[Posting]:
-    """Record the inputs, then load their in-scope postings, in file order, as one list.
-
-    match, dedup and report take this list rather than ``_stream_corpus``:
-    - Before the match pass starts, a sweep tests every in-scope posting
-      against the industry filter and counts the job descriptions of those
-      it keeps, to keep cross-region keys only for repeated ones.
-    - perfbench's traced run counts ``corpus.records_in`` by wrapping
-      ``corpus_mod.load_postings``.
-    """
-    config = run.config
-    run.record_inputs(inputs)
-    corpus, diagnostics = corpus_mod.load_postings(
-        inputs, CollectionWindow(config.window_start, config.window_end)
-    )
-    return list(_in_scope(run, corpus.postings, diagnostics))
+def _window(run: _Run) -> CollectionWindow:
+    return CollectionWindow(run.config.window_start, run.config.window_end)
 
 
 def _industry_filter(run: _Run):
@@ -285,6 +279,7 @@ def _industry_filter(run: _Run):
 
 @dataclass
 class _PipelineData:
+    in_scope: int  # the in-scope postings read
     # Match records of the filtered postings (of every matched posting when
     # asked for); _dedup_stages empties the list once the ledger is built.
     records: list[matcher_mod.MatchRecord]
@@ -295,49 +290,86 @@ class _PipelineData:
     filtered_observations: int
 
 
-def _run_match_stages(
-    run: _Run, taxonomy: Taxonomy, postings: list[Posting], every_match: bool = False
-) -> _PipelineData:
-    """Match, filter and count observations in one pass that empties ``postings``.
+def _content_hash(title: str, job_description: str, employer_name: str) -> int:
+    """The hash of a cross-region content key: equal keys hash alike, and a group is never formed on it alone."""
+    return hash((title, job_description, employer_name))
 
-    A sweep before the pass tests each posting against the industry filter
-    once, keeps the results as one flag byte per posting, and counts the
-    job descriptions of the postings the filter keeps. The pass reads the
-    flags and keeps only what later stages read: the match records, each
-    filtered posting's employer name, and, for the cross-region report, the
-    content key of each filtered posting whose job description occurs more
-    than once among the filtered ones. A group needs two filtered postings
-    with equal descriptions, so any other description is freed with its
-    posting; the report is built here so the repeated ones are freed on
-    return.
+
+def _run_match_stages(
+    run: _Run, taxonomy: Taxonomy, inputs: list[str], every_match: bool = False
+) -> _PipelineData:
+    """Record the inputs, then match, filter and count observations in one pass as each line is read.
+
+    The pass keeps no posting, only what later stages read: the match
+    records (with ``every_match``, for ``match``: of every matched posting,
+    and nothing else) and, of each filtered posting, its employer name, its
+    location and the hash of its cross-region (title, job_description,
+    employer_name) key, the last two in arrays of 8-byte integers. Once the
+    input is read, a hash found twice makes its postings candidates, and
+    only the lines of candidates whose postings span regions are read again
+    (``corpus.reread_postings``) and grouped on their exact keys, so equal
+    hashes alone never make a group. Only then are the counts and
+    diagnostics.csv written, so neither an input that fails midway nor a
+    line that changed before its second read leaves anything written.
+
+    The input is read through ``corpus.load_postings``, whose Corpus then
+    holds each posting's kept match record or None: perfbench's traced run
+    counts the records read by wrapping that function.
     """
+    from array import array  # imported here, so the streaming subcommands start without it
+
+    run.record_inputs(inputs)
     index = matcher_mod.MatchIndex(taxonomy)
-    records = []
+    keep = _industry_filter(run)
+    wanted = set(run.config.regions)
     unit_employers = {}
-    by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
-    flags = bytearray(map(_industry_filter(run), postings))
-    counts = Counter(p.job_description for p, kept in zip(postings, flags) if kept)
-    repeated = {description for description, n in counts.items() if n > 1}
-    del counts
-    raw_obs = filtered_obs = 0
-    postings.reverse()  # so pop() takes them in file order
-    for kept in flags:
-        p = postings.pop()
+    # The content hash and location of each filtered posting, in unit_employers order.
+    hashes, locations = array("q"), array("Q")
+    where = [0]
+    in_scope = raw_obs = filtered_obs = 0
+
+    def step(p: Posting) -> matcher_mod.MatchRecord | None:
+        nonlocal in_scope, raw_obs, filtered_obs
+        if p.region not in wanted:
+            return None
+        in_scope += 1
         record = matcher_mod.match_posting(p, index)
-        if kept:
+        kept = keep(p)
+        if kept and not every_match:
             unit = (p.job_id, p.region)
             unit_employers[unit] = p.employer_name
-            if p.job_description in repeated:
-                by_content.setdefault((p.title, p.job_description, p.employer_name), []).append(unit)
-        if record is not None:
-            raw_obs += len(record.matched_jsts)
-            if kept:
-                filtered_obs += len(record.matched_jsts)
-            if kept or every_match:
-                records.append(record)
+            hashes.append(_content_hash(p.title, p.job_description, p.employer_name))
+            locations.append(where[0])
+        if record is None:
+            return None
+        raw_obs += len(record.matched_jsts)
+        if kept:
+            filtered_obs += len(record.matched_jsts)
+        return record if kept or every_match else None
+
+    window = _window(run)
+    corpus, diagnostics = corpus_mod.load_postings(inputs, window, step, where)
+    records = [record for record in corpus if record is not None]
+    out_of_scope = len(corpus) - in_scope
+    # Each table is freed once read, so that the second read and the ledger
+    # reuse its memory: without these, report on the 100k fixture peaks 1.2 MB higher.
+    del corpus
+    repeated = {digest for digest, after in pairwise(sorted(hashes)) if digest == after}
+    candidates: dict[int, list[tuple[int, tuple[str, Region]]]] = {}
+    for unit, digest, at in zip(unit_employers, hashes, locations):
+        if digest in repeated:
+            candidates.setdefault(digest, []).append((at, unit))
+    # A group spans regions, so a hash whose units share one region makes none.
+    units_at = {at: unit for group in candidates.values() if len({u[1] for _, u in group}) > 1 for at, unit in group}
+    del hashes, locations
+    by_content: dict[tuple[str, str, str], list[tuple[str, Region]]] = {}
+    for p in corpus_mod.reread_postings(inputs, window, units_at):
+        by_content.setdefault((p.title, p.job_description, p.employer_name), []).append((p.job_id, p.region))
+    _record_scope(run, in_scope, out_of_scope, diagnostics)
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
     return _PipelineData(
+        in_scope=in_scope,
         records=records,
         unit_employers=unit_employers,
         cross=dedup_mod.cross_region_report(by_content),
@@ -347,13 +379,13 @@ def _run_match_stages(
 
 
 def _dedup_stages(
-    run: _Run, taxonomy: Taxonomy, postings: list[Posting]
+    run: _Run, taxonomy: Taxonomy, inputs: list[str]
 ) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
     """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv.
 
     The match records are freed once the ledger is built: no later stage reads them.
     """
-    data = _run_match_stages(run, taxonomy, postings)
+    data = _run_match_stages(run, taxonomy, inputs)
     ledger = dedup_mod.weight_assignments(data.records)
     data.records.clear()
     run.count("demand_units", ledger.unit_count)
@@ -366,7 +398,7 @@ def _dedup_stages(
 def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]:
     """matches.csv in chunks: one row per matched term, by job id, region and phrase.
 
-    Sorts ``records`` in place. A (job_id, region) occurs once per load and
+    Sorts ``records`` in place. A (job_id, region) occurs once per input and
     a phrase once per record, so this is the order of the sorted rows.
     """
     records.sort(key=lambda r: (r.job_id, r.region.value))
@@ -399,17 +431,16 @@ def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
 
 def cmd_match(run: _Run, args: argparse.Namespace) -> str:
     taxonomy = load_taxonomy(run.config.taxonomy)
-    postings = _load_corpus(run, args.input)
-    posting_count = len(postings)
-    records = _run_match_stages(run, taxonomy, postings, every_match=True).records
+    data = _run_match_stages(run, taxonomy, args.input, every_match=True)
+    records = data.records
     run.count("matched_postings", len(records))
     run.write_chunks("matches.csv", _matches_csv_chunks(records))
-    return f"matched {len(records)} of {posting_count} postings"
+    return f"matched {len(records)} of {data.in_scope} postings"
 
 
 def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:
     taxonomy = load_taxonomy(run.config.taxonomy)
-    data, ledger = _dedup_stages(run, taxonomy, _load_corpus(run, args.input))
+    data, ledger = _dedup_stages(run, taxonomy, args.input)
     return f"{ledger.unit_count} demand units from {data.filtered_observations} observations"
 
 
@@ -441,7 +472,7 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     config = run.config
     taxonomy = load_taxonomy(config.taxonomy)
     dictionary = employers_mod.load_dictionary(config.dictionary)
-    data, ledger = _dedup_stages(run, taxonomy, _load_corpus(run, args.input))
+    data, ledger = _dedup_stages(run, taxonomy, args.input)
 
     # Tables render through render_<table>_<format>; csv files end in .csv, text in .txt.
     ext = {"csv": "csv", "text": "txt"}[config.format]

@@ -8,8 +8,11 @@ them is out of scope here.
 ``iter_postings`` streams the valid postings as it reads each line, so a
 consumer that keeps none of them runs in memory set by the distinct keys
 and names, not by the number of postings. ``load_postings`` collects that
-stream into an immutable Corpus. Either way, rejected records are reported
-as diagnostics, never dropped silently.
+stream into an immutable Corpus, or hands each posting to a function as
+its line is read and holds only what that returns. ``reread_postings``
+reads chosen lines again, by the location the stream gave each posting.
+Either way, rejected records are reported as diagnostics, never dropped
+silently.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import logging
 import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -54,6 +57,9 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # A lone surrogate: only a \u escape puts one in a decoded line, and no UTF-8 output can hold it.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _FIELD_SET = frozenset(POSTING_FIELDS)
+# A posting's location: its input's index in the path list << LINE_BITS | its line number.
+LINE_BITS = 32
+LINE_MASK = (1 << LINE_BITS) - 1
 _fields_of = operator.itemgetter(*POSTING_FIELDS)
 
 
@@ -91,8 +97,8 @@ def csv_text(header, rows) -> str:
     return "".join(map(csv_line, chain((header,), rows)))
 
 
-# Lines per chunk of a large artifact: a few hundred kilobytes of text.
-CHUNK_LINES = 4096
+# Lines per chunk of a large artifact: tens of kilobytes of text.
+CHUNK_LINES = 1024
 
 
 def joined_chunks(lines):
@@ -288,6 +294,7 @@ def iter_postings(
     paths: list[str] | tuple[str, ...],
     window: CollectionWindow | None,
     diagnostics: list[Diagnostic],
+    where: list[int] | None = None,
 ) -> Iterator[Posting]:
     """Stream the valid postings of posting files, in file order, as each line is read.
 
@@ -301,14 +308,16 @@ def iter_postings(
     string object per distinct title and employer name. The stream keeps no
     posting it has yielded, only the shared strings and, per region, a set of
     the accepted postings' own job_id strings. The ``rejected N of M`` warning
-    is logged once the last file is read.
+    is logged once the last file is read. Given ``where``, a one-item list,
+    the stream sets ``where[0]`` to each posting's location (``LINE_BITS``)
+    before it yields the posting.
     """
     window = window or CollectionWindow()
     accepted = 0
     seen: dict[Region, set[str]] = {region: set() for region in Region}
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
-    for path in paths:
+    for index, path in enumerate(paths):
         for line_no, line in enumerate(read_text_lines(path, "posting"), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -334,6 +343,8 @@ def iter_postings(
                 continue
             job_ids.add(posting.job_id)
             accepted += 1
+            if where is not None:
+                where[0] = index << LINE_BITS | line_no
             yield posting
     if diagnostics:
         logger.warning("rejected %d of %d input records", len(diagnostics), len(diagnostics) + accepted)
@@ -342,14 +353,55 @@ def iter_postings(
 def load_postings(
     paths: list[str] | tuple[str, ...],
     window: CollectionWindow | None = None,
+    each: Callable[[Posting], object] | None = None,
+    where: list[int] | None = None,
 ) -> tuple[Corpus, list[Diagnostic]]:
     """Load posting files into a validated Corpus and the list of rejects.
 
     ``iter_postings`` collected: the same postings, diagnostics and
-    warning, with every posting held at once.
+    warning, with every posting held at once. Given ``each``, the Corpus
+    holds ``each(posting)`` in place of each posting, called as its line
+    is read, so no posting outlives its call unless ``each`` keeps it.
+    ``where`` is passed to ``iter_postings``.
     """
     diagnostics: list[Diagnostic] = []
-    return Corpus(postings=tuple(iter_postings(paths, window, diagnostics))), diagnostics
+    postings = iter_postings(paths, window, diagnostics, where)
+    return Corpus(postings=tuple(postings if each is None else map(each, postings))), diagnostics
+
+
+def reread_postings(
+    paths: list[str] | tuple[str, ...],
+    window: CollectionWindow,
+    units: dict[int, tuple[str, Region]],
+) -> Iterator[Posting]:
+    """Read again the postings at the locations ``units`` maps to their (job_id, region).
+
+    Each line is split, decoded and parsed as ``iter_postings`` first did,
+    and the postings are yielded in location order. A line that no longer
+    holds a valid posting with its (job_id, region), or a file that no
+    longer reaches it, raises InputError: the file changed since it was
+    first read.
+    """
+    days: dict[str, dt.date] = {}
+    shared: dict[str, str] = {}
+    for index, path in enumerate(paths):
+        wanted = {at & LINE_MASK: unit for at, unit in units.items() if at >> LINE_BITS == index}
+        for line_no, line in enumerate(islice(read_text_lines(path, "posting"), max(wanted, default=0)), start=1):
+            unit = wanted.pop(line_no, None)
+            if unit is None:
+                continue
+            try:
+                posting = _parse_record(_decode(line.strip()), window, days, shared)
+            except InputError:
+                posting = None
+            if posting is None or (posting.job_id, posting.region) != unit:
+                wanted[line_no] = unit
+                break
+            yield posting
+        if wanted:
+            line_no = min(wanted)
+            job_id, region = wanted[line_no]
+            raise InputError(f"{path}:{line_no}: no longer holds posting {job_id}/{region}: the file changed")
 
 
 def posting_to_json(p: Posting) -> str:

@@ -257,8 +257,9 @@ def test_empty_ledger_chunks_are_the_header_alone():
 
 
 def test_ledger_chunks_split_a_unit_at_the_block_boundary(shipped_taxonomy):
-    # Two rows per unit after the header: unit 2047's rows are lines 4096 and
-    # 4097, one on each side of the first block boundary.
+    # Two rows per unit after the header: unit CHUNK_LINES // 2 - 1's rows
+    # are lines CHUNK_LINES and CHUNK_LINES + 1, one on each side of the
+    # first block boundary.
     units = CHUNK_LINES // 2 + 1
     ledger = weight_assignments(
         [_record(shipped_taxonomy, f"J{i:05d}", ["design engineer", "layout engineer"]) for i in range(units)]

@@ -147,7 +147,7 @@ def test_generate_writes_in_chunks_near_the_build_peak(tmp_path, shipped_taxonom
     # writes each file in chunks of lines, so its traced peak stays within
     # half again that of the build. Joining each region's JSON lines and
     # truth.csv into one string each peaked near twice the build. Chunks of
-    # 256 lines split every file here, as 4,096-line chunks split the
+    # 256 lines split every file here, as 1,024-line chunks split the
     # files of a 100k-posting corpus.
     monkeypatch.setattr(corpus_mod, "CHUNK_LINES", 256)
     config = SynthConfig(seed=7, n_postings=3000)
