@@ -116,13 +116,10 @@ SETTINGS = tuple(field.name for field in fields(PipelineConfig))
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse the line-oriented ``key = value`` config file."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(list(corpus_mod.read_text_lines(path, "config")), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for line_no, line in list(corpus_mod.content_lines(path, "config")):
+        if "=" not in line:
             raise InputError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
+        key, _, value = line.partition("=")
         key = key.strip()
         if key not in SETTINGS:
             raise InputError(f"{path}:{line_no}: unknown config key {key!r}")

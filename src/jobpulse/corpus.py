@@ -1,9 +1,12 @@
-"""Posting ingestion and text normalization.
+"""Posting ingestion, text normalization, and the line reader of every input file.
 
 Houses the posting data model, the three-region vocabulary, the shared
 tokenizer, and the loader for line-delimited posting exports. Records come
 from offline exports (one JSON object per line); the scraper that produces
 them is out of scope here.
+
+``content_lines`` is the one line reader of every input file: postings,
+config, taxonomy and name dictionary.
 
 ``iter_postings`` streams the valid postings as it reads each line, so a
 consumer that keeps none of them runs in memory set by the distinct keys
@@ -273,11 +276,18 @@ def _surrogate_field(posting: Posting) -> str | None:
     return next((name for name, value in zip(POSTING_FIELDS[:5], posting) if _SURROGATE_RE.search(value)), None)
 
 
-def read_text_lines(path: str, kind: str) -> Iterator[str]:
-    """Stream the lines of a UTF-8 text file, as text mode reads them; an unreadable or undecodable file is fatal."""
+def content_lines(path: str, kind: str) -> Iterator[tuple[int, str]]:
+    """Stream (line number, stripped line) of each line of a UTF-8 text file but blank and '#' lines.
+
+    Lines split as text mode splits them (LF, CRLF, lone CR) and are numbered
+    over every line. An unreadable or undecodable file is a fatal InputError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            for line_no, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield line_no, stripped
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     except UnicodeDecodeError:
@@ -318,12 +328,9 @@ def iter_postings(
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
     for index, path in enumerate(paths):
-        for line_no, line in enumerate(read_text_lines(path, "posting"), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        for line_no, line in content_lines(path, "posting"):
             try:
-                obj = _decode(stripped)
+                obj = _decode(line)
                 posting = _parse_record(obj, window, days, shared)
             except InputError as exc:
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
@@ -335,7 +342,7 @@ def iter_postings(
                 )
                 continue
             # Checked after every other fault, so no earlier reject reason changes.
-            if "\\u" in stripped and (name := _surrogate_field(posting)):
+            if "\\u" in line and (name := _surrogate_field(posting)):
                 diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
                 continue
             if type(obj) is _Repeats:  # also checked after every other fault
@@ -377,27 +384,32 @@ def reread_postings(
     """Read again the postings at the locations ``units`` maps to their (job_id, region).
 
     Each line is split, decoded and parsed as ``iter_postings`` first did,
-    and the postings are yielded in location order. A line that no longer
-    holds a valid posting with its (job_id, region), or a file that no
-    longer reaches it, raises InputError: the file changed since it was
-    first read.
+    and the postings are yielded in location order; a file is opened only
+    if it holds a location, and read only until its last one. A line that
+    no longer holds a valid posting with its (job_id, region), or a file
+    that no longer reaches it, raises InputError: the file changed since it
+    was first read.
     """
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
     for index, path in enumerate(paths):
         wanted = {at & LINE_MASK: unit for at, unit in units.items() if at >> LINE_BITS == index}
-        for line_no, line in enumerate(islice(read_text_lines(path, "posting"), max(wanted, default=0)), start=1):
+        if not wanted:
+            continue
+        for line_no, line in content_lines(path, "posting"):
             unit = wanted.pop(line_no, None)
             if unit is None:
                 continue
             try:
-                posting = _parse_record(_decode(line.strip()), window, days, shared)
+                posting = _parse_record(_decode(line), window, days, shared)
             except InputError:
                 posting = None
             if posting is None or (posting.job_id, posting.region) != unit:
                 wanted[line_no] = unit
                 break
             yield posting
+            if not wanted:
+                break
         if wanted:
             line_no = min(wanted)
             job_id, region = wanted[line_no]

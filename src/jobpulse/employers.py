@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .corpus import Region, csv_line, csv_text, joined_chunks, normalize_text, read_text_lines
+from .corpus import Region, content_lines, csv_line, csv_text, joined_chunks, normalize_text
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
@@ -60,11 +60,8 @@ def load_dictionary(path: str) -> frozenset[str]:
     Its tokens are common name words, which never identify a company on their own.
     """
     tokens: set[str] = set()
-    for line in list(read_text_lines(path, "dictionary")):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens.update(normalize_text(stripped))
+    for _, line in list(content_lines(path, "dictionary")):
+        tokens.update(normalize_text(line))
     if not tokens:
         raise InputError(f"{path}: dictionary file declares no tokens")
     return frozenset(tokens)

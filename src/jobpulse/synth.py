@@ -55,6 +55,7 @@ from .matcher import (
     MatchIndex,
     expanded_tokens,
     industry_predicate,
+    match_posting,
     validate_industry_token,
 )
 from .report import write_chunks_atomic
@@ -575,15 +576,14 @@ class _Generator:
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
         """Planted truth must agree with exact matching semantics by construction.
 
-        Every posting's terms are its title hits plus a scan of its job
-        description, as the pipeline matches it, and its industry flag is
-        checked with the pipeline's default industry filter.
+        Every posting's terms are those ``match_posting`` finds, as the
+        pipeline matches it, and its industry flag is checked with the
+        pipeline's default industry filter.
         """
         on_industry = industry_predicate(self.industry_token, FILTER_ANY_FIELD)
-        title_hits, scan = self.index.title_hits, self.index.scan
         for posting, row in zip(postings, rows):
-            matched = title_hits(posting.title) | scan(expanded_tokens(posting.job_description))
-            seen = sorted(j.phrase for j in matched)
+            record = match_posting(posting, self.index)
+            seen = sorted(j.phrase for j in record.matched_jsts) if record else []
             if seen != sorted(row.jsts):
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: planted "

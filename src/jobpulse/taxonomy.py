@@ -24,7 +24,7 @@ import enum
 import logging
 from dataclasses import dataclass, field
 
-from .corpus import normalize_text, read_text_lines
+from .corpus import content_lines, normalize_text
 from .errors import InputError
 
 logger = logging.getLogger(__name__)
@@ -167,29 +167,16 @@ def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
     return taxonomy._index.get(tokens) if tokens else None
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """Read CSV rows with their original line numbers; '#' lines and blanks skipped."""
-    numbered = [
-        (no, line)
-        for no, line in enumerate(read_text_lines(path, "taxonomy"), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    rows: list[tuple[int, list[str]]] = []
-    for (no, _), parsed in zip(numbered, csv.reader(line for _, line in numbered)):
-        rows.append((no, parsed))
-    return rows
-
-
 def load_taxonomy(path: str) -> Taxonomy:
     """Load and validate a taxonomy CSV.
 
-    Schema: UTF-8, header ``function,family,title``; a row with an empty
-    title declares the family-level term; ``#`` starts a comment line.
-    Every family must be declared by exactly one empty-title row. Phrase
-    collisions across levels resolve by family precedence with a warning
-    per collision.
+    Schema: UTF-8, header ``function,family,title``, one CSV row per line
+    of the file; a row with an empty title declares the family-level term;
+    ``#`` starts a comment line. Every family must be declared by exactly
+    one empty-title row. Phrase collisions across levels resolve by family
+    precedence with a warning per collision.
     """
-    rows = _read_rows(path)
+    rows = [(line_no, next(csv.reader([line]))) for line_no, line in list(content_lines(path, "taxonomy"))]
     if not rows:
         raise InputError(f"{path}: empty taxonomy file")
     header_no, header = rows[0]
@@ -205,7 +192,10 @@ def load_taxonomy(path: str) -> Taxonomy:
     for line_no, row in rows[1:]:
         if len(row) != 3:
             raise InputError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-        function = parse_function(row[0])
+        try:
+            function = parse_function(row[0])
+        except InputError as exc:
+            raise InputError(f"{path}:{line_no}: {exc}") from None
         family_tokens = normalize_text(row[1])
         if not family_tokens:
             raise InputError(f"{path}:{line_no}: empty family name")

@@ -1176,6 +1176,38 @@ def test_cross_region_candidates_are_confirmed_on_a_reread_of_their_lines(tmp_pa
     capsys.readouterr()
 
 
+def test_posting_lines_split_only_where_text_mode_splits_them(tmp_path, monkeypatch, capsys):
+    # Raw U+0085, U+2028 and U+2029 are valid inside a JSON string, raw
+    # \x0b, \x0c and \x1c are not, and str.splitlines would end a line at
+    # each of them: only LF, CRLF and lone CR end one. With every content
+    # hash equal, the four kept lines are read again, split the same way.
+    ends = ("\n", "\r\n", "\r")
+    text = ""
+    for i, (char, region) in enumerate(zip("\x85\u2028\u2029\x0b\x0c\x1c ", ["LA", "SB", "SD"] * 3)):
+        record = make_record(job_id=f"J{i}", title="Etch Engineer", job_description="semiconductor fab@etch",
+                             region=region)
+        text += json.dumps(record, ensure_ascii=False).replace("@", char) + ends[i % 3]
+    assert len(text.splitlines()) == 13
+    path = tmp_path / "postings.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    calls = _count_decodes(monkeypatch)
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(cli, "_content_hash", lambda *key: 0)
+        calls.clear()
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / f"out-{patched}")]) == 2
+        assert sorted(calls.values()) == ([1, 1, 1, 2, 2, 2, 2] if patched else [1] * 7)
+    before, after = tmp_path / "out-False", tmp_path / "out-True"
+    assert (before / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{path},{line_no},invalid JSON: Invalid control character at" for line_no in (4, 5, 6)
+    ]
+    assert _manifest(before / "manifest.txt")["count.postings_ingested"] == "4"
+    assert sorted(p.name for p in before.iterdir()) == sorted(p.name for p in after.iterdir())
+    for artifact in before.iterdir():
+        assert artifact.read_bytes() == (after / artifact.name).read_bytes(), artifact.name
+    capsys.readouterr()
+
+
 def test_no_line_is_decoded_twice_without_a_cross_region_candidate(tmp_path, seed7_inputs, monkeypatch, capsys):
     calls = _count_decodes(monkeypatch)
     for subcommand in ("match", "dedup", "report"):
@@ -1368,6 +1400,9 @@ def test_chunked_matches_equal_the_sorted_rows(tmp_path, shipped_taxonomy, monke
         ("--config", "bad.conf", b"industry_token = semi\xffconductor\n"),
         ("--taxonomy", "bad.csv", b"function,family,title\nEngineer,etch \xff engineer,\n"),
         ("--dictionary", "bad.txt", b"advanced\nunivers\xffity\n"),
+        # A malformed line before the invalid byte: the file is decoded whole before any line is parsed.
+        ("--config", "bad.conf", b"garbage\nindustry_token = semi\xffconductor\n"),
+        ("--taxonomy", "bad.csv", b"function,family,title\nWizard,x,\nEngineer,etch \xff engineer,\n"),
     ],
 )
 def test_invalid_utf8_in_a_data_file_exits_1(tmp_path, fixture_corpus, capsys, flag, name, content):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -234,8 +235,44 @@ def test_malformed_row_reports_line_number(tmp_path):
 
 def test_unknown_function_label(tmp_path):
     path = write_taxonomy_csv(tmp_path / "fn.csv", [("Wizard", "spell casting", "")])
-    with pytest.raises(InputError, match="function"):
+    with pytest.raises(InputError, match=re.escape(f"{path}:2: unknown job function label 'Wizard'")):
         load_taxonomy(str(path))
+
+
+# Lines 1-7 declare the family 'etch engineer' on line 5, with a comment, a
+# blank line, a quoted comma and CRLF and lone-CR ends before any later row.
+_PREAMBLE = (
+    "# taxonomy\r\nfunction,family,title\r\n\r\nEngineer,\"etch, process engineer\",\r"
+    "Engineer,etch engineer,\n# titles\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        # A quoted field left open at the end of its line is a short row there.
+        ('Engineer,"rf\nengineer",', "8: expected 3 fields, got 2"),
+        ("Wizard,etch engineer,", "8: unknown job function label 'Wizard'"),
+        ("Engineer,,", "8: empty family name"),
+        ("Engineer,etch engineer,", "8: family 'etch engineer' already declared at line 5"),
+        ("Engineer,rf engineer,rf title", "8: title references undeclared family 'rf engineer'"),
+        ("Technician,etch engineer,rf title", "8: family 'etch engineer' declared under Engineer"),
+        ("Engineer,etch engineer,---", "8: title normalizes to nothing"),
+        ("Engineer,etch engineer,Dry Etch\nEngineer,etch engineer,dry etch", "9: duplicate title 'dry etch'"),
+    ],
+)
+def test_every_row_error_names_the_row_line(tmp_path, row, error):
+    path = tmp_path / "rows.csv"
+    path.write_text(_PREAMBLE + row + "\n", encoding="utf-8", newline="")
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{error}')}"):
+        load_taxonomy(str(path))
+
+
+def test_a_quoted_first_field_may_follow_leading_spaces(tmp_path):
+    # Each row is parsed from its stripped line.
+    path = tmp_path / "quoted.csv"
+    path.write_text('function,family,title\n  "Engineer",Process,\n', encoding="utf-8")
+    assert [(f.name, f.function) for f in load_taxonomy(str(path)).families] == [("process", JobFunction.ENGINEER)]
 
 
 def test_zero_families_rejected(tmp_path):
