@@ -8,8 +8,10 @@ the funnel can be inspected on its own.
 Every subcommand but synth reads its posting files line by line and keeps
 no posting past its line: ingest, disambiguate and discover through
 ``_stream_corpus``, match, dedup and report through the one match and
-filter pass of ``_run_match_stages``. No artifact is written before the
-whole input has been read.
+filter pass of ``_run_match_stages``. For dedup and report that pass
+keeps one row per filtered posting, and the rows with matched terms are
+the demand ledger's units. No artifact is written before the whole input
+has been read.
 
 Exit codes: 0 success; 1 invalid configuration or input files; 2 a data
 contract was violated (for example a duplicate (job_id, region) record).
@@ -29,7 +31,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, pairwise
-from operator import attrgetter
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -277,11 +278,9 @@ def _industry_filter(run: _Run):
 @dataclass
 class _PipelineData:
     in_scope: int  # the in-scope postings read
-    # Match records of the filtered postings (of every matched posting when
-    # asked for); _dedup_stages empties the list once the ledger is built.
-    records: list[matcher_mod.MatchRecord]
-    # (job_id, region) of each filtered posting -> its raw employer name
-    unit_employers: dict[tuple[str, Region], str]
+    # In input order, the dedup_mod.Unit of each filtered posting, or, when
+    # asked for every match, the match record of each matched posting.
+    rows: list
     cross: tuple[dedup_mod.CrossRegionGroup, ...]
     raw_observations: int
     filtered_observations: int
@@ -297,12 +296,14 @@ def _run_match_stages(
 ) -> _PipelineData:
     """Record the inputs, then match, filter and count observations in one pass as each line is read.
 
-    The pass keeps no posting, only what later stages read: the match
-    records (with ``every_match``, for ``match``: of every matched posting,
-    and nothing else) and, of each filtered posting, its employer name, its
-    location and the hash of its cross-region (title, job_description,
-    employer_name) key, the last two in arrays of 8-byte integers. Once the
-    input is read, a hash found twice makes its postings candidates, and
+    The pass keeps no posting, only what later stages read. With
+    ``every_match``, for ``match``, that is the match record of every
+    matched posting. Otherwise it is, of each filtered posting, one row
+    (``dedup_mod.Unit``: job_id, region, the index's shared tuple of its
+    matched terms, employer name), its location and the hash of its
+    cross-region (title, job_description, employer_name) key, the last two
+    in arrays of 8-byte integers. Once the input is read, a hash found
+    twice makes its postings candidates, and
     only the lines of candidates whose postings span regions are read again
     (``corpus.reread_postings``) and grouped on their exact keys, so equal
     hashes alone never make a group. Only then are the counts and
@@ -310,7 +311,7 @@ def _run_match_stages(
     line that changed before its second read leaves anything written.
 
     The input is read through ``corpus.load_postings``, whose Corpus then
-    holds each posting's kept match record or None: perfbench's traced run
+    holds each posting's kept row or record, or None: perfbench's traced run
     counts the records read by wrapping that function.
     """
     from array import array  # imported here, so the streaming subcommands start without it
@@ -319,43 +320,40 @@ def _run_match_stages(
     index = matcher_mod.MatchIndex(taxonomy)
     keep = _industry_filter(run)
     wanted = set(run.config.regions)
-    unit_employers = {}
-    # The content hash and location of each filtered posting, in unit_employers order.
+    # The content hash and location of each filtered posting, in row order.
     hashes, locations = array("q"), array("Q")
     where = [0]
     in_scope = raw_obs = filtered_obs = 0
 
-    def step(p: Posting) -> matcher_mod.MatchRecord | None:
+    def step(p: Posting) -> tuple | None:
         nonlocal in_scope, raw_obs, filtered_obs
         if p.region not in wanted:
             return None
         in_scope += 1
         record = matcher_mod.match_posting(p, index)
-        kept = keep(p)
-        if kept and not every_match:
-            unit = (p.job_id, p.region)
-            unit_employers[unit] = p.employer_name
-            hashes.append(_content_hash(p.title, p.job_description, p.employer_name))
-            locations.append(where[0])
-        if record is None:
-            return None
-        raw_obs += len(record.matched_jsts)
-        if kept:
-            filtered_obs += len(record.matched_jsts)
-        return record if kept or every_match else None
+        terms = record.matched_jsts if record else ()
+        raw_obs += len(terms)
+        if not keep(p):
+            return record if every_match else None
+        filtered_obs += len(terms)
+        if every_match:
+            return record
+        hashes.append(_content_hash(p.title, p.job_description, p.employer_name))
+        locations.append(where[0])
+        return (p.job_id, p.region, terms, p.employer_name)
 
     window = _window(run)
     corpus, diagnostics = corpus_mod.load_postings(inputs, window, step, where)
-    records = [record for record in corpus if record is not None]
+    rows = [row for row in corpus if row is not None]
     out_of_scope = len(corpus) - in_scope
     # Each table is freed once read, so that the second read and the ledger
     # reuse its memory: without these, report on the 100k fixture peaks 1.2 MB higher.
     del corpus
     repeated = {digest for digest, after in pairwise(sorted(hashes)) if digest == after}
     candidates: dict[int, list[tuple[int, tuple[str, Region]]]] = {}
-    for unit, digest, at in zip(unit_employers, hashes, locations):
+    for row, digest, at in zip(rows, hashes, locations):
         if digest in repeated:
-            candidates.setdefault(digest, []).append((at, unit))
+            candidates.setdefault(digest, []).append((at, row[:2]))
     # A group spans regions, so a hash whose units share one region makes none.
     units_at = {at: unit for group in candidates.values() if len({u[1] for _, u in group}) > 1 for at, unit in group}
     del hashes, locations
@@ -367,8 +365,7 @@ def _run_match_stages(
     run.count("filtered_observations", filtered_obs)
     return _PipelineData(
         in_scope=in_scope,
-        records=records,
-        unit_employers=unit_employers,
+        rows=rows,
         cross=dedup_mod.cross_region_report(by_content),
         raw_observations=raw_obs,
         filtered_observations=filtered_obs,
@@ -380,11 +377,10 @@ def _dedup_stages(
 ) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
     """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv.
 
-    The match records are freed once the ledger is built: no later stage reads them.
+    The ledger's units are the pass's rows with terms, so it holds no copy of them.
     """
     data = _run_match_stages(run, taxonomy, inputs)
-    ledger = dedup_mod.weight_assignments(data.records)
-    data.records.clear()
+    ledger = dedup_mod.weight_assignments(data.rows)
     run.count("demand_units", ledger.unit_count)
     run.count("cross_region_groups", len(data.cross))
     run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
@@ -396,14 +392,13 @@ def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]
     """matches.csv in chunks: one row per matched term, by job id, region and phrase.
 
     Sorts ``records`` in place. A (job_id, region) occurs once per input and
-    a phrase once per record, so this is the order of the sorted rows.
+    a record's terms are sorted by phrase, so this is the order of the sorted rows.
     """
     records.sort(key=lambda r: (r.job_id, r.region.value))
-    by_phrase = attrgetter("phrase")
     rows = (
         (r.job_id, r.region.value, jst.phrase, jst.level.value, "1" if jst in r.matched_in_title else "0")
         for r in records
-        for jst in sorted(r.matched_jsts, key=by_phrase)
+        for jst in r.matched_jsts
     )
     return joined_chunks(map(csv_line, chain((MATCHES_HEADER,), rows)))
 
@@ -429,7 +424,7 @@ def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
 def cmd_match(run: _Run, args: argparse.Namespace) -> str:
     taxonomy = load_taxonomy(run.config.taxonomy)
     data = _run_match_stages(run, taxonomy, args.input, every_match=True)
-    records = data.records
+    records = data.rows
     run.count("matched_postings", len(records))
     run.write_chunks("matches.csv", _matches_csv_chunks(records))
     return f"matched {len(records)} of {data.in_scope} postings"
@@ -500,8 +495,10 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     else:
         ratio_line = "technician:engineer ratio unavailable (a total is zero)"
 
-    mapping, rejected = employers_mod.canonicalize(data.unit_employers.values(), dictionary)
-    stats = employers_mod.employer_stats(ledger, mapping, data.unit_employers, config.top_k)
+    names = [name for _, _, _, name in data.rows]  # of every filtered posting, in input order
+    data.rows.clear()
+    mapping, rejected = employers_mod.canonicalize(names, dictionary)
+    stats = employers_mod.employer_stats(ledger, mapping, config.top_k)
     run.count("employers_raw", stats.raw_name_count)
     run.count("employers_canonical", stats.employer_count)
     run.count("employer_names_rejected", len(rejected))

@@ -19,15 +19,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from itertools import pairwise
+from operator import itemgetter
 
 from .corpus import Region, csv_line, joined_chunks
 from .errors import ContractError
-from .matcher import MatchRecord
 from .taxonomy import Jst, JstLevel
 
 
 LEDGER_HEADER = ("job_id", "region", "function", "family", "title", "weight_num", "weight_den")
+
+# One filtered posting: (job_id, region, its matched terms sorted by phrase,
+# its raw employer name). The terms are () when it matched nothing.
+Unit = tuple[str, Region, tuple[Jst, ...], str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,11 +52,11 @@ class WeightedAssignment:
 class DemandLedger:
     """The demand units, each with the terms that share it, in ledger order.
 
-    A unit is ``(job_id, region, terms sorted by phrase)``: its k terms each
-    carry weight 1/k, so the k shares of every unit sum to exactly 1.
+    A unit is a ``Unit`` with at least one term: its k terms each carry
+    weight 1/k, so the k shares of every unit sum to exactly 1.
     """
 
-    units: tuple[tuple[str, Region, tuple[Jst, ...]], ...]
+    units: list[Unit]
 
     @property
     def unit_count(self) -> int:
@@ -61,10 +65,10 @@ class DemandLedger:
     @cached_property
     def assignments(self) -> tuple[WeightedAssignment, ...]:
         """Every term's share of every unit, in ledger order, built on first use."""
-        shares = {k: Fraction(1, k) for k in {len(terms) for _, _, terms in self.units}}
+        shares = {k: Fraction(1, k) for k in {len(terms) for _, _, terms, _ in self.units}}
         return tuple(
             WeightedAssignment(job_id, region, jst, shares[len(terms)])
-            for job_id, region, terms in self.units
+            for job_id, region, terms, _ in self.units
             for jst in terms
         )
 
@@ -79,9 +83,9 @@ class DemandLedger:
         L is the least common multiple of the weight denominators, so every
         sum is an exact integer numerator over L.
         """
-        denominator = math.lcm(*{len(terms) for _, _, terms in self.units})
+        denominator = math.lcm(*{len(terms) for _, _, terms, _ in self.units})
         sums: dict[Jst, dict[Region, int]] = {}
-        for _, region, terms in self.units:
+        for _, region, terms, _ in self.units:
             units = denominator // len(terms)
             for jst in terms:
                 per_region = sums.get(jst)
@@ -91,31 +95,28 @@ class DemandLedger:
         return denominator, sums
 
 
-def weight_assignments(records: list[MatchRecord]) -> DemandLedger:
-    """Split each record's unit of demand equally across its matched terms.
+def weight_assignments(rows: list[Unit]) -> DemandLedger:
+    """Split the unit of demand of each row with terms equally across them.
 
-    Requires one record per (job_id, region); a duplicate means the
-    upstream contract was violated and raises. The resulting ledger is
-    canonically ordered, so permutations of the input produce an identical
-    ledger, and the sum of all weights equals the unit count exactly.
+    The ledger's units are those rows themselves, sorted by (job_id, region
+    code), with each row's own terms: ``rows`` must give them sorted by
+    phrase, as ``MatchIndex.shared`` does. Requires one row with terms per
+    (job_id, region); a duplicate means the upstream contract was violated
+    and raises, naming the first duplicate in ``rows``. Permutations of
+    ``rows`` produce an identical ledger, and the sum of all weights equals
+    the unit count exactly.
     """
-    seen: set[tuple[str, Region]] = set()
-    for record in records:
-        key = (record.job_id, record.region)
-        if key in seen:
-            raise ContractError(
-                f"two match records for (job_id, region) ({record.job_id}, {record.region})"
-            )
-        seen.add(key)
-    # Ledger order: records by (job_id, region code), terms by phrase.
     region_code = {region: region.value for region in Region}
-    by_phrase = attrgetter("phrase")
-    ledger = DemandLedger(
-        units=tuple(
-            (job_id, region, tuple(sorted(jsts, key=by_phrase)))
-            for job_id, region, jsts, _ in sorted(records, key=lambda r: (r.job_id, region_code[r.region]))
-        )
-    )
+    units = [row for row in rows if row[2]]
+    # Two stable sorts give the (job_id, region code) order without a key tuple per unit.
+    units.sort(key=lambda unit: region_code[unit[1]])
+    units.sort(key=itemgetter(0))
+    if any(a[0] == b[0] and a[1] is b[1] for a, b in pairwise(units)):
+        seen: set[tuple[str, Region]] = set()
+        keys = (row[:2] for row in rows if row[2])  # in input order
+        job_id, region = next(key for key in keys if key in seen or seen.add(key))
+        raise ContractError(f"two match records for (job_id, region) ({job_id}, {region})")
+    ledger = DemandLedger(units=units)
     total = ledger.total_weight()
     if total != ledger.unit_count:
         raise ContractError(f"ledger total {total} != unit count {ledger.unit_count}")
@@ -175,7 +176,7 @@ def ledger_csv_chunks(ledger: DemandLedger) -> Iterator[str]:
 
     def rows() -> Iterator[str]:
         yield csv_line(LEDGER_HEADER)
-        for job_id, region, terms in ledger.units:
+        for job_id, region, terms, _ in ledger.units:
             head = csv_line((job_id, region.value))[:-1]
             tail = f",1,{len(terms)}\n"
             for jst in terms:

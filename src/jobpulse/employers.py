@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .corpus import Region, content_lines, csv_line, csv_text, joined_chunks, normalize_text
+from .corpus import content_lines, csv_line, csv_text, joined_chunks, normalize_text
 from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
@@ -157,24 +157,15 @@ class EmployerReport:
         return Fraction(units, self.unit_total) if self.unit_total else Fraction(0)
 
 
-def employer_stats(
-    ledger: DemandLedger,
-    mapping: dict[str, CanonicalEmployer],
-    unit_employers: dict[tuple[str, Region], str],
-    top_k: int = 3,
-) -> EmployerReport:
+def employer_stats(ledger: DemandLedger, mapping: dict[str, CanonicalEmployer], top_k: int = 3) -> EmployerReport:
     """Count demand units per canonical employer.
 
     Every unit of a ledger built by ``weight_assignments`` weighs exactly 1
     (its k shares of 1/k), so an employer's demand is its number of units.
-    ``unit_employers`` links each (job_id, region) demand unit to its raw
-    employer name; every linked name must appear in the mapping or the
-    upstream contract was violated.
+    Each unit carries its raw employer name; every name must appear in the
+    mapping or the upstream contract was violated.
     """
-    try:
-        raw_units = Counter(unit_employers[job_id, region] for job_id, region, _ in ledger.units)
-    except KeyError as exc:
-        raise ContractError(f"demand unit {exc.args[0]} has no employer name") from None
+    raw_units = Counter(name for _, _, _, name in ledger.units)
     counts: dict[str, int] = {}
     for raw, units in raw_units.items():
         employer = mapping.get(raw)

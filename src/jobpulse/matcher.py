@@ -9,7 +9,7 @@ mechanism, and discovered phrases are appended to the taxonomy by hand,
 never automatically.
 
 The tests industry_predicate builds are pure per-posting functions, but
-match_posting adds to its MatchIndex's title memo and shared term sets: a
+match_posting adds to its MatchIndex's title memo and shared term tuples: a
 fan-out needs one index per worker and a deterministic merge in posting order.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from operator import attrgetter
 from typing import NamedTuple
 
 from .corpus import Corpus, Posting, Region, normalize_text
@@ -33,6 +34,7 @@ FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 
 # The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
 _RUN_RE = re.compile(r"[^\W_]+")
+_BY_PHRASE = attrgetter("phrase")
 
 
 def expanded_tokens(text: str) -> tuple[str, ...]:
@@ -55,12 +57,12 @@ def validate_industry_token(industry_token: str) -> str:
 class _MatchRecordFields(NamedTuple):
     job_id: str
     region: Region
-    matched_jsts: frozenset[Jst]
+    matched_jsts: tuple[Jst, ...]
     matched_in_title: frozenset[Jst]
 
 
 class MatchRecord(_MatchRecordFields):
-    """Terms that hit one posting, with per-term title-occurrence flags.
+    """Terms that hit one posting, sorted by phrase, and those that hit its title.
 
     A named tuple, so it costs a tuple to build; a record always holds at
     least one term.
@@ -69,7 +71,7 @@ class MatchRecord(_MatchRecordFields):
     __slots__ = ()
 
     def __new__(
-        cls, job_id: str, region: Region, matched_jsts: frozenset[Jst], matched_in_title: frozenset[Jst]
+        cls, job_id: str, region: Region, matched_jsts: tuple[Jst, ...], matched_in_title: frozenset[Jst]
     ) -> MatchRecord:
         if not matched_jsts:
             raise InputError(f"match record for {job_id} has no matched terms")
@@ -80,15 +82,17 @@ class MatchIndex:
     """First-token index over a taxonomy's terms for fast contiguous-run scans.
 
     Titles repeat across postings far more than descriptions do, so the
-    index also remembers the terms found in each distinct title string for
-    as long as the index lives. Postings hold far fewer distinct term sets
-    than there are postings, so the index keeps one frozenset per distinct
-    term set and hands that one out for every equal set.
+    index also remembers the terms found in each distinct title string, as
+    a frozenset shared by equal sets, for as long as the index lives.
+    Postings hold far fewer distinct term sets than there are postings, so
+    the index keeps one phrase-sorted tuple per distinct term set and hands
+    that one out for every equal set.
     """
 
     def __init__(self, taxonomy: Taxonomy) -> None:
         self._title_hits: dict[str, frozenset[Jst]] = {}
-        self._term_sets: dict[frozenset[Jst], frozenset[Jst]] = {}
+        self._title_sets: dict[frozenset[Jst], frozenset[Jst]] = {}
+        self._term_sets: dict[tuple[Jst, ...], tuple[Jst, ...]] = {}
         # First token -> (" phrase tokens ", term): tokens hold no spaces, so a
         # phrase is a contiguous run exactly when its spaced form occurs in the
         # spaced token string.
@@ -112,15 +116,17 @@ class MatchIndex:
         by_first = self._by_first
         return {jst for first in firsts for phrase, jst in by_first[first] if phrase in text}
 
-    def shared(self, jsts: frozenset[Jst]) -> frozenset[Jst]:
-        """The index's one frozenset equal to ``jsts``, which becomes it on first sight."""
-        return self._term_sets.setdefault(jsts, jsts)
+    def shared(self, jsts: frozenset[Jst]) -> tuple[Jst, ...]:
+        """The index's one tuple of ``jsts`` sorted by phrase."""
+        terms = tuple(sorted(jsts, key=_BY_PHRASE))
+        return self._term_sets.setdefault(terms, terms)
 
     def title_hits(self, title: str) -> frozenset[Jst]:
         """``scan(expanded_tokens(title))``, computed once per distinct title."""
         hits = self._title_hits.get(title)
         if hits is None:
-            hits = self._title_hits[title] = self.shared(frozenset(self.scan(expanded_tokens(title))))
+            hits = frozenset(self.scan(expanded_tokens(title)))
+            hits = self._title_hits[title] = self._title_sets.setdefault(hits, hits)
         return hits
 
 
@@ -129,18 +135,13 @@ def match_posting(posting: Posting, index: MatchIndex) -> MatchRecord | None:
 
     Terms are searched in the title and job description (not the employer
     description); returns nothing when no term occurs. Records matched
-    through one index share each term set (``MatchIndex.shared``).
+    through one index share each term tuple (``MatchIndex.shared``).
     """
     title_hits = index.title_hits(posting.title)
-    matched = index.shared(title_hits | index.scan(expanded_tokens(posting.job_description)))
+    matched = title_hits | index.scan(expanded_tokens(posting.job_description))
     if not matched:
         return None
-    return MatchRecord(
-        job_id=posting.job_id,
-        region=posting.region,
-        matched_jsts=matched,
-        matched_in_title=title_hits,
-    )
+    return MatchRecord(posting.job_id, posting.region, index.shared(matched), title_hits)
 
 
 def match_corpus(postings: Corpus | list[Posting], taxonomy: Taxonomy) -> list[MatchRecord]:

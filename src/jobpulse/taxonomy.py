@@ -176,7 +176,12 @@ def load_taxonomy(path: str) -> Taxonomy:
     one empty-title row. Phrase collisions across levels resolve by family
     precedence with a warning per collision.
     """
-    rows = [(line_no, next(csv.reader([line]))) for line_no, line in list(content_lines(path, "taxonomy"))]
+    rows = []
+    for line_no, line in list(content_lines(path, "taxonomy")):
+        try:
+            rows.append((line_no, next(csv.reader([line]))))
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise InputError(f"{path}:{line_no}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: empty taxonomy file")
     header_no, header = rows[0]

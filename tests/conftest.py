@@ -1,12 +1,14 @@
 import datetime as dt
 import json
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
 from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Posting, Region
 from jobpulse.employers import load_dictionary
+from jobpulse.matcher import MatchIndex, match_posting
 from jobpulse.taxonomy import Taxonomy, load_taxonomy
 
 # The name dictionary every subcommand reads unless --dictionary names another.
@@ -44,6 +46,21 @@ def make_posting(
         region=region,
         retrieved_at=retrieved_at,
     )
+
+
+def make_unit(job_id: str = "J1", jsts=(), region: Region = Region.LA, employer_name: str = "Acme Devices") -> tuple:
+    """A row of the match pass (``dedup.Unit``): ``jsts`` sorted by phrase, as ``MatchIndex.shared`` gives them."""
+    return (job_id, region, tuple(sorted(jsts, key=attrgetter("phrase"))), employer_name)
+
+
+def pass_rows(postings, taxonomy) -> list:
+    """The match pass's rows of ``postings``, as if all were filtered, their terms from one index."""
+    index = MatchIndex(taxonomy)
+    rows = []
+    for p in postings:
+        record = match_posting(p, index)
+        rows.append((p.job_id, p.region, record.matched_jsts if record else (), p.employer_name))
+    return rows
 
 
 def content_groups(postings) -> dict:

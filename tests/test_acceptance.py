@@ -22,9 +22,8 @@ from jobpulse.matcher import discover_candidate_titles, filter_corpus, match_cor
 from jobpulse.report import build_funnel, demand_by, ratio
 from jobpulse.synth import SynthConfig, build_corpus, build_employer_stock, generate
 from jobpulse.taxonomy import load_taxonomy, lookup
-from jobpulse.matcher import MatchRecord
 
-from conftest import BUNDLED_DICTIONARY, make_posting
+from conftest import BUNDLED_DICTIONARY, make_posting, make_unit, pass_rows
 
 
 def _ok(name: str) -> None:
@@ -42,7 +41,7 @@ def default_pipeline(shipped_taxonomy):
     filtered_keys = {(p.job_id, p.region) for p in filtered}
     records_filtered = [r for r in records_all if (r.job_id, r.region) in filtered_keys]
     filtered_obs = sum(len(r.matched_jsts) for r in records_filtered)
-    ledger = weight_assignments(records_filtered)
+    ledger = weight_assignments(pass_rows(filtered, shipped_taxonomy))
     return {
         "postings": postings,
         "truth": truth,
@@ -67,14 +66,7 @@ def test_criterion_weight_conservation(shipped_taxonomy):
         for i in range(n):
             k = rng.randint(1, 5)
             jsts = frozenset(rng.sample(pool, k))
-            records.append(
-                MatchRecord(
-                    job_id=f"T{trial}J{i}",
-                    region=rng.choice(list(Region)),
-                    matched_jsts=jsts,
-                    matched_in_title=frozenset(),
-                )
-            )
+            records.append(make_unit(f"T{trial}J{i}", jsts, rng.choice(list(Region))))
         ledger = weight_assignments(records)
         header, *rows = csv.reader(io.StringIO("".join(ledger_csv_chunks(ledger))))
         assert tuple(header) == LEDGER_HEADER
@@ -293,24 +285,15 @@ def test_criterion_employer_stats(shipped_taxonomy):
     assert sum(sizes) == n_units and len(sizes) == n_employers
     jst = lookup(shipped_taxonomy, "design engineer")
     records = []
-    unit_employers = {}
     unit = 0
     for idx, size in enumerate(sizes):
         name = f"emp{idx:04d}"
         for _ in range(size):
-            records.append(
-                MatchRecord(
-                    job_id=f"J{unit}",
-                    region=Region.LA,
-                    matched_jsts=frozenset({jst}),
-                    matched_in_title=frozenset(),
-                )
-            )
-            unit_employers[(f"J{unit}", Region.LA)] = name
+            records.append(make_unit(f"J{unit}", [jst], Region.LA, name))
             unit += 1
     ledger = weight_assignments(records)
     mapping, _ = canonicalize([f"emp{idx:04d}" for idx in range(n_employers)], BUNDLED_DICTIONARY)
-    report = employer_stats(ledger, mapping, unit_employers, top_k=3)
+    report = employer_stats(ledger, mapping, top_k=3)
     assert report.employer_count == 1135
     assert report.mean_label == "3.6"
     assert report.top_total == 433

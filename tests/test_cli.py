@@ -24,7 +24,15 @@ from jobpulse.cli import (
 )
 from jobpulse.corpus import Region
 
-from conftest import BUNDLED_DICTIONARY, content_groups, make_record, traced_peak, write_jsonl, write_taxonomy_csv
+from conftest import (
+    BUNDLED_DICTIONARY,
+    content_groups,
+    make_record,
+    pass_rows,
+    traced_peak,
+    write_jsonl,
+    write_taxonomy_csv,
+)
 
 
 @pytest.fixture()
@@ -1251,19 +1259,34 @@ def test_a_candidate_line_changed_before_its_reread_exits_1_and_writes_nothing(
 @pytest.mark.parametrize("subcommand", ["match", "dedup", "report"])
 def test_matching_subcommands_peak_below_the_load(tmp_path, seed7_inputs, capsys, subcommand):
     # These subcommands match and filter each posting as its line is read and
-    # keep no posting, only an 8-byte content hash and location per filtered
-    # posting for the cross-region report; they share equal term sets and
-    # write their large artifacts in chunks of 1,024 lines. So their traced
-    # peak stays below that of loading the postings alone: 0.84-0.86 times
-    # the load for match and 0.89-0.91 for dedup and report on Python 3.10
-    # to 3.13 (3.12 the highest). Loading the list first peaked at 1.05
-    # times the load; a dict from each content hash to its first posting,
-    # 0.98-1.01; chunks of 4,096 lines, 0.98-1.01 for match; also keeping
-    # every filtered description and a term set per record, near 1.25.
+    # keep no posting: match keeps a record per matched posting; dedup and
+    # report keep one row per filtered posting (job id, region, terms and
+    # employer name), whose rows with terms become the ledger's units, and an
+    # 8-byte content hash and location for the cross-region report. Equal
+    # term sets share one phrase-sorted tuple, and the large artifacts are
+    # written in chunks of 1,024 lines. So their traced peak stays far below
+    # that of loading the postings alone: 0.56-0.57 times the load for match
+    # and 0.47-0.49 for dedup and report on Python 3.10 to 3.13. A frozenset
+    # per distinct term set, a table of employer names by (job_id, region)
+    # and a new term tuple per ledger unit peaked at 0.84-0.86 for match and
+    # 0.89-0.91 for dedup and report; loading the list first, at 1.05 times
+    # the load; also keeping every filtered description, near 1.25.
     load_peak = traced_peak(corpus_mod.load_postings, seed7_inputs)
     peak = traced_peak(main, [subcommand, "--input", *seed7_inputs, "--out", str(tmp_path / "out")])
-    assert peak < 0.96 * load_peak, (peak, load_peak)
+    assert peak < 0.62 * load_peak, (peak, load_peak)
     capsys.readouterr()
+
+
+def test_dedup_units_share_one_term_tuple_per_distinct_set(tmp_path, seed7_inputs, shipped_taxonomy):
+    # The ledger's units are the pass's rows, each holding the match index's
+    # one phrase-sorted tuple of its terms: equal sets are one object.
+    run = _Run("dedup", PipelineConfig(out_dir=str(tmp_path)))
+    _, ledger = cli._dedup_stages(run, shipped_taxonomy, seed7_inputs)
+    sets = {frozenset(terms) for _, _, terms, _ in ledger.units}
+    assert len({id(terms) for _, _, terms, _ in ledger.units}) == len(sets) < ledger.unit_count
+    for _, _, terms, _ in ledger.units:
+        phrases = [jst.phrase for jst in terms]
+        assert phrases == sorted(set(phrases)), phrases
 
 
 @pytest.mark.parametrize("subcommand", ["ingest", "disambiguate", "discover"])
@@ -1317,7 +1340,7 @@ def test_streamed_ledger_and_mapping_equal_the_string_renderers(tmp_path, shippe
     fixture = tmp_path / "fixture"
     assert main(["synth", "--seed", "13", "--n-postings", "1500", "--out", str(fixture)]) == 0
     corpus, _ = corpus_mod.load_postings([str(fixture / f"{r.value.lower()}.jsonl") for r in Region])
-    ledger = dedup.weight_assignments(matcher.match_corpus(corpus, shipped_taxonomy))
+    ledger = dedup.weight_assignments(pass_rows(corpus, shipped_taxonomy))
     mapping, _ = employers.canonicalize([p.employer_name for p in corpus], BUNDLED_DICTIONARY)
     whole = {
         "ledger.csv": dedup.render_ledger_csv(ledger),

@@ -13,16 +13,15 @@ from jobpulse.dedup import (
     weight_assignments,
 )
 from jobpulse.errors import ContractError
-from jobpulse.matcher import MatchRecord
 from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, lookup
 
-from conftest import content_groups, make_posting
+from conftest import content_groups, make_posting, make_unit
 
 
 def _record(shipped_taxonomy, job_id, phrases, region=Region.LA):
     jsts = frozenset(lookup(shipped_taxonomy, p) for p in phrases)
     assert None not in jsts, phrases
-    return MatchRecord(job_id=job_id, region=region, matched_jsts=jsts, matched_in_title=frozenset())
+    return make_unit(job_id, jsts, region)
 
 
 def test_two_terms_split_half_and_half(shipped_taxonomy):
@@ -192,15 +191,29 @@ def test_ledger_order_equals_sorting_every_assignment(shipped_taxonomy):
         for region in Region
         for _ in range(40)
     ]
-    records = list({(r.job_id, r.region): r for r in records}.values())
+    records = list({r[:2]: r for r in records}.values())  # one row per (job_id, region)
     rng.shuffle(records)
     unsorted = [
-        WeightedAssignment(r.job_id, r.region, jst, Fraction(1, len(r.matched_jsts)))
-        for r in records
-        for jst in r.matched_jsts
+        WeightedAssignment(job_id, region, jst, Fraction(1, len(terms)))
+        for job_id, region, terms, _ in records
+        for jst in terms
     ]
     expected = tuple(sorted(unsorted, key=lambda a: (a.job_id, a.region.value, a.jst.phrase)))
     assert weight_assignments(records).assignments == expected
+
+
+def test_a_row_without_terms_is_no_unit(shipped_taxonomy):
+    # The pass keeps a row for each filtered posting, also one that matched
+    # nothing; only rows with terms become units, in ledger order.
+    rows = [
+        make_unit("J2", [lookup(shipped_taxonomy, "design engineer")]),
+        make_unit("J1"),
+        make_unit("J0", [lookup(shipped_taxonomy, "fab technician")]),
+    ]
+    ledger = weight_assignments(rows)
+    assert ledger.units == [rows[2], rows[0]]
+    assert ledger.units[1] is rows[0]  # the rows themselves, not copies
+    assert ledger.total_weight() == ledger.unit_count == 2
 
 
 def test_first_duplicate_in_input_order_is_reported(shipped_taxonomy):
@@ -229,7 +242,7 @@ def test_ledger_csv_equals_csv_of_every_assignment():
     for _ in range(60):
         key = (rng.choice(job_ids), rng.choice(list(Region)))
         matched = frozenset(rng.sample(jsts, rng.randint(1, 5)))
-        records[key] = MatchRecord(key[0], key[1], matched, frozenset())
+        records[key] = make_unit(key[0], matched, key[1])
     ledger = weight_assignments(list(records.values()))
     assert render_ledger_csv(ledger) == _csv_of_every_assignment(ledger)
 

@@ -19,11 +19,10 @@ from jobpulse.employers import (
     render_mapping_csv,
 )
 from jobpulse.errors import ContractError, InputError
-from jobpulse.matcher import MatchRecord
 from jobpulse.synth import build_employer_stock
 from jobpulse.taxonomy import lookup
 
-from conftest import BUNDLED_DICTIONARY, traced_memory
+from conftest import BUNDLED_DICTIONARY, make_unit, traced_memory
 
 
 def _groups(mapping):
@@ -361,15 +360,10 @@ def test_grouping_memory_stays_below_twice_the_normalized_names():
     assert peak < 2 * normalized, (peak, normalized)
 
 
-def _ledger_units(n_units, shipped_taxonomy):
+def _ledger_units(shipped_taxonomy, names):
+    """A ledger of one unit per name, J0, J1, ... in LA, each of one term and employed by its name."""
     jst = lookup(shipped_taxonomy, "design engineer")
-    records = [
-        MatchRecord(
-            job_id=f"J{i}", region=Region.LA, matched_jsts=frozenset({jst}), matched_in_title=frozenset()
-        )
-        for i in range(n_units)
-    ]
-    return weight_assignments(records)
+    return weight_assignments([make_unit(f"J{i}", [jst], Region.LA, name) for i, name in enumerate(names)])
 
 
 def test_employer_stats_mean_and_top_share(shipped_taxonomy):
@@ -382,15 +376,9 @@ def test_employer_stats_mean_and_top_share(shipped_taxonomy):
     )
     assert len(sizes) == n_employers and sum(sizes) == n_units
     names = [f"emp{i:04d}" for i in range(n_employers)]
-    unit_employers = {}
-    unit = 0
-    for name, size in zip(names, sizes):
-        for _ in range(size):
-            unit_employers[(f"J{unit}", Region.LA)] = name
-            unit += 1
-    ledger = _ledger_units(n_units, shipped_taxonomy)
+    ledger = _ledger_units(shipped_taxonomy, [name for name, size in zip(names, sizes) for _ in range(size)])
     mapping, _ = canonicalize(names, BUNDLED_DICTIONARY)
-    report = employer_stats(ledger, mapping, unit_employers, top_k=3)
+    report = employer_stats(ledger, mapping, top_k=3)
     assert report.employer_count == 1135
     assert report.unit_total == 4044
     assert report.mean_label == "3.6"
@@ -399,40 +387,39 @@ def test_employer_stats_mean_and_top_share(shipped_taxonomy):
 
 
 def test_employer_stats_singleton(shipped_taxonomy):
-    ledger = _ledger_units(1, shipped_taxonomy)
+    ledger = _ledger_units(shipped_taxonomy, ["Solo Systems"])
     mapping, _ = canonicalize(["Solo Systems"], BUNDLED_DICTIONARY)
-    report = employer_stats(ledger, mapping, {("J0", Region.LA): "Solo Systems"})
+    report = employer_stats(ledger, mapping)
     assert report.employer_count == 1
     assert report.mean_label == "1.0"
     assert report.top_share_label == "100.0%"
 
 
 def test_employer_stats_unmapped_name_is_contract_error(shipped_taxonomy):
-    ledger = _ledger_units(1, shipped_taxonomy)
+    ledger = _ledger_units(shipped_taxonomy, ["Unknown Name"])
     mapping, _ = canonicalize(["Known Name"], BUNDLED_DICTIONARY)
     with pytest.raises(ContractError, match="missing from canonical mapping"):
-        employer_stats(ledger, mapping, {("J0", Region.LA): "Unknown Name"})
+        employer_stats(ledger, mapping)
 
 
 def test_employer_stats_missing_unit_link_is_contract_error(shipped_taxonomy):
-    ledger = _ledger_units(1, shipped_taxonomy)
-    mapping, _ = canonicalize(["Known Name"], BUNDLED_DICTIONARY)
-    with pytest.raises(ContractError, match="no employer name"):
-        employer_stats(ledger, mapping, {})
+    # Each unit carries its posting's employer name, so the one unit with no
+    # name to link is a posting whose name is empty: canonicalize rejects it.
+    ledger = _ledger_units(shipped_taxonomy, ["Known Name", ""])
+    mapping, rejected = canonicalize(["Known Name", ""], BUNDLED_DICTIONARY)
+    assert rejected == [""]
+    with pytest.raises(ContractError, match="employer name '' missing from canonical mapping"):
+        employer_stats(ledger, mapping)
 
 
 def test_employer_stats_fractional_units(shipped_taxonomy):
     d = lookup(shipped_taxonomy, "design engineer")
     l = lookup(shipped_taxonomy, "layout engineer")
-    records = [
-        MatchRecord(job_id="J1", region=Region.LA, matched_jsts=frozenset({d, l}), matched_in_title=frozenset()),
-        MatchRecord(job_id="J2", region=Region.SD, matched_jsts=frozenset({d}), matched_in_title=frozenset()),
-    ]
-    ledger = weight_assignments(records)
-    mapping, _ = canonicalize(["Apex Labs"], BUNDLED_DICTIONARY)
-    stats = employer_stats(
-        ledger, mapping, {("J1", Region.LA): "Apex Labs", ("J2", Region.SD): "Apex Labs"}
+    ledger = weight_assignments(
+        [make_unit("J1", [d, l], Region.LA, "Apex Labs"), make_unit("J2", [d], Region.SD, "Apex Labs")]
     )
+    mapping, _ = canonicalize(["Apex Labs"], BUNDLED_DICTIONARY)
+    stats = employer_stats(ledger, mapping)
     assert stats.unit_total == 2  # fractional weights per unit still sum to 1
 
 
@@ -459,20 +446,18 @@ def test_mapping_chunks_quote_awkward_names(monkeypatch):
 
 
 def test_render_employers_csv(shipped_taxonomy):
-    ledger = _ledger_units(2, shipped_taxonomy)
+    ledger = _ledger_units(shipped_taxonomy, ["Apex Labs", "Zenith Works"])
     mapping, _ = canonicalize(["Apex Labs", "Zenith Works"], BUNDLED_DICTIONARY)
-    stats = employer_stats(
-        ledger, mapping, {("J0", Region.LA): "Apex Labs", ("J1", Region.LA): "Zenith Works"}
-    )
+    stats = employer_stats(ledger, mapping)
     lines = render_employers_csv(stats).splitlines()
     assert lines[0] == "canonical_name,units,units_num,units_den,share_pct"
     assert lines[1] == "apex labs,1.0,1,1,50.0%"
 
 
 def test_render_employers_text_aligns_names_shorter_than_the_header(shipped_taxonomy):
-    ledger = _ledger_units(2, shipped_taxonomy)
+    ledger = _ledger_units(shipped_taxonomy, ["ab", "c"])
     mapping, _ = canonicalize(["ab", "c"], BUNDLED_DICTIONARY)
-    stats = employer_stats(ledger, mapping, {("J0", Region.LA): "ab", ("J1", Region.LA): "c"})
+    stats = employer_stats(ledger, mapping)
     assert render_employers_text(stats).splitlines()[-3:] == [
         "employer      units  share",
         "ab              1.0  50.0%",

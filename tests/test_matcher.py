@@ -433,8 +433,9 @@ def test_match_corpus_equals_per_posting_match_with_fresh_index(shipped_taxonomy
 
 
 def test_equal_term_sets_share_one_frozenset(shipped_taxonomy):
-    """One index hands out one frozenset per distinct term set, for matched
-    terms and title hits alike, and the records still equal fresh-index ones."""
+    """One index hands out one phrase-sorted tuple per distinct set of
+    matched terms and one frozenset per distinct set of title hits, and the
+    records still equal fresh-index ones."""
     postings, _ = build_corpus(SynthConfig(seed=32, n_postings=400), shipped_taxonomy)
     postings += [
         make_posting(job_id="S0", title="Design Engineer", job_description="layout engineer on site"),
@@ -447,6 +448,8 @@ def test_equal_term_sets_share_one_frozenset(shipped_taxonomy):
     assert records == [r for r in fresh if r]
     sets = [s for r in records for s in (r.matched_jsts, r.matched_in_title)]
     assert len({id(s) for s in sets}) == len(set(sets)) < len(records)
+    assert all(list(r.matched_jsts) == sorted(r.matched_jsts, key=lambda j: j.phrase) for r in records)
     s0, s1, s2, s3 = records[-4:]
-    assert s0.matched_jsts is s1.matched_jsts is s2.matched_jsts is s2.matched_in_title
-    assert s0.matched_in_title is s3.matched_in_title is s3.matched_jsts
+    assert s0.matched_jsts is s1.matched_jsts is s2.matched_jsts
+    assert frozenset(s2.matched_jsts) == s2.matched_in_title
+    assert s0.matched_in_title is s3.matched_in_title == frozenset(s3.matched_jsts)

@@ -9,7 +9,6 @@ import pytest
 from jobpulse.corpus import Region
 from jobpulse.dedup import weight_assignments
 from jobpulse.errors import ContractError, InputError
-from jobpulse.matcher import MatchRecord
 from jobpulse.report import (
     build_funnel,
     demand_by,
@@ -24,7 +23,7 @@ from jobpulse.report import (
 )
 from jobpulse.taxonomy import JobFunction, lookup
 
-from conftest import BUNDLED_DICTIONARY
+from conftest import BUNDLED_DICTIONARY, make_unit, pass_rows
 
 
 def _ledger(shipped_taxonomy, spec):
@@ -32,9 +31,7 @@ def _ledger(shipped_taxonomy, spec):
     records = []
     for job_id, region, phrases in spec:
         jsts = frozenset(lookup(shipped_taxonomy, p) for p in phrases)
-        records.append(
-            MatchRecord(job_id=job_id, region=region, matched_jsts=jsts, matched_in_title=frozenset())
-        )
+        records.append(make_unit(job_id, jsts, region))
     return weight_assignments(records)
 
 
@@ -387,19 +384,18 @@ def _assert_matches_oracle(ledger, taxonomy):
 
 def test_integer_aggregation_matches_fraction_oracle_on_synth(shipped_taxonomy):
     from jobpulse.employers import canonicalize, employer_stats, render_employers_csv
-    from jobpulse.matcher import filter_corpus, match_corpus
+    from jobpulse.matcher import filter_corpus
     from jobpulse.synth import SynthConfig, build_corpus
 
     postings, _ = build_corpus(SynthConfig(seed=7, n_postings=3000), shipped_taxonomy)
     filtered = filter_corpus(postings, "semiconductor")
-    keys = {(p.job_id, p.region) for p in filtered}
-    ledger = weight_assignments([r for r in match_corpus(postings, shipped_taxonomy) if (r.job_id, r.region) in keys])
+    ledger = weight_assignments(pass_rows(filtered, shipped_taxonomy))
     assert ledger.term_sums[0] > 1  # several k values, so the common denominator is not trivial
     _assert_matches_oracle(ledger, shipped_taxonomy)
 
     mapping, _ = canonicalize([p.employer_name for p in filtered], BUNDLED_DICTIONARY)
     unit_employers = {(p.job_id, p.region): p.employer_name for p in filtered}
-    stats = employer_stats(ledger, mapping, unit_employers)
+    stats = employer_stats(ledger, mapping)
     expected = _oracle_employer_counts(ledger, mapping, unit_employers)
     assert list(stats.ranked) == expected
     total = sum((count for _, count in expected), Fraction(0))

@@ -22,7 +22,7 @@ from jobpulse.synth import (
 )
 from jobpulse.taxonomy import JobFunction, load_taxonomy
 
-from conftest import BUNDLED_DICTIONARY, content_groups, traced_peak, write_taxonomy_csv
+from conftest import BUNDLED_DICTIONARY, content_groups, pass_rows, traced_peak, write_taxonomy_csv
 
 
 def _posting_paths(out) -> list:
@@ -259,8 +259,7 @@ def test_recovery_industry_flags(recovery_run):
 def test_recovery_weights(recovery_run, shipped_taxonomy):
     _, postings, truth = recovery_run
     filtered = filter_corpus(postings, "semiconductor")
-    records = match_corpus(filtered, shipped_taxonomy)
-    ledger = weight_assignments(records)
+    ledger = weight_assignments(pass_rows(filtered, shipped_taxonomy))
     by_unit = {(r.job_id, r.region): r for r in truth}
     per_unit: dict[tuple, list] = {}
     for a in ledger.assignments:

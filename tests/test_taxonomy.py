@@ -259,6 +259,8 @@ _PREAMBLE = (
         ("Technician,etch engineer,rf title", "8: family 'etch engineer' declared under Engineer"),
         ("Engineer,etch engineer,---", "8: title normalizes to nothing"),
         ("Engineer,etch engineer,Dry Etch\nEngineer,etch engineer,dry etch", "9: duplicate title 'dry etch'"),
+        # The csv module refuses a field over 131,072 characters.
+        pytest.param("Engineer,etch engineer," + "x" * 140_000, "8: field larger than field limit", id="huge-field"),
     ],
 )
 def test_every_row_error_names_the_row_line(tmp_path, row, error):
