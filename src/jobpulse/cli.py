@@ -13,6 +13,10 @@ keeps one row per filtered posting, and the rows with matched terms are
 the demand ledger's units. No artifact is written before the whole input
 has been read.
 
+Each subcommand imports the modules it runs when it is called, and the
+run imports report, for its atomic writers, at its first write, so
+``ingest`` reads its input with only cli, corpus and errors loaded.
+
 Exit codes: 0 success; 1 invalid configuration or input files; 2 a data
 contract was violated (for example a duplicate (job_id, region) record).
 Errors print as single-line diagnostics on standard error.
@@ -28,19 +32,20 @@ import logging
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import chain, pairwise
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import corpus as corpus_mod
-from . import dedup as dedup_mod
-from . import employers as employers_mod
-from . import matcher as matcher_mod
-from . import report as report_mod
 from .corpus import CollectionWindow, Posting, Region, csv_line, csv_text, joined_chunks
 from .errors import ContractError, InputError, JobPulseError
-from .taxonomy import JobFunction, Taxonomy, load_taxonomy
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import dedup as dedup_mod
+    from . import matcher as matcher_mod
+    from .taxonomy import Taxonomy
 
 
 ENV_CONFIG = "JOBPULSE_CONFIG"
@@ -55,9 +60,8 @@ DEFAULT_DICTIONARY = _DATA_DIR / "name_dictionary.txt"
 _DATA_FILE_DEFAULTS = {"taxonomy": DEFAULT_TAXONOMY, "dictionary": DEFAULT_DICTIONARY}
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Effective run configuration after merging defaults, file, and flags.
+class PipelineConfig(NamedTuple):
+    """Effective run configuration after merging defaults, file, and flags: an immutable named tuple.
 
     Each field is a setting: its config-file key, its flag's argparse dest
     and, after "config.", its manifest key (``out_dir`` is not recorded).
@@ -66,13 +70,13 @@ class PipelineConfig:
     taxonomy: str = str(DEFAULT_TAXONOMY)
     dictionary: str = str(DEFAULT_DICTIONARY)
     industry_token: str = "semiconductor"
-    filter_mode: str = matcher_mod.FILTER_ANY_FIELD
+    filter_mode: str = corpus_mod.FILTER_ANY_FIELD
     regions: tuple[Region, ...] = tuple(Region)
     window_start: dt.date = corpus_mod.DEFAULT_WINDOW_START
     window_end: dt.date = corpus_mod.DEFAULT_WINDOW_END
     out_dir: str = "out"
     format: str = "csv"
-    min_count: int = matcher_mod.DEFAULT_MIN_COUNT
+    min_count: int = corpus_mod.DEFAULT_MIN_COUNT
     top_k: int = 3
 
     def validate(self, keys: tuple[str, ...]) -> None:
@@ -81,8 +85,8 @@ class PipelineConfig:
             raise InputError(f"taxonomy file not found: {self.taxonomy}")
         if "dictionary" in keys and not Path(self.dictionary).is_file():
             raise InputError(f"dictionary file not found: {self.dictionary}")
-        if "filter_mode" in keys and self.filter_mode not in matcher_mod.FILTER_MODES:
-            raise InputError(f"filter_mode must be one of {matcher_mod.FILTER_MODES}")
+        if "filter_mode" in keys and self.filter_mode not in corpus_mod.FILTER_MODES:
+            raise InputError(f"filter_mode must be one of {corpus_mod.FILTER_MODES}")
         if "regions" in keys and not self.regions:
             raise InputError("regions must name at least one of LA, SB, SD")
         if "format" in keys and self.format not in ("csv", "text"):
@@ -94,7 +98,9 @@ class PipelineConfig:
         if "window_start" in keys and self.window_start > self.window_end:
             raise InputError("window_start is after window_end")
         if "industry_token" in keys:
-            matcher_mod.validate_industry_token(self.industry_token)
+            from .matcher import validate_industry_token
+
+            validate_industry_token(self.industry_token)
 
     def as_manifest_items(self, keys: tuple[str, ...]) -> list[tuple[str, str]]:
         """The recorded settings: those named in ``keys``."""
@@ -111,7 +117,7 @@ class PipelineConfig:
         return items
 
 
-SETTINGS = tuple(field.name for field in fields(PipelineConfig))
+SETTINGS = PipelineConfig._fields
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -182,7 +188,10 @@ def build_config(args: argparse.Namespace, keys: tuple[str, ...]) -> PipelineCon
 
 
 class _Run:
-    """Accumulates artifacts, counts, and inputs for one subcommand run."""
+    """Accumulates artifacts, counts, and inputs for one subcommand run.
+
+    Its writers are report's atomic writers, imported at the first write.
+    """
 
     def __init__(self, subcommand: str, config: PipelineConfig) -> None:
         self.config = config
@@ -203,15 +212,21 @@ class _Run:
         self.items.append((name, str(value)))
 
     def write_artifact(self, name: str, content: str) -> None:
+        from . import report as report_mod
+
         digest = report_mod.write_text_atomic(self.out_dir / name, content)
         self.items.append((f"artifact.{name}.sha256", digest))
 
     def write_chunks(self, name: str, chunks: Iterable[str]) -> None:
         """``write_artifact`` of text given in pieces, each written and hashed in turn."""
+        from . import report as report_mod
+
         digest = report_mod.write_chunks_atomic(self.out_dir / name, chunks)
         self.items.append((f"artifact.{name}.sha256", digest))
 
     def finish(self) -> None:
+        from . import report as report_mod
+
         config_block = "".join(f"{k} = {v}\n" for k, v in sorted(self.config_items))
         self.items.append(("config_hash", hashlib.sha256(config_block.encode("utf-8")).hexdigest()))
         body = "".join(f"{key} = {value}\n" for key, value in sorted(self.items))
@@ -272,11 +287,12 @@ def _window(run: _Run) -> CollectionWindow:
 
 def _industry_filter(run: _Run):
     """The run's industry filter: the test of whether it keeps a posting."""
+    from . import matcher as matcher_mod
+
     return matcher_mod.industry_predicate(run.config.industry_token, run.config.filter_mode)
 
 
-@dataclass
-class _PipelineData:
+class _PipelineData(NamedTuple):
     in_scope: int  # the in-scope postings read
     # In input order, the dedup_mod.Unit of each filtered posting, or, when
     # asked for every match, the match record of each matched posting.
@@ -314,7 +330,10 @@ def _run_match_stages(
     holds each posting's kept row or record, or None: perfbench's traced run
     counts the records read by wrapping that function.
     """
-    from array import array  # imported here, so the streaming subcommands start without it
+    from array import array
+
+    from . import dedup as dedup_mod
+    from . import matcher as matcher_mod
 
     run.record_inputs(inputs)
     index = matcher_mod.MatchIndex(taxonomy)
@@ -379,6 +398,8 @@ def _dedup_stages(
 
     The ledger's units are the pass's rows with terms, so it holds no copy of them.
     """
+    from . import dedup as dedup_mod
+
     data = _run_match_stages(run, taxonomy, inputs)
     ledger = dedup_mod.weight_assignments(data.rows)
     run.count("demand_units", ledger.unit_count)
@@ -411,9 +432,10 @@ def _render_cross_region_csv(groups: tuple[dedup_mod.CrossRegionGroup, ...]) -> 
     return csv_text(["group", "job_id", "region", "title", "employer_name"], rows)
 
 
-# Each subcommand gets the run and its parsed arguments and returns the
-# summary it prints. Those that read posting files read their data files
-# first, so a data file that cannot be used fails the run before it writes.
+# Each subcommand gets the run and its parsed arguments, imports the modules
+# it runs, and returns the summary it prints. Those that read posting files
+# read their data files first, so a data file that cannot be used fails the
+# run before it writes.
 
 
 def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
@@ -422,7 +444,9 @@ def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
 
 
 def cmd_match(run: _Run, args: argparse.Namespace) -> str:
-    taxonomy = load_taxonomy(run.config.taxonomy)
+    from . import taxonomy as taxonomy_mod
+
+    taxonomy = taxonomy_mod.load_taxonomy(run.config.taxonomy)
     data = _run_match_stages(run, taxonomy, args.input, every_match=True)
     records = data.rows
     run.count("matched_postings", len(records))
@@ -431,12 +455,16 @@ def cmd_match(run: _Run, args: argparse.Namespace) -> str:
 
 
 def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:
-    taxonomy = load_taxonomy(run.config.taxonomy)
+    from . import taxonomy as taxonomy_mod
+
+    taxonomy = taxonomy_mod.load_taxonomy(run.config.taxonomy)
     data, ledger = _dedup_stages(run, taxonomy, args.input)
     return f"{ledger.unit_count} demand units from {data.filtered_observations} observations"
 
 
 def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
+    from . import employers as employers_mod
+
     dictionary = employers_mod.load_dictionary(run.config.dictionary)
     names = [p.employer_name for p in filter(_industry_filter(run), _stream_corpus(run, args.input))]
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
@@ -451,8 +479,11 @@ def cmd_disambiguate(run: _Run, args: argparse.Namespace) -> str:
 
 
 def cmd_discover(run: _Run, args: argparse.Namespace) -> str:
+    from . import matcher as matcher_mod
+    from . import taxonomy as taxonomy_mod
+
     config = run.config
-    taxonomy = load_taxonomy(config.taxonomy)
+    taxonomy = taxonomy_mod.load_taxonomy(config.taxonomy)
     filtered = filter(_industry_filter(run), _stream_corpus(run, args.input))
     candidates = matcher_mod.discover_candidate_titles(filtered, taxonomy, config.min_count)
     run.count("discovery_candidates", len(candidates))
@@ -461,8 +492,12 @@ def cmd_discover(run: _Run, args: argparse.Namespace) -> str:
 
 
 def cmd_report(run: _Run, args: argparse.Namespace) -> str:
+    from . import employers as employers_mod
+    from . import report as report_mod
+    from . import taxonomy as taxonomy_mod
+
     config = run.config
-    taxonomy = load_taxonomy(config.taxonomy)
+    taxonomy = taxonomy_mod.load_taxonomy(config.taxonomy)
     dictionary = employers_mod.load_dictionary(config.dictionary)
     data, ledger = _dedup_stages(run, taxonomy, args.input)
 
@@ -478,15 +513,15 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     run.write_artifact(f"funnel.{ext}", render(report_mod, "funnel", funnel))
 
     slices = [(level, level, None) for level in ("function", "family", "region")]
-    slices += [(function.name.lower(), "title", function) for function in JobFunction]
+    slices += [(function.name.lower(), "title", function) for function in taxonomy_mod.JobFunction]
     tables = {}
     for name, level, function in slices:
         tables[name] = report_mod.demand_by(level, ledger, taxonomy, function=function)
         run.write_artifact(f"demand_{name}.{ext}", render(report_mod, "demand", tables[name]))
 
     totals = {row.label: row.total for row in tables["function"].rows}
-    tech = totals.get(JobFunction.TECHNICIAN.value, Fraction(0))
-    eng = totals.get(JobFunction.ENGINEER.value, Fraction(0))
+    tech = totals.get(taxonomy_mod.JobFunction.TECHNICIAN.value, 0)
+    eng = totals.get(taxonomy_mod.JobFunction.ENGINEER.value, 0)
     if tech > 0 and eng > 0:
         r = report_mod.ratio(tech, eng)
         run.note("ratio.technician_engineer.decimal", r.decimal_label)
@@ -498,7 +533,7 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
     names = [name for _, _, _, name in data.rows]  # of every filtered posting, in input order
     data.rows.clear()
     mapping, rejected = employers_mod.canonicalize(names, dictionary)
-    stats = employers_mod.employer_stats(ledger, mapping, config.top_k)
+    stats = employers_mod.employer_stats(ledger, mapping, config.top_k, rejected)
     run.count("employers_raw", stats.raw_name_count)
     run.count("employers_canonical", stats.employer_count)
     run.count("employer_names_rejected", len(rejected))
@@ -516,6 +551,8 @@ def cmd_report(run: _Run, args: argparse.Namespace) -> str:
 
 
 def _parse_fraction(text: str, label: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -523,7 +560,8 @@ def _parse_fraction(text: str, label: str) -> Fraction:
 
 
 def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
-    from . import synth as synth_mod  # imported here, so the other subcommands start without it
+    from . import synth as synth_mod
+    from . import taxonomy as taxonomy_mod
 
     config = run.config
     window = (corpus_mod.DEFAULT_WINDOW_START, corpus_mod.DEFAULT_WINDOW_END)
@@ -550,7 +588,7 @@ def cmd_synth(run: _Run, args: argparse.Namespace) -> str:
     if args.division_rate:
         overrides["division_rate"] = _parse_fraction(args.division_rate, "division rate")
     synth_config = synth_mod.SynthConfig(**overrides)
-    taxonomy = load_taxonomy(config.taxonomy)
+    taxonomy = taxonomy_mod.load_taxonomy(config.taxonomy)
     result = synth_mod.generate(synth_config, taxonomy, config.out_dir)
     run.note("synth.seed", synth_config.seed)
     run.count("postings_generated", result.posting_count)
@@ -569,7 +607,7 @@ _FLAG_OPTIONS = {
     "taxonomy": {"help": "taxonomy CSV path"},
     "dictionary": {"help": "name dictionary path"},
     "industry_token": {"help": "industry filter token"},
-    "filter_mode": {"choices": matcher_mod.FILTER_MODES, "help": "industry filter semantics"},
+    "filter_mode": {"choices": corpus_mod.FILTER_MODES, "help": "industry filter semantics"},
     "regions": {"help": "comma-separated subset of LA,SB,SD"},
     "window_start": {"help": "collection window start (YYYY-MM-DD)"},
     "window_end": {"help": "collection window end (YYYY-MM-DD)"},
@@ -625,13 +663,16 @@ def main(argv: list[str] | None = None) -> int:
 
     The pipeline's data holds no reference cycles, so reference counting
     frees all of it; each cyclic collection would only walk the millions of
-    live postings, token tuples and assignments again. The collector's state
-    is restored on return, so in-process callers keep their own policy.
+    live postings, token tuples and assignments again. Only the argument
+    parser, whose objects refer to each other, is collected, once it has
+    parsed. The collector's state is restored on return, so in-process
+    callers keep their own policy.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
+        gc.collect(0)  # the parser, now cyclic garbage, so the input reuses its memory
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",

@@ -28,7 +28,6 @@ import logging
 import operator
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -52,6 +51,13 @@ POSTING_FIELDS = (
 # Default collection window for retrieved_at validation.
 DEFAULT_WINDOW_START = dt.date(2025, 3, 15)
 DEFAULT_WINDOW_END = dt.date(2025, 6, 4)
+
+# Industry filter modes and the discovery threshold: settings' defaults and
+# choices, kept here so the CLI parses its settings without the matcher.
+FILTER_ANY_FIELD = "any_field"
+FILTER_ALL_FIELDS = "all_fields"
+FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
+DEFAULT_MIN_COUNT = 3
 
 # Tokens: runs of letters/digits, with hyphens kept only between such runs.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*")
@@ -121,16 +127,20 @@ def normalize_text(s: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(s.lower()))
 
 
-@dataclass(frozen=True, slots=True)
-class CollectionWindow:
-    """Inclusive date range a posting's retrieved_at must fall within."""
+class _WindowFields(NamedTuple):
+    start: dt.date
+    end: dt.date
 
-    start: dt.date = DEFAULT_WINDOW_START
-    end: dt.date = DEFAULT_WINDOW_END
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise InputError(f"collection window start {self.start} is after end {self.end}")
+class CollectionWindow(_WindowFields):
+    """Inclusive date range a posting's retrieved_at must fall within: an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: dt.date = DEFAULT_WINDOW_START, end: dt.date = DEFAULT_WINDOW_END) -> CollectionWindow:
+        if start > end:
+            raise InputError(f"collection window start {start} is after end {end}")
+        return tuple.__new__(cls, (start, end))
 
     def contains(self, day: dt.date) -> bool:
         return self.start <= day <= self.end
@@ -152,8 +162,7 @@ class Posting(NamedTuple):
     retrieved_at: dt.date
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A rejected input record: where it came from and why it was dropped."""
 
     source: str
@@ -161,11 +170,16 @@ class Diagnostic:
     reason: str
 
 
-@dataclass(frozen=True)
 class Corpus:
     """Immutable collection of validated postings."""
 
-    postings: tuple[Posting, ...]
+    __slots__ = ("postings",)
+
+    def __init__(self, postings: tuple[Posting, ...]) -> None:
+        object.__setattr__(self, "postings", postings)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return len(self.postings)

@@ -157,19 +157,26 @@ class EmployerReport:
         return Fraction(units, self.unit_total) if self.unit_total else Fraction(0)
 
 
-def employer_stats(ledger: DemandLedger, mapping: dict[str, CanonicalEmployer], top_k: int = 3) -> EmployerReport:
+def employer_stats(
+    ledger: DemandLedger, mapping: dict[str, CanonicalEmployer], top_k: int = 3, rejected: Collection[str] = ()
+) -> EmployerReport:
     """Count demand units per canonical employer.
 
     Every unit of a ledger built by ``weight_assignments`` weighs exactly 1
     (its k shares of 1/k), so an employer's demand is its number of units.
-    Each unit carries its raw employer name; every name must appear in the
-    mapping or the upstream contract was violated.
+    Each unit carries its raw employer name. The units of a name in
+    ``rejected``, those ``canonicalize`` rejected, belong to no employer and
+    are skipped; every other name must appear in the mapping or the upstream
+    contract was violated.
     """
     raw_units = Counter(name for _, _, _, name in ledger.units)
+    skipped = set(rejected).intersection(raw_units)
     counts: dict[str, int] = {}
     for raw, units in raw_units.items():
         employer = mapping.get(raw)
         if employer is None:
+            if raw in skipped:
+                continue
             raise ContractError(f"employer name {raw!r} missing from canonical mapping")
         counts[employer.canonical_name] = counts.get(employer.canonical_name, 0) + units
     total = sum(counts.values())
@@ -177,7 +184,7 @@ def employer_stats(ledger: DemandLedger, mapping: dict[str, CanonicalEmployer], 
     ranked = tuple(sorted(counts.items(), key=lambda item: (-item[1], item[0])))
     top_total = sum(count for _, count in ranked[:top_k])
     return EmployerReport(
-        raw_name_count=len(raw_units),
+        raw_name_count=len(raw_units) - len(skipped),
         employer_count=employer_count,
         unit_total=total,
         mean_units=Fraction(total, employer_count) if employer_count else Fraction(0),

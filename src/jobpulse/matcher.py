@@ -20,17 +20,13 @@ from collections.abc import Iterable
 from operator import attrgetter
 from typing import NamedTuple
 
+from .corpus import DEFAULT_MIN_COUNT, FILTER_ALL_FIELDS, FILTER_ANY_FIELD, FILTER_MODES  # kept in corpus for the CLI
 from .corpus import Corpus, Posting, Region, normalize_text
 from .errors import InputError
 from .taxonomy import Jst, Taxonomy
 
 
 ROLE_WORDS = frozenset({"engineer", "technician", "scientist", "analyst", "administrator"})
-DEFAULT_MIN_COUNT = 3
-
-FILTER_ANY_FIELD = "any_field"
-FILTER_ALL_FIELDS = "all_fields"
-FILTER_MODES = (FILTER_ANY_FIELD, FILTER_ALL_FIELDS)
 
 # The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
 _RUN_RE = re.compile(r"[^\W_]+")

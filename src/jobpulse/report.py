@@ -13,14 +13,16 @@ import contextlib
 import hashlib
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Region, csv_text
-from .dedup import DemandLedger
 from .errors import ContractError, InputError
-from .taxonomy import JobFunction, Taxonomy
+
+if TYPE_CHECKING:  # the writers load without the ledger and taxonomy modules
+    from .dedup import DemandLedger
+    from .taxonomy import JobFunction, Taxonomy
 
 
 LEVEL_FUNCTION = "function"
@@ -50,8 +52,7 @@ def render_pct(x: Fraction | int, places: int = 1) -> str:
     return render_decimal(Fraction(x) * 100, places) + "%"
 
 
-@dataclass(frozen=True)
-class FunnelReport:
+class FunnelReport(NamedTuple):
     """Stage counts through the pipeline and the reduction between stages."""
 
     stages: tuple[tuple[str, int], ...]
@@ -77,15 +78,13 @@ def build_funnel(counts: list[int] | tuple[int, ...]) -> FunnelReport:
     return FunnelReport(stages=tuple(zip(FUNNEL_LABELS, counts)), reductions=tuple(reductions))
 
 
-@dataclass(frozen=True, slots=True)
-class DemandRow:
+class DemandRow(NamedTuple):
     label: str
     by_region: dict[Region, Fraction]
     total: Fraction
 
 
-@dataclass(frozen=True)
-class DemandTable:
+class DemandTable(NamedTuple):
     """Demand totals grouped at one hierarchy level, split by region."""
 
     level: str
@@ -96,6 +95,8 @@ class DemandTable:
 
 def _labels_for(level: str, taxonomy: Taxonomy | None, function: JobFunction | None) -> list[str]:
     """The labels a table lists even at zero demand."""
+    from .taxonomy import JobFunction
+
     if level == LEVEL_REGION:
         return [r.value for r in Region]
     if taxonomy is None:
@@ -160,8 +161,7 @@ def _fractions(per_region: dict[Region, int], denominator: int) -> dict[Region, 
     return {region: Fraction(units, denominator) for region, units in per_region.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     """A demand ratio as an exact value, a decimal, and a small-integer form."""
 
     value: Fraction

@@ -638,6 +638,27 @@ def test_report_when_nothing_matches(tmp_path):
     assert manifest["count.filtered_observations"] == "0"
 
 
+def test_report_counts_the_unit_of_a_token_less_employer_name_under_no_employer(tmp_path, capsys, caplog):
+    # canonicalize rejects a name that normalizes to nothing: its unit stays
+    # in the demand tables and is left out of the employer statistics.
+    path = tmp_path / "nameless.jsonl"
+    work = {"title": "Design Engineer", "job_description": "semiconductor design work"}
+    write_jsonl(path, [make_record(job_id="J1", employer_name="Apex Labs", **work),
+                       make_record(job_id="J2", employer_name="!!!", **work)])
+    out = tmp_path / "out"
+    assert main(["report", "--input", str(path), "--out", str(out)]) == 0
+    assert "employer name '!!!' normalizes to nothing; excluded" in caplog.text
+    assert "1 employers, mean 1.0 units each" in capsys.readouterr().out
+    manifest = _manifest(out / "manifest.txt")
+    written = {key.split(".", 1)[1].rsplit(".", 1)[0] for key in manifest if key.startswith("artifact.")}
+    assert written == {p.name for p in out.iterdir()} - {"manifest.txt"} and len(written) == 13
+    assert (manifest["count.demand_units"], manifest["count.employer_names_rejected"]) == ("2", "1")
+    assert (manifest["count.employers_raw"], manifest["count.employers_canonical"]) == ("1", "1")
+    assert "TOTAL,2.0,0.0,0.0,2.0,2,1" in (out / "demand_function.csv").read_text(encoding="utf-8")
+    employers_csv = (out / "employers.csv").read_text(encoding="utf-8")
+    assert employers_csv == "canonical_name,units,units_num,units_den,share_pct\napex labs,1.0,1,1,100.0%\n"
+
+
 # -- config keys: file, flags, manifest ---------------------------------------
 
 # key, flag, subcommand that has the flag, file value, flag value, whether
@@ -799,18 +820,63 @@ def test_report_artifact_hashes_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_importing_the_cli_leaves_synth_unloaded():
-    # Only the synth subcommand reads the generator's code; the others start without it.
+def _python_output(code: str, *args: str, cwd=None) -> str:
+    """The standard output of ``code`` run by a new interpreter that imports this jobpulse."""
     src = str(Path(jobpulse.__file__).parents[1])
-    code = "import sys, jobpulse.cli; print('jobpulse.synth' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": src},
+        cwd=cwd,
         check=True,
         capture_output=True,
         encoding="utf-8",
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_synth_unloaded():
+    # Each subcommand imports the modules it runs when it is called, so the CLI starts without them.
+    loaded = set(json.loads(_python_output("import json, sys, jobpulse.cli; print(json.dumps(list(sys.modules)))")))
+    stages = {f"jobpulse.{name}" for name in ("dedup", "employers", "matcher", "report", "taxonomy", "synth")}
+    assert not loaded & stages
+    assert not loaded & {"fractions", "decimal", "dataclasses"}
+
+
+# Runs ingest on argv with corpus.content_lines spied on, then prints the
+# exit code, the jobpulse modules loaded when the first input line was read,
+# and every module loaded at the end.
+_SPIED_INGEST = """
+import json, sys
+from jobpulse import cli, corpus
+
+at_first_line = []
+content_lines = corpus.content_lines
+
+def spy(path, kind):
+    for item in content_lines(path, kind):
+        if not at_first_line:
+            at_first_line.extend(sorted(name for name in sys.modules if name.startswith("jobpulse.")))
+        yield item
+
+corpus.content_lines = spy
+rc = cli.main(["ingest", *sys.argv[1:]])
+print(json.dumps([rc, at_first_line, list(sys.modules)]))
+"""
+
+
+def test_ingest_reads_its_input_before_it_loads_the_writers(tmp_path):
+    path = tmp_path / "postings.jsonl"
+    write_jsonl(path, [make_record(job_id="J1"), "not json", make_record(job_id="J2", region="SD")])
+    out = tmp_path / "out"
+    stdout = _python_output(_SPIED_INGEST, "--input", str(path), "--out", str(out), cwd=tmp_path)
+    summary, result = stdout.splitlines()
+    rc, at_first_line, loaded = json.loads(result)
+    assert (rc, summary) == (2, "ingested 2 postings, rejected 1 records")
+    assert at_first_line == ["jobpulse.cli", "jobpulse.corpus", "jobpulse.errors"]
+    stages = {f"jobpulse.{name}" for name in ("dedup", "employers", "matcher", "taxonomy")}
+    assert "jobpulse.report" in loaded and not set(loaded) & (stages | {"dataclasses", "inspect"})
+    assert (out / "diagnostics.csv").read_text(encoding="utf-8").count("\n") == 2
+    assert _manifest(out / "manifest.txt")["count.postings_ingested"] == "2"
 
 
 def test_manifest_identical_across_checkouts(tmp_path):

@@ -4,10 +4,12 @@ import json
 import random
 import string
 import sys
+from fractions import Fraction
 
 import pytest
 
 from jobpulse import corpus as corpus_mod
+from jobpulse.cli import PipelineConfig
 from jobpulse.corpus import (
     POSTING_FIELDS,
     CollectionWindow,
@@ -21,6 +23,7 @@ from jobpulse.corpus import (
     posting_to_json,
 )
 from jobpulse.errors import InputError
+from jobpulse.report import DemandRow, DemandTable, FunnelReport, RatioResult
 from jobpulse.synth import SynthConfig, build_corpus
 
 from conftest import make_posting, make_record, traced_memory, write_jsonl
@@ -327,8 +330,11 @@ def test_custom_window(tmp_path):
 
 
 def test_inverted_window_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^collection window start 2025-06-01 is after end 2025-05-01$"):
         CollectionWindow(dt.date(2025, 6, 1), dt.date(2025, 5, 1))
+    with pytest.raises(InputError, match="^collection window start 2025-06-05 is after end 2025-06-04$"):
+        CollectionWindow(start=dt.date(2025, 6, 5))
+    assert CollectionWindow() == (corpus_mod.DEFAULT_WINDOW_START, corpus_mod.DEFAULT_WINDOW_END)
 
 
 def test_unreadable_file_is_fatal(tmp_path):
@@ -402,12 +408,26 @@ def test_posting_to_json_equals_sorted_ascii_json_dumps():
         assert posting_to_json(posting) == expected, fields
 
 
-def test_posting_is_an_immutable_named_tuple():
-    fields = ("J1", "t", "d", "e", "ed", Region.LA, dt.date(2025, 4, 1))
-    posting = Posting(*fields)
-    assert posting == fields and posting.region is Region.LA
+# Each record type with the field values of one record.
+_RECORDS = [
+    (Posting, ("J1", "t", "d", "e", "ed", Region.LA, dt.date(2025, 4, 1))),
+    (Diagnostic, ("a.jsonl", 3, "empty job_id")),
+    (CollectionWindow, (dt.date(2025, 4, 1), dt.date(2025, 4, 1))),
+    (PipelineConfig, tuple(PipelineConfig._field_defaults.values())),
+    (FunnelReport, ((("raw_observations", 2), ("industry_filtered", 1)), (Fraction(1, 2),))),
+    (DemandRow, ("etch engineer", {Region.LA: Fraction(1, 2)}, Fraction(1, 2))),
+    (DemandTable, ("family", (), Fraction(0), {})),
+    (RatioResult, (Fraction(1, 2), 1, 2, True)),
+]
+
+
+@pytest.mark.parametrize("record_type, fields", _RECORDS, ids=[record_type.__name__ for record_type, _ in _RECORDS])
+def test_records_are_immutable_named_tuples(record_type, fields):
+    record = record_type(*fields)
+    assert record == fields and record == record_type(**dict(zip(record_type._fields, fields)))
+    assert all(getattr(record, name) is value for name, value in zip(record_type._fields, fields))
     with pytest.raises(AttributeError):
-        posting.job_id = "J2"
+        setattr(record, record_type._fields[0], fields[0])
 
 
 @pytest.mark.parametrize(

@@ -412,6 +412,19 @@ def test_employer_stats_missing_unit_link_is_contract_error(shipped_taxonomy):
         employer_stats(ledger, mapping)
 
 
+def test_employer_stats_skips_the_units_of_rejected_names(shipped_taxonomy):
+    names = ["Known Name", "", "!!!", "Known Name", ""]
+    ledger = _ledger_units(shipped_taxonomy, names)
+    mapping, rejected = canonicalize(names, BUNDLED_DICTIONARY)
+    assert rejected == ["", "!!!", ""]
+    stats = employer_stats(ledger, mapping, rejected=rejected)
+    assert (stats.raw_name_count, stats.employer_count, stats.unit_total) == (1, 1, 2)
+    assert stats.ranked == (("known name", 2),)
+    # A name neither mapped nor rejected still breaks the contract.
+    with pytest.raises(ContractError, match="employer name '' missing from canonical mapping"):
+        employer_stats(ledger, mapping, rejected=["!!!"])
+
+
 def test_employer_stats_fractional_units(shipped_taxonomy):
     d = lookup(shipped_taxonomy, "design engineer")
     l = lookup(shipped_taxonomy, "layout engineer")
