@@ -6,7 +6,8 @@ from offline exports (one JSON object per line); the scraper that produces
 them is out of scope here.
 
 ``content_lines`` is the one line reader of every input file: postings,
-config, taxonomy and name dictionary.
+config, taxonomy and name dictionary. ``sha256`` is the one hash
+constructor of the manifest and the artifact writers.
 
 ``iter_postings`` streams the valid postings as it reads each line, so a
 consumer that keeps none of them runs in memory set by the distinct keys
@@ -34,6 +35,16 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import InputError
+
+# CPython's built-in SHA-256, imported as its random.py imports a hash:
+# hashlib would map OpenSSL's libcrypto (3.5 MB resident) into every run.
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 logger = logging.getLogger(__name__)
 

@@ -41,11 +41,14 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from .corpus import content_lines, csv_line, csv_text, joined_chunks, normalize_text
-from .dedup import DemandLedger
 from .errors import ContractError, InputError
 from .report import render_decimal, render_pct
+
+if TYPE_CHECKING:  # disambiguate runs without the ledger and taxonomy modules
+    from .dedup import DemandLedger
 
 logger = logging.getLogger(__name__)
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from operator import attrgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import DEFAULT_MIN_COUNT, FILTER_ALL_FIELDS, FILTER_ANY_FIELD, FILTER_MODES  # kept in corpus for the CLI
 from .corpus import Corpus, Posting, Region, normalize_text
 from .errors import InputError
-from .taxonomy import Jst, Taxonomy
+
+if TYPE_CHECKING:  # the industry filter loads without the taxonomy module
+    from .taxonomy import Jst, Taxonomy
 
 
 ROLE_WORDS = frozenset({"engineer", "technician", "scientist", "analyst", "administrator"})

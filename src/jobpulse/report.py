@@ -10,14 +10,13 @@ atomically (temp + rename).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import Region, csv_text
+from .corpus import Region, csv_text, sha256
 from .errors import ContractError, InputError
 
 if TYPE_CHECKING:  # the writers load without the ledger and taxonomy modules
@@ -276,7 +275,7 @@ def write_text_atomic(path: str | Path, content: str) -> str:
 
 def write_chunks_atomic(path: str | Path, chunks: Iterable[str]) -> str:
     """Write the joined chunks atomically, one at a time; returns the sha256 of the bytes written."""
-    digest = hashlib.sha256()
+    digest = sha256()
     with _atomic_file(path) as fh:
         for chunk in chunks:
             data = chunk.encode("utf-8")

@@ -842,10 +842,10 @@ def test_importing_the_cli_leaves_synth_unloaded():
     assert not loaded & {"fractions", "decimal", "dataclasses"}
 
 
-# Runs ingest on argv with corpus.content_lines spied on, then prints the
+# Runs the CLI on argv with corpus.content_lines spied on, then prints the
 # exit code, the jobpulse modules loaded when the first input line was read,
 # and every module loaded at the end.
-_SPIED_INGEST = """
+_SPIED_RUN = """
 import json, sys
 from jobpulse import cli, corpus
 
@@ -859,7 +859,7 @@ def spy(path, kind):
         yield item
 
 corpus.content_lines = spy
-rc = cli.main(["ingest", *sys.argv[1:]])
+rc = cli.main(sys.argv[1:])
 print(json.dumps([rc, at_first_line, list(sys.modules)]))
 """
 
@@ -868,7 +868,7 @@ def test_ingest_reads_its_input_before_it_loads_the_writers(tmp_path):
     path = tmp_path / "postings.jsonl"
     write_jsonl(path, [make_record(job_id="J1"), "not json", make_record(job_id="J2", region="SD")])
     out = tmp_path / "out"
-    stdout = _python_output(_SPIED_INGEST, "--input", str(path), "--out", str(out), cwd=tmp_path)
+    stdout = _python_output(_SPIED_RUN, "ingest", "--input", str(path), "--out", str(out), cwd=tmp_path)
     summary, result = stdout.splitlines()
     rc, at_first_line, loaded = json.loads(result)
     assert (rc, summary) == (2, "ingested 2 postings, rejected 1 records")
@@ -877,6 +877,68 @@ def test_ingest_reads_its_input_before_it_loads_the_writers(tmp_path):
     assert "jobpulse.report" in loaded and not set(loaded) & (stages | {"dataclasses", "inspect"})
     assert (out / "diagnostics.csv").read_text(encoding="utf-8").count("\n") == 2
     assert _manifest(out / "manifest.txt")["count.postings_ingested"] == "2"
+
+
+def test_disambiguate_loads_neither_the_ledger_nor_the_taxonomy(tmp_path):
+    # employers and matcher name DemandLedger, Jst and Taxonomy only in annotations.
+    path = tmp_path / "postings.jsonl"
+    kept = {"employer_description": "a semiconductor maker"}
+    write_jsonl(path, [make_record(job_id="J1", **kept), make_record(job_id="J2", employer_name="Beta Labs", **kept)])
+    out = tmp_path / "out"
+    stdout = _python_output(_SPIED_RUN, "disambiguate", "--input", str(path), "--out", str(out), cwd=tmp_path)
+    summary, result = stdout.splitlines()
+    rc, at_first_line, loaded = json.loads(result)
+    assert (rc, summary) == (0, "disambiguated 2 raw employer names into 2")
+    stages = [f"jobpulse.{name}" for name in ("cli", "corpus", "employers", "errors", "matcher", "report")]
+    assert at_first_line == stages
+    assert {name for name in loaded if name.startswith("jobpulse.")} == set(stages)
+
+
+def test_no_subcommand_loads_openssl(tmp_path):
+    # corpus.sha256 is CPython's built-in SHA-256, so no run maps OpenSSL's libcrypto for a hash.
+    fixture = tmp_path / "fixture"
+    runs = [["synth", "--seed", "5", "--n-postings", "60", "--out", str(fixture)]]
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    for name in ("ingest", "disambiguate", "discover", "match", "dedup", "report"):
+        runs.append([name, "--input", *inputs, "--out", str(tmp_path / name)])
+    for argv in runs:
+        rc, _, loaded = json.loads(_python_output(_SPIED_RUN, *argv, cwd=tmp_path).splitlines()[-1])
+        assert rc == 0 and not {"hashlib", "_hashlib"} & set(loaded), argv[0]
+        assert (Path(argv[-1]) / "manifest.txt").is_file()
+
+
+# Runs the CLI on argv with the built-in SHA-256 modules blocked, so corpus
+# falls back to hashlib's; prints whether it did and the exit code.
+_HASHLIB_FALLBACK_RUN = """
+import json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+import hashlib
+from jobpulse import cli, corpus
+
+rc = cli.main(sys.argv[1:])
+print(json.dumps([corpus.sha256 is hashlib.sha256, rc]))
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["ingest", "report"])
+def test_hashlib_fallback_writes_the_same_manifest(fixture_corpus, tmp_path, subcommand):
+    fallback, builtin = tmp_path / "fallback", tmp_path / "builtin"
+    argv = [subcommand, "--input", *fixture_corpus, "--out"]
+    result = _python_output(_HASHLIB_FALLBACK_RUN, *argv, str(fallback), cwd=tmp_path).splitlines()[-1]
+    assert json.loads(result) == [True, 0]
+    assert main([*argv, str(builtin)]) == 0
+    assert (fallback / "manifest.txt").read_bytes() == (builtin / "manifest.txt").read_bytes()
+
+
+def test_corpus_sha256_equals_hashlib_sha256():
+    assert corpus_mod.sha256.__module__ in {"_sha256", "_sha2"}  # the built-in, on CPython 3.10-3.13
+    assert corpus_mod.sha256().hexdigest() == hashlib.sha256().hexdigest()
+    data = bytes(range(256)) * 256 + b"x"  # 64 KiB + 1: one full hash-read chunk and one byte more
+    ours, theirs = corpus_mod.sha256(), hashlib.sha256()
+    for digest in (ours, theirs):
+        digest.update(data[: 1 << 16])
+        digest.update(data[1 << 16 :])
+    assert ours.hexdigest() == theirs.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_manifest_identical_across_checkouts(tmp_path):
