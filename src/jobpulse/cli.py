@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import gc
-import logging
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -42,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import corpus as corpus_mod
 from .corpus import CollectionWindow, Posting, Region, csv_line, csv_text, joined_chunks, sha256
-from .errors import ContractError, InputError, JobPulseError
+from .errors import ContractError, InputError, JobPulseError, warn
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -249,8 +248,10 @@ def _sha256_file(path: str) -> str:
 
 
 def _record_scope(run: _Run, kept: int, out_of_scope: int, diagnostics: list[corpus_mod.Diagnostic]) -> None:
-    """Record the counts of a read input and write diagnostics.csv: the run's first artifact."""
+    """Warn of the rejects, record the counts of a read input and write diagnostics.csv: the run's first artifact."""
     run.rejected = len(diagnostics)
+    if diagnostics:
+        warn("corpus", f"rejected {run.rejected} of {run.rejected + kept + out_of_scope} input records")
     run.count("postings_ingested", kept)
     run.count("records_rejected", run.rejected)
     run.count("postings_out_of_scope", out_of_scope)
@@ -632,7 +633,6 @@ def _build_parser() -> _Parser:
         for key in keys:
             command.add_argument("--" + key.replace("_", "-"), **_FLAG_OPTIONS[key])
         command.add_argument("--out", dest="out_dir", help="output directory")
-        command.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
     synth = sub.choices["synth"]
     synth.add_argument("--seed", type=int, default=42, help="generator seed")
     synth.add_argument("--n-postings", dest="n_postings", type=int, default=5300)
@@ -677,11 +677,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         gc.collect(0)  # the parser, now cyclic garbage, so the input reuses its memory
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
         command, _, keys = _COMMANDS[args.subcommand]
         run = _Run(args.subcommand, build_config(args, keys))
         summary = command(run, args)

@@ -25,7 +25,6 @@ import csv
 import datetime as dt
 import enum
 import json
-import logging
 import operator
 import re
 from collections.abc import Callable, Iterator
@@ -45,8 +44,6 @@ except ImportError:
         from _sha2 import sha256  # Python 3.12 on
     except ImportError:
         from hashlib import sha256  # a build without the built-in hashes
-
-logger = logging.getLogger(__name__)
 
 # Posting file schema: field names are bit-exact.
 POSTING_FIELDS = (
@@ -342,13 +339,11 @@ def iter_postings(
     fatal, raised when the stream reaches it. Postings of one stream share one
     string object per distinct title and employer name. The stream keeps no
     posting it has yielded, only the shared strings and, per region, a set of
-    the accepted postings' own job_id strings. The ``rejected N of M`` warning
-    is logged once the last file is read. Given ``where``, a one-item list,
-    the stream sets ``where[0]`` to each posting's location (``LINE_BITS``)
-    before it yields the posting.
+    the accepted postings' own job_id strings. Given ``where``, a one-item
+    list, the stream sets ``where[0]`` to each posting's location
+    (``LINE_BITS``) before it yields the posting.
     """
     window = window or CollectionWindow()
-    accepted = 0
     seen: dict[Region, set[str]] = {region: set() for region in Region}
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
@@ -374,12 +369,9 @@ def iter_postings(
                 diagnostics.append(Diagnostic(path, line_no, f"field {obj.name!r} given more than once"))
                 continue
             job_ids.add(posting.job_id)
-            accepted += 1
             if where is not None:
                 where[0] = index << LINE_BITS | line_no
             yield posting
-    if diagnostics:
-        logger.warning("rejected %d of %d input records", len(diagnostics), len(diagnostics) + accepted)
 
 
 def load_postings(
@@ -390,11 +382,11 @@ def load_postings(
 ) -> tuple[Corpus, list[Diagnostic]]:
     """Load posting files into a validated Corpus and the list of rejects.
 
-    ``iter_postings`` collected: the same postings, diagnostics and
-    warning, with every posting held at once. Given ``each``, the Corpus
-    holds ``each(posting)`` in place of each posting, called as its line
-    is read, so no posting outlives its call unless ``each`` keeps it.
-    ``where`` is passed to ``iter_postings``.
+    ``iter_postings`` collected: the same postings and diagnostics, with
+    every posting held at once. Given ``each``, the Corpus holds
+    ``each(posting)`` in place of each posting, called as its line is read,
+    so no posting outlives its call unless ``each`` keeps it. ``where`` is
+    passed to ``iter_postings``.
     """
     diagnostics: list[Diagnostic] = []
     postings = iter_postings(paths, window, diagnostics, where)
@@ -417,10 +409,11 @@ def reread_postings(
     """
     days: dict[str, dt.date] = {}
     shared: dict[str, str] = {}
-    for index, path in enumerate(paths):
-        wanted = {at & LINE_MASK: unit for at, unit in units.items() if at >> LINE_BITS == index}
-        if not wanted:
-            continue
+    by_file: dict[int, dict[int, tuple[str, Region]]] = {}  # file index -> line -> unit
+    for at, unit in units.items():
+        by_file.setdefault(at >> LINE_BITS, {})[at & LINE_MASK] = unit
+    for index in sorted(by_file):
+        path, wanted = paths[index], by_file[index]
         for line_no, line in content_lines(path, "posting"):
             unit = wanted.pop(line_no, None)
             if unit is None:

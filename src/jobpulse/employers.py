@@ -35,7 +35,6 @@ root, which is its shortest member (the parent), ties broken lexicographically.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
@@ -44,13 +43,11 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .corpus import content_lines, csv_line, csv_text, joined_chunks, normalize_text
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, warn
 from .report import render_decimal, render_pct
 
 if TYPE_CHECKING:  # disambiguate runs without the ledger and taxonomy modules
     from .dedup import DemandLedger
-
-logger = logging.getLogger(__name__)
 
 LEGAL_SUFFIXES = frozenset({"inc", "llc", "corp", "co", "ltd"})
 
@@ -114,7 +111,7 @@ def canonicalize(
     del interned
     rejected = [raw for raw in names if raw in empty]  # every occurrence, in input order
     for raw in rejected:
-        logger.warning("employer name %r normalizes to nothing; excluded", raw)
+        warn("employers", f"employer name {raw!r} normalizes to nothing; excluded")
 
     # Sorted, so groups come in the order of their roots, and each root, its
     # own root, keys its group before its extensions find it.

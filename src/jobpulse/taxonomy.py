@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import logging
 from dataclasses import dataclass, field
 
 from .corpus import content_lines, normalize_text
-from .errors import InputError
-
-logger = logging.getLogger(__name__)
+from .errors import InputError, warn
 
 TAXONOMY_HEADER = ("function", "family", "title")
 
@@ -244,5 +241,5 @@ def load_taxonomy(path: str) -> Taxonomy:
 
     survivors, warnings = resolve_precedence(candidates)
     for message in warnings:
-        logger.warning("%s: %s", path, message)
+        warn("taxonomy", f"{path}: {message}")
     return Taxonomy(families=tuple(families.values()), jsts=tuple(survivors))

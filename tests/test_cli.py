@@ -638,7 +638,7 @@ def test_report_when_nothing_matches(tmp_path):
     assert manifest["count.filtered_observations"] == "0"
 
 
-def test_report_counts_the_unit_of_a_token_less_employer_name_under_no_employer(tmp_path, capsys, caplog):
+def test_report_counts_the_unit_of_a_token_less_employer_name_under_no_employer(tmp_path, capsys):
     # canonicalize rejects a name that normalizes to nothing: its unit stays
     # in the demand tables and is left out of the employer statistics.
     path = tmp_path / "nameless.jsonl"
@@ -647,8 +647,9 @@ def test_report_counts_the_unit_of_a_token_less_employer_name_under_no_employer(
                        make_record(job_id="J2", employer_name="!!!", **work)])
     out = tmp_path / "out"
     assert main(["report", "--input", str(path), "--out", str(out)]) == 0
-    assert "employer name '!!!' normalizes to nothing; excluded" in caplog.text
-    assert "1 employers, mean 1.0 units each" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err == "WARNING jobpulse.employers: employer name '!!!' normalizes to nothing; excluded\n"
+    assert "1 employers, mean 1.0 units each" in captured.out
     manifest = _manifest(out / "manifest.txt")
     written = {key.split(".", 1)[1].rsplit(".", 1)[0] for key in manifest if key.startswith("artifact.")}
     assert written == {p.name for p in out.iterdir()} - {"manifest.txt"} and len(written) == 13
@@ -820,8 +821,8 @@ def test_report_artifact_hashes_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _python_output(code: str, *args: str, cwd=None) -> str:
-    """The standard output of ``code`` run by a new interpreter that imports this jobpulse."""
+def _python_output(code: str, *args: str, cwd=None) -> tuple[str, str]:
+    """The standard output and standard error of ``code`` run by a new interpreter that imports this jobpulse."""
     src = str(Path(jobpulse.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -831,12 +832,13 @@ def _python_output(code: str, *args: str, cwd=None) -> str:
         capture_output=True,
         encoding="utf-8",
     )
-    return result.stdout
+    return result.stdout, result.stderr
 
 
 def test_importing_the_cli_leaves_synth_unloaded():
     # Each subcommand imports the modules it runs when it is called, so the CLI starts without them.
-    loaded = set(json.loads(_python_output("import json, sys, jobpulse.cli; print(json.dumps(list(sys.modules)))")))
+    stdout, _ = _python_output("import json, sys, jobpulse.cli; print(json.dumps(list(sys.modules)))")
+    loaded = set(json.loads(stdout))
     stages = {f"jobpulse.{name}" for name in ("dedup", "employers", "matcher", "report", "taxonomy", "synth")}
     assert not loaded & stages
     assert not loaded & {"fractions", "decimal", "dataclasses"}
@@ -868,15 +870,42 @@ def test_ingest_reads_its_input_before_it_loads_the_writers(tmp_path):
     path = tmp_path / "postings.jsonl"
     write_jsonl(path, [make_record(job_id="J1"), "not json", make_record(job_id="J2", region="SD")])
     out = tmp_path / "out"
-    stdout = _python_output(_SPIED_RUN, "ingest", "--input", str(path), "--out", str(out), cwd=tmp_path)
+    stdout, stderr = _python_output(_SPIED_RUN, "ingest", "--input", str(path), "--out", str(out), cwd=tmp_path)
     summary, result = stdout.splitlines()
     rc, at_first_line, loaded = json.loads(result)
     assert (rc, summary) == (2, "ingested 2 postings, rejected 1 records")
+    assert stderr == "WARNING jobpulse.corpus: rejected 1 of 3 input records\n"
     assert at_first_line == ["jobpulse.cli", "jobpulse.corpus", "jobpulse.errors"]
     stages = {f"jobpulse.{name}" for name in ("dedup", "employers", "matcher", "taxonomy")}
     assert "jobpulse.report" in loaded and not set(loaded) & (stages | {"dataclasses", "inspect"})
     assert (out / "diagnostics.csv").read_text(encoding="utf-8").count("\n") == 2
     assert _manifest(out / "manifest.txt")["count.postings_ingested"] == "2"
+
+
+def test_report_prints_each_warning_to_stderr(tmp_path):
+    # A title that repeats a family's phrase, a rejected record and an
+    # employer name with no tokens: one line each, in the order the run meets them.
+    taxonomy = write_taxonomy_csv(
+        tmp_path / "collide.csv",
+        [
+            ("Engineer", "packaging engineer", ""),
+            ("Engineer", "design engineer", ""),
+            ("Engineer", "design engineer", "packaging engineer"),
+        ],
+    )
+    path = tmp_path / "postings.jsonl"
+    work = {"title": "Design Engineer", "job_description": "semiconductor design work"}
+    write_jsonl(path, [make_record(job_id="J1", employer_name="Apex Labs", **work), "not json",
+                       make_record(job_id="J2", employer_name="!!!", **work)])
+    argv = ["report", "--input", str(path), "--taxonomy", taxonomy, "--out", str(tmp_path / "out")]
+    stdout, stderr = _python_output(_SPIED_RUN, *argv, cwd=tmp_path)
+    assert json.loads(stdout.splitlines()[-1])[0] == 2
+    assert stderr == (
+        f"WARNING jobpulse.taxonomy: {taxonomy}: phrase 'packaging engineer' used as both family and title: "
+        "family takes precedence, removed as a title in family 'design engineer'\n"
+        "WARNING jobpulse.corpus: rejected 1 of 3 input records\n"
+        "WARNING jobpulse.employers: employer name '!!!' normalizes to nothing; excluded\n"
+    )
 
 
 def test_disambiguate_loads_neither_the_ledger_nor_the_taxonomy(tmp_path):
@@ -885,7 +914,7 @@ def test_disambiguate_loads_neither_the_ledger_nor_the_taxonomy(tmp_path):
     kept = {"employer_description": "a semiconductor maker"}
     write_jsonl(path, [make_record(job_id="J1", **kept), make_record(job_id="J2", employer_name="Beta Labs", **kept)])
     out = tmp_path / "out"
-    stdout = _python_output(_SPIED_RUN, "disambiguate", "--input", str(path), "--out", str(out), cwd=tmp_path)
+    stdout, _ = _python_output(_SPIED_RUN, "disambiguate", "--input", str(path), "--out", str(out), cwd=tmp_path)
     summary, result = stdout.splitlines()
     rc, at_first_line, loaded = json.loads(result)
     assert (rc, summary) == (0, "disambiguated 2 raw employer names into 2")
@@ -895,15 +924,16 @@ def test_disambiguate_loads_neither_the_ledger_nor_the_taxonomy(tmp_path):
 
 
 def test_no_subcommand_loads_openssl(tmp_path):
-    # corpus.sha256 is CPython's built-in SHA-256, so no run maps OpenSSL's libcrypto for a hash.
+    # corpus.sha256 is CPython's built-in SHA-256, so no run maps OpenSSL's libcrypto for a hash;
+    # errors.warn prints the warnings, so no run imports logging either.
     fixture = tmp_path / "fixture"
     runs = [["synth", "--seed", "5", "--n-postings", "60", "--out", str(fixture)]]
     inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
     for name in ("ingest", "disambiguate", "discover", "match", "dedup", "report"):
         runs.append([name, "--input", *inputs, "--out", str(tmp_path / name)])
     for argv in runs:
-        rc, _, loaded = json.loads(_python_output(_SPIED_RUN, *argv, cwd=tmp_path).splitlines()[-1])
-        assert rc == 0 and not {"hashlib", "_hashlib"} & set(loaded), argv[0]
+        rc, _, loaded = json.loads(_python_output(_SPIED_RUN, *argv, cwd=tmp_path)[0].splitlines()[-1])
+        assert rc == 0 and not {"hashlib", "_hashlib", "logging"} & set(loaded), argv[0]
         assert (Path(argv[-1]) / "manifest.txt").is_file()
 
 
@@ -924,7 +954,7 @@ print(json.dumps([corpus.sha256 is hashlib.sha256, rc]))
 def test_hashlib_fallback_writes_the_same_manifest(fixture_corpus, tmp_path, subcommand):
     fallback, builtin = tmp_path / "fallback", tmp_path / "builtin"
     argv = [subcommand, "--input", *fixture_corpus, "--out"]
-    result = _python_output(_HASHLIB_FALLBACK_RUN, *argv, str(fallback), cwd=tmp_path).splitlines()[-1]
+    result = _python_output(_HASHLIB_FALLBACK_RUN, *argv, str(fallback), cwd=tmp_path)[0].splitlines()[-1]
     assert json.loads(result) == [True, 0]
     assert main([*argv, str(builtin)]) == 0
     assert (fallback / "manifest.txt").read_bytes() == (builtin / "manifest.txt").read_bytes()

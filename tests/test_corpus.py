@@ -300,6 +300,46 @@ def test_iter_postings_yields_each_posting_as_its_line_is_read(tmp_path):
     assert str(exc.value) == f"{bad}: invalid UTF-8 at byte 12"
 
 
+class _CountedUnits(dict):
+    """A units table that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def test_reread_opens_only_the_files_of_its_locations_and_reads_units_once(tmp_path, monkeypatch):
+    # 50,000 inputs, and every candidate in the one real file among them:
+    # the reread groups the locations by file once, instead of once per input.
+    keys = [(f"J{i}", Region.SB if i % 2 else Region.LA) for i in range(200)]
+    path = tmp_path / "batch.jsonl"
+    write_jsonl(path, [make_record(job_id=job_id, region=region.value) for job_id, region in keys])
+    index = 31_337
+    paths = [str(tmp_path / f"missing-{i}.jsonl") for i in range(50_000)]
+    paths[index] = str(path)
+    # Every third line is no candidate, so the reread skips it.
+    wanted = {index << corpus_mod.LINE_BITS | i + 1: key for i, key in enumerate(keys) if i % 3}
+    units = _CountedUnits(wanted)
+    opened = []
+    content_lines = corpus_mod.content_lines
+
+    def spy(path, kind):
+        opened.append(path)
+        return content_lines(path, kind)
+
+    monkeypatch.setattr(corpus_mod, "content_lines", spy)
+    reread = list(corpus_mod.reread_postings(paths, CollectionWindow(), units))
+    assert opened == [str(path)]
+    assert units.passes == 1
+    assert [(p.job_id, p.region) for p in reread] == list(wanted.values())
+
+
 def test_empty_employer_description_is_accepted(tmp_path):
     path = tmp_path / "emp.jsonl"
     write_jsonl(path, [make_record(employer_description="")])

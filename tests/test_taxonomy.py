@@ -21,10 +21,9 @@ from jobpulse.taxonomy import (
 from conftest import write_taxonomy_csv
 
 
-def test_shipped_taxonomy_shape(caplog):
-    with caplog.at_level("WARNING", logger="jobpulse.taxonomy"):
-        t = load_taxonomy(str(DEFAULT_TAXONOMY))
-    assert caplog.records == []
+def test_shipped_taxonomy_shape(capsys):
+    t = load_taxonomy(str(DEFAULT_TAXONOMY))
+    assert capsys.readouterr().err == ""
     assert len(t.families) == 31
     n_titles = sum(j.level is JstLevel.TITLE for j in t.jsts)
     assert n_titles >= 40
@@ -60,7 +59,7 @@ def test_minimal_file(tmp_path):
     assert t.jsts[0].family.function is JobFunction.TECHNICIAN
 
 
-def test_family_takes_precedence_over_title(tmp_path, caplog):
+def test_family_takes_precedence_over_title(tmp_path, capsys):
     path = write_taxonomy_csv(
         tmp_path / "collide.csv",
         [
@@ -69,14 +68,15 @@ def test_family_takes_precedence_over_title(tmp_path, caplog):
             ("Engineer", "design engineer", "semiconductor packaging engineer"),
         ],
     )
-    with caplog.at_level("WARNING", logger="jobpulse.taxonomy"):
-        t = load_taxonomy(path)
+    t = load_taxonomy(path)
     surviving = lookup(t, "semiconductor packaging engineer")
     assert surviving is not None
     assert surviving.level is JstLevel.FAMILY
     assert surviving.family.name == "semiconductor packaging engineer"
-    assert len(caplog.records) == 1
-    assert "family takes precedence" in caplog.records[0].getMessage()
+    assert capsys.readouterr().err == (
+        f"WARNING jobpulse.taxonomy: {path}: phrase 'semiconductor packaging engineer' used as both family "
+        "and title: family takes precedence, removed as a title in family 'design engineer'\n"
+    )
     assert len(t.jsts) == 2
 
 
