@@ -321,10 +321,10 @@ def _run_match_stages(
     ``every_match``, for ``match``, that is the match record of every
     matched posting. Otherwise it is, of each filtered posting, one row
     (``dedup_mod.Unit``: job_id, region, the index's shared tuple of its
-    matched terms, employer name), its location and the hash of its
-    cross-region (title, job_description, employer_name) key, the last two
-    in arrays of 8-byte integers. Once the input is read, a hash found
-    twice makes its postings candidates, and
+    matched terms from ``MatchIndex.terms``, employer name), its location
+    and the hash of its cross-region (title, job_description,
+    employer_name) key, the last two in arrays of 8-byte integers. Once the
+    input is read, a hash found twice makes its postings candidates, and
     only the lines of candidates whose postings span regions are read again
     (``corpus.reread_postings``) and grouped on their exact keys, so equal
     hashes alone never make a group. Only then are the counts and
@@ -354,11 +354,14 @@ def _run_match_stages(
         if p.region not in wanted:
             return None
         in_scope += 1
-        record = matcher_mod.match_posting(p, index)
-        terms = record.matched_jsts if record else ()
+        if every_match:
+            record = matcher_mod.match_posting(p, index)
+            terms = record.matched_jsts if record else ()
+        else:
+            record, terms = None, index.terms(p)
         raw_obs += len(terms)
         if not keep(p):
-            return record if every_match else None
+            return record
         filtered_obs += len(terms)
         if every_match:
             return record

@@ -69,6 +69,8 @@ DEFAULT_MIN_COUNT = 3
 
 # Tokens: runs of letters/digits, with hyphens kept only between such runs.
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*")
+# The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
+_RUN_RE = re.compile(r"[^\W_]+")
 # ASCII digits only: date.fromisoformat alone accepts more forms from Python 3.11 on.
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # A lone surrogate: only a \u escape puts one in a decoded line, and no UTF-8 output can hold it.
@@ -133,6 +135,14 @@ def normalize_text(s: str) -> tuple[str, ...]:
     and collapses consecutive separators.
     """
     return tuple(_TOKEN_RE.findall(s.lower()))
+
+
+def expanded_tokens(text: str) -> tuple[str, ...]:
+    """``normalize_text(text)`` with each hyphenated token split into its parts, in one regex pass.
+
+    The form terms and posting text are matched in: "RF-Engineer" gives ("rf", "engineer").
+    """
+    return tuple(_RUN_RE.findall(text.lower()))
 
 
 class _WindowFields(NamedTuple):
@@ -352,21 +362,16 @@ def iter_postings(
             try:
                 obj = _decode(line)
                 posting = _parse_record(obj, window, days, shared)
-            except InputError as exc:
+                job_ids = seen[posting.region]
+                if posting.job_id in job_ids:
+                    raise InputError(f"duplicate (job_id, region) {posting.job_id}/{posting.region}")
+                # Checked after every other fault, so no earlier reject reason changes.
+                if "\\u" in line and (name := _surrogate_field(posting)):
+                    raise InputError(f"field {name!r} holds a lone surrogate")
+                if type(obj) is _Repeats:  # also checked after every other fault
+                    raise InputError(f"field {obj.name!r} given more than once")
+            except InputError as exc:  # the one place a line becomes a reject
                 diagnostics.append(Diagnostic(path, line_no, str(exc)))
-                continue
-            job_ids = seen[posting.region]
-            if posting.job_id in job_ids:
-                diagnostics.append(
-                    Diagnostic(path, line_no, f"duplicate (job_id, region) {posting.job_id}/{posting.region}")
-                )
-                continue
-            # Checked after every other fault, so no earlier reject reason changes.
-            if "\\u" in line and (name := _surrogate_field(posting)):
-                diagnostics.append(Diagnostic(path, line_no, f"field {name!r} holds a lone surrogate"))
-                continue
-            if type(obj) is _Repeats:  # also checked after every other fault
-                diagnostics.append(Diagnostic(path, line_no, f"field {obj.name!r} given more than once"))
                 continue
             job_ids.add(posting.job_id)
             if where is not None:

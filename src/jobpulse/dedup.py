@@ -100,7 +100,7 @@ def weight_assignments(rows: list[Unit]) -> DemandLedger:
 
     The ledger's units are those rows themselves, sorted by (job_id, region
     code), with each row's own terms: ``rows`` must give them sorted by
-    phrase, as ``MatchIndex.shared`` does. Requires one row with terms per
+    phrase, as ``MatchIndex.terms`` does. Requires one row with terms per
     (job_id, region); a duplicate means the upstream contract was violated
     and raises, naming the first duplicate in ``rows``. Permutations of
     ``rows`` produce an identical ledger, and the sum of all weights equals

@@ -1,27 +1,27 @@
 """Term matching, industry filter, discovery.
 
 Matching is exact on normalized tokens: a term hits a posting when its
-phrase occurs as a contiguous token run in the title or job description.
-Hyphenated tokens bridge to their parts ("rf-engineer" also indexes as
-"rf engineer"), treating hyphenation as a typography accident. There is no
-fuzzy matching; the discovery report is the sanctioned recall-recovery
-mechanism, and discovered phrases are appended to the taxonomy by hand,
-never automatically.
+tokens occur as a contiguous run in the title or job description. Both
+sides are hyphen-split (``corpus.expanded_tokens``), so "rf-engineer" and
+"rf engineer" are one phrase, treating hyphenation as a typography
+accident. There is no fuzzy matching; the discovery report is the
+sanctioned recall-recovery mechanism, and discovered phrases are appended
+to the taxonomy by hand, never automatically.
 
 The tests industry_predicate builds are pure per-posting functions, but
-match_posting adds to its MatchIndex's title memo and shared term tuples: a
-fan-out needs one index per worker and a deterministic merge in posting order.
+``MatchIndex.terms`` adds to its index's title memo and shared term tuples:
+a fan-out needs one index per worker and a deterministic merge in posting
+order.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import DEFAULT_MIN_COUNT, FILTER_ALL_FIELDS, FILTER_ANY_FIELD, FILTER_MODES  # kept in corpus for the CLI
-from .corpus import Corpus, Posting, Region, normalize_text
+from .corpus import Corpus, Posting, Region, expanded_tokens, normalize_text
 from .errors import InputError
 
 if TYPE_CHECKING:  # the industry filter loads without the taxonomy module
@@ -30,14 +30,7 @@ if TYPE_CHECKING:  # the industry filter loads without the taxonomy module
 
 ROLE_WORDS = frozenset({"engineer", "technician", "scientist", "analyst", "administrator"})
 
-# The parts of hyphen-joined tokens are exactly the maximal letter/digit runs.
-_RUN_RE = re.compile(r"[^\W_]+")
 _BY_PHRASE = attrgetter("phrase")
-
-
-def expanded_tokens(text: str) -> tuple[str, ...]:
-    """``normalize_text(text)`` with each hyphenated token split into its parts, in one regex pass."""
-    return tuple(_RUN_RE.findall(text.lower()))
 
 
 def validate_industry_token(industry_token: str) -> str:
@@ -52,28 +45,13 @@ def validate_industry_token(industry_token: str) -> str:
     return tokens[0]
 
 
-class _MatchRecordFields(NamedTuple):
+class MatchRecord(NamedTuple):
+    """Terms that hit one posting, sorted by phrase, and those that hit its title."""
+
     job_id: str
     region: Region
     matched_jsts: tuple[Jst, ...]
     matched_in_title: frozenset[Jst]
-
-
-class MatchRecord(_MatchRecordFields):
-    """Terms that hit one posting, sorted by phrase, and those that hit its title.
-
-    A named tuple, so it costs a tuple to build; a record always holds at
-    least one term.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, job_id: str, region: Region, matched_jsts: tuple[Jst, ...], matched_in_title: frozenset[Jst]
-    ) -> MatchRecord:
-        if not matched_jsts:
-            raise InputError(f"match record for {job_id} has no matched terms")
-        return tuple.__new__(cls, (job_id, region, matched_jsts, matched_in_title))
 
 
 class MatchIndex:
@@ -96,9 +74,9 @@ class MatchIndex:
         # spaced token string.
         self._by_first: dict[str, list[tuple[str, Jst]]] = {}
         for jst in taxonomy.jsts:
-            if jst.match_tokens:
-                phrase = f" {' '.join(jst.match_tokens)} "
-                self._by_first.setdefault(jst.match_tokens[0], []).append((phrase, jst))
+            if jst.tokens:
+                phrase = f" {' '.join(jst.tokens)} "
+                self._by_first.setdefault(jst.tokens[0], []).append((phrase, jst))
         self._firsts = frozenset(self._by_first)
 
     def scan(self, tokens: tuple[str, ...]) -> set[Jst]:
@@ -114,11 +92,6 @@ class MatchIndex:
         by_first = self._by_first
         return {jst for first in firsts for phrase, jst in by_first[first] if phrase in text}
 
-    def shared(self, jsts: frozenset[Jst]) -> tuple[Jst, ...]:
-        """The index's one tuple of ``jsts`` sorted by phrase."""
-        terms = tuple(sorted(jsts, key=_BY_PHRASE))
-        return self._term_sets.setdefault(terms, terms)
-
     def title_hits(self, title: str) -> frozenset[Jst]:
         """``scan(expanded_tokens(title))``, computed once per distinct title."""
         hits = self._title_hits.get(title)
@@ -127,19 +100,23 @@ class MatchIndex:
             hits = self._title_hits[title] = self._title_sets.setdefault(hits, hits)
         return hits
 
+    def terms(self, posting: Posting) -> tuple[Jst, ...]:
+        """The terms in the posting's title or job description, sorted by phrase, or ``()``.
+
+        The employer description is not searched. Postings matched through
+        one index share one tuple per distinct set of terms.
+        """
+        matched = self.title_hits(posting.title) | self.scan(expanded_tokens(posting.job_description))
+        if not matched:
+            return ()
+        terms = tuple(sorted(matched, key=_BY_PHRASE))
+        return self._term_sets.setdefault(terms, terms)
+
 
 def match_posting(posting: Posting, index: MatchIndex) -> MatchRecord | None:
-    """Match one posting against the index's terms.
-
-    Terms are searched in the title and job description (not the employer
-    description); returns nothing when no term occurs. Records matched
-    through one index share each term tuple (``MatchIndex.shared``).
-    """
-    title_hits = index.title_hits(posting.title)
-    matched = title_hits | index.scan(expanded_tokens(posting.job_description))
-    if not matched:
-        return None
-    return MatchRecord(posting.job_id, posting.region, index.shared(matched), title_hits)
+    """The posting's ``MatchIndex.terms`` and title hits as a record, or nothing when no term occurs."""
+    terms = index.terms(posting)
+    return MatchRecord(posting.job_id, posting.region, terms, index.title_hits(posting.title)) if terms else None
 
 
 def match_corpus(postings: Corpus | list[Posting], taxonomy: Taxonomy) -> list[MatchRecord]:

@@ -44,6 +44,7 @@ from .corpus import (
     Posting,
     Region,
     csv_line,
+    expanded_tokens,
     joined_chunks,
     normalize_text,
     posting_to_json,
@@ -53,9 +54,7 @@ from .matcher import (
     FILTER_ANY_FIELD,
     ROLE_WORDS,
     MatchIndex,
-    expanded_tokens,
     industry_predicate,
-    match_posting,
     validate_industry_token,
 )
 from .report import write_chunks_atomic
@@ -385,7 +384,7 @@ def plantable_jsts(taxonomy: Taxonomy) -> dict[JobFunction, list[Jst]]:
     pools: dict[JobFunction, list[Jst]] = {f: [] for f in JobFunction}
     for jst in taxonomy.jsts:
         nested = any(
-            other is not jst and contains(jst.match_tokens, other.match_tokens)
+            other is not jst and contains(jst.tokens, other.tokens)
             for other in taxonomy.jsts
         )
         if not nested:
@@ -394,7 +393,7 @@ def plantable_jsts(taxonomy: Taxonomy) -> dict[JobFunction, list[Jst]]:
 
 
 def _safe_fillers(taxonomy: Taxonomy, industry_token: str) -> list[str]:
-    forbidden = {t for jst in taxonomy.jsts for t in jst.match_tokens}
+    forbidden = {t for jst in taxonomy.jsts for t in jst.tokens}
     forbidden.update(ROLE_WORDS)
     forbidden.add(industry_token)
     fillers = [w for w in _FILLER_CANDIDATES if w not in forbidden]
@@ -413,7 +412,7 @@ class _Generator:
         # A term containing the industry token would leak it into postings
         # that must stay off-industry.
         self.pools_off = {
-            f: [j for j in pool if self.industry_token not in j.match_tokens]
+            f: [j for j in pool if self.industry_token not in j.tokens]
             for f, pool in self.pools.items()
         }
         # Every day of the window: a uniform choice of one is a uniform day.
@@ -431,7 +430,7 @@ class _Generator:
         choices, randint, fillers = self.rng.choices, self.rng.randint, self.fillers
         words = choices(fillers, k=randint(*lead))
         for jst in jsts:
-            words += jst.tokens
+            words.append(jst.phrase)
             words += choices(fillers, k=randint(1, 3))
         if with_token:
             words.append(self.industry_token)
@@ -576,14 +575,14 @@ class _Generator:
     def _self_check(self, postings: list[Posting], rows: list[TruthRow]) -> None:
         """Planted truth must agree with exact matching semantics by construction.
 
-        Every posting's terms are those ``match_posting`` finds, as the
+        Every posting's terms are those ``MatchIndex.terms`` finds, as the
         pipeline matches it, and its industry flag is checked with the
         pipeline's default industry filter.
         """
         on_industry = industry_predicate(self.industry_token, FILTER_ANY_FIELD)
+        terms = self.index.terms
         for posting, row in zip(postings, rows):
-            record = match_posting(posting, self.index)
-            seen = sorted(j.phrase for j in record.matched_jsts) if record else []
+            seen = [j.phrase for j in terms(posting)]  # sorted by phrase, as the index sorts them
             if seen != sorted(row.jsts):
                 raise ContractError(
                     f"generator self-check failed for {posting.job_id}: planted "

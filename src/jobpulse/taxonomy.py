@@ -7,9 +7,10 @@ wins and the phrase is removed from consideration as a title anywhere else.
 Every family and every surviving title is one term (Jst): its phrase, its
 tokens, its level and its family. A title term's phrase is the title, so
 the ledger's title column is that phrase. Phrases are normalized with the
-corpus tokenizer, so terms and posting text share one token space; a term's
-``match_tokens`` holds its tokens with hyphenated ones split into parts,
-the form the matcher compares.
+corpus tokenizer, and a term's tokens are its phrase's tokens with each
+hyphenated one split into its parts (``corpus.expanded_tokens``), the form
+posting text is matched in. Precedence, duplicate checks and lookup all key
+on those tokens, so two phrases that differ only by hyphens are one phrase.
 
 A loaded Taxonomy is immutable and safe for concurrent reads. Its families
 and terms compare by identity: each equals only itself, and two loads of
@@ -23,7 +24,7 @@ import csv
 import enum
 from dataclasses import dataclass, field
 
-from .corpus import content_lines, normalize_text
+from .corpus import content_lines, expanded_tokens, normalize_text
 from .errors import InputError, warn
 
 TAXONOMY_HEADER = ("function", "family", "title")
@@ -80,21 +81,15 @@ class JobFamily:
 class Jst:
     """One job-specific term: a family or title phrase used as a match keyword.
 
-    A title-level term's phrase is its title. ``match_tokens`` is ``tokens``
-    with each hyphenated token split into its parts, the form matching
-    compares ("rf-engineer" matches as "rf engineer").
+    A title-level term's phrase is its title. ``tokens`` are the phrase's
+    tokens with each hyphenated one split into its parts, the form matching
+    compares: the phrase "rf-engineer" has the tokens ("rf", "engineer").
     """
 
     phrase: str
     tokens: tuple[str, ...]
     level: JstLevel
     family: JobFamily
-    # Derived once: matching reads the split tokens of every term.
-    match_tokens: tuple[str, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        split = tuple(part for token in self.tokens for part in token.split("-"))
-        object.__setattr__(self, "match_tokens", split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +130,13 @@ def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
 
     warnings: list[str] = []
     dropped: set[Jst] = set()
-    for tokens, group in by_tokens.items():
+    for group in by_tokens.values():
         family_entries = [e for e in group if e.level is JstLevel.FAMILY]
         title_entries = [e for e in group if e.level is JstLevel.TITLE]
         if len(family_entries) > 1:
             names = sorted({e.family.name for e in family_entries})
             raise InputError(
-                f"phrase {' '.join(tokens)!r} is declared as a family more than once ({', '.join(names)})"
+                f"phrase {group[0].phrase!r} is declared as a family more than once ({', '.join(names)})"
             )
         if family_entries and title_entries:
             for e in title_entries:
@@ -153,14 +148,18 @@ def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
         elif len(title_entries) > 1:
             names = sorted({e.family.name for e in title_entries})
             raise InputError(
-                f"title phrase {' '.join(tokens)!r} claimed by multiple families ({', '.join(names)})"
+                f"title phrase {group[0].phrase!r} claimed by multiple families ({', '.join(names)})"
             )
     return [entry for entry in entries if entry not in dropped], warnings
 
 
 def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
-    """Exact-phrase lookup; absence is a valid result."""
-    tokens = normalize_text(phrase) if isinstance(phrase, str) else tuple(phrase)
+    """Exact-phrase lookup; absence is a valid result.
+
+    A phrase string is tokenized as terms are, hyphens split; a token
+    tuple must already be in that form.
+    """
+    tokens = expanded_tokens(phrase) if isinstance(phrase, str) else tuple(phrase)
     return taxonomy._index.get(tokens) if tokens else None
 
 
@@ -211,14 +210,14 @@ def load_taxonomy(path: str) -> Taxonomy:
                 )
             families[family_name] = family = JobFamily(name=family_name, function=function)
             family_lines[family_name] = line_no
-            candidates.append(Jst(family_name, family_tokens, JstLevel.FAMILY, family))
+            candidates.append(Jst(family_name, expanded_tokens(family_name), JstLevel.FAMILY, family))
         else:
             title_rows.append((line_no, function, family_name, title_raw))
 
     if not families:
         raise InputError(f"{path}: taxonomy declares zero families")
 
-    seen_titles: set[tuple[str, str]] = set()
+    seen_titles: set[tuple[str, tuple[str, ...]]] = set()
     for line_no, function, family_name, title_raw in title_rows:
         family = families.get(family_name)
         if family is None:
@@ -230,13 +229,13 @@ def load_taxonomy(path: str) -> Taxonomy:
                 f"{path}:{line_no}: family {family_name!r} declared under "
                 f"{family.function} but title row says {function}"
             )
-        title_tokens = normalize_text(title_raw)
-        if not title_tokens:
+        title_name = " ".join(normalize_text(title_raw))
+        if not title_name:
             raise InputError(f"{path}:{line_no}: title normalizes to nothing")
-        title_name = " ".join(title_tokens)
-        if (family_name, title_name) in seen_titles:
+        title_tokens = expanded_tokens(title_name)
+        if (family_name, title_tokens) in seen_titles:
             raise InputError(f"{path}:{line_no}: duplicate title {title_name!r} in family {family_name!r}")
-        seen_titles.add((family_name, title_name))
+        seen_titles.add((family_name, title_tokens))
         candidates.append(Jst(title_name, title_tokens, JstLevel.TITLE, family))
 
     survivors, warnings = resolve_precedence(candidates)

@@ -8,7 +8,7 @@ import pytest
 from jobpulse.cli import DEFAULT_DICTIONARY, DEFAULT_TAXONOMY, main
 from jobpulse.corpus import Posting, Region
 from jobpulse.employers import load_dictionary
-from jobpulse.matcher import MatchIndex, match_posting
+from jobpulse.matcher import MatchIndex
 from jobpulse.taxonomy import Taxonomy, load_taxonomy
 
 # The name dictionary every subcommand reads unless --dictionary names another.
@@ -49,18 +49,14 @@ def make_posting(
 
 
 def make_unit(job_id: str = "J1", jsts=(), region: Region = Region.LA, employer_name: str = "Acme Devices") -> tuple:
-    """A row of the match pass (``dedup.Unit``): ``jsts`` sorted by phrase, as ``MatchIndex.shared`` gives them."""
+    """A row of the match pass (``dedup.Unit``): ``jsts`` sorted by phrase, as ``MatchIndex.terms`` gives them."""
     return (job_id, region, tuple(sorted(jsts, key=attrgetter("phrase"))), employer_name)
 
 
 def pass_rows(postings, taxonomy) -> list:
     """The match pass's rows of ``postings``, as if all were filtered, their terms from one index."""
     index = MatchIndex(taxonomy)
-    rows = []
-    for p in postings:
-        record = match_posting(p, index)
-        rows.append((p.job_id, p.region, record.matched_jsts if record else (), p.employer_name))
-    return rows
+    return [(p.job_id, p.region, index.terms(p), p.employer_name) for p in postings]
 
 
 def content_groups(postings) -> dict:

@@ -1342,6 +1342,33 @@ def test_cross_region_candidates_are_confirmed_on_a_reread_of_their_lines(tmp_pa
     capsys.readouterr()
 
 
+def test_one_file_per_line_writes_the_artifacts_of_three_files(tmp_path, capsys):
+    """Splitting the input into one file per line changes only the manifest,
+    which names the inputs, though the cross-region re-read then spans many files."""
+    fixture, split = tmp_path / "fixture", tmp_path / "split"
+    synth = ["synth", "--seed", "11", "--n-postings", "300", "--cross-region-repeats", "20"]
+    assert main([*synth, "--out", str(fixture)]) == 0
+    inputs = [str(fixture / f"{r.value.lower()}.jsonl") for r in Region]
+    lines = [line for path in inputs for line in Path(path).read_text(encoding="utf-8").splitlines(keepends=True)]
+    assert len(lines) == 320
+    split.mkdir()
+    singles = [split / f"{i:03d}.jsonl" for i in range(len(lines))]
+    for path, line in zip(singles, lines):
+        path.write_text(line, encoding="utf-8")
+    for subcommand in ("match", "dedup", "report"):
+        whole, parts = tmp_path / f"{subcommand}-whole", tmp_path / f"{subcommand}-parts"
+        assert main([subcommand, "--input", *inputs, "--out", str(whole)]) == 0
+        assert main([subcommand, "--input", *map(str, singles), "--out", str(parts)]) == 0
+        names = sorted(p.name for p in whole.iterdir())
+        assert names == sorted(p.name for p in parts.iterdir())
+        for name in names:
+            if name != "manifest.txt":
+                assert (whole / name).read_bytes() == (parts / name).read_bytes(), (subcommand, name)
+    cross_region = (tmp_path / "report-parts" / "cross_region.csv").read_text(encoding="utf-8")
+    assert len(cross_region.splitlines()) == 1 + 40
+    capsys.readouterr()
+
+
 def test_posting_lines_split_only_where_text_mode_splits_them(tmp_path, monkeypatch, capsys):
     # Raw U+0085, U+2028 and U+2029 are valid inside a JSON string, raw
     # \x0b, \x0c and \x1c are not, and str.splitlines would end a line at

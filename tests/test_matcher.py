@@ -3,13 +3,11 @@ import string
 
 import pytest
 
-from jobpulse.corpus import Region, normalize_text
+from jobpulse.corpus import expanded_tokens, normalize_text
 from jobpulse.errors import InputError
 from jobpulse.matcher import (
     MatchIndex,
-    MatchRecord,
     discover_candidate_titles,
-    expanded_tokens,
     filter_corpus,
     industry_predicate,
     match_corpus,
@@ -17,7 +15,7 @@ from jobpulse.matcher import (
     validate_industry_token,
 )
 from jobpulse.synth import SynthConfig, build_corpus
-from jobpulse.taxonomy import JobFamily, JobFunction, Jst, JstLevel, load_taxonomy
+from jobpulse.taxonomy import load_taxonomy
 
 from conftest import make_posting, write_taxonomy_csv
 
@@ -176,12 +174,18 @@ def expand_hyphens(tokens: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def test_expand_hyphens():
+def test_expand_hyphens(tmp_path):
     assert expand_hyphens(("rf-engineer", "lead")) == ("rf", "engineer", "lead")
     assert expand_hyphens(("plain",)) == ("plain",)
-    family = JobFamily("rf-engineer", JobFunction.ENGINEER)
-    jst = Jst("senior rf-engineer", ("senior", "rf-engineer"), JstLevel.TITLE, family)
-    assert jst.match_tokens == expand_hyphens(jst.tokens) == ("senior", "rf", "engineer")
+    taxonomy = load_taxonomy(write_taxonomy_csv(tmp_path / "t.csv", [
+        ("Engineer", "rf-engineer", ""),
+        ("Engineer", "rf-engineer", "Senior RF-Engineer"),
+    ]))
+    jst = taxonomy.jsts[1]
+    assert (jst.phrase, jst.tokens) == ("senior rf-engineer", ("senior", "rf", "engineer"))
+    index = MatchIndex(taxonomy)
+    for text in ("a senior rf-engineer role", "a Senior RF Engineer role"):
+        assert jst in index.terms(make_posting(job_description=text)), text
 
 
 def test_industry_filter_employer_description_only():
@@ -373,13 +377,6 @@ def test_scan_equals_per_token_scan(tmp_path, shipped_taxonomy):
         for _ in range(3000):
             tokens = tuple(rng.choices(vocab, k=rng.randint(0, 12)))
             assert index.scan(tokens) == _per_token_scan(tax, tokens), tokens
-
-
-def test_match_record_needs_a_term():
-    with pytest.raises(InputError, match="J1 has no matched terms"):
-        MatchRecord(job_id="J1", region=Region.LA, matched_jsts=frozenset(), matched_in_title=frozenset())
-    with pytest.raises(InputError):
-        MatchRecord("J1", Region.LA, frozenset(), frozenset())
 
 
 def _tokenizing_filter(posting, token, mode):

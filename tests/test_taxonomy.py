@@ -4,7 +4,7 @@ import re
 import pytest
 
 from jobpulse.cli import DEFAULT_TAXONOMY
-from jobpulse.corpus import normalize_text
+from jobpulse.corpus import expanded_tokens, normalize_text
 from jobpulse.errors import InputError
 from jobpulse.taxonomy import (
     JobFamily,
@@ -81,7 +81,7 @@ def test_family_takes_precedence_over_title(tmp_path, capsys):
 
 
 def _jst(phrase: str, level: JstLevel, family: JobFamily) -> Jst:
-    return Jst(phrase=phrase, tokens=normalize_text(phrase), level=level, family=family)
+    return Jst(phrase=phrase, tokens=expanded_tokens(phrase), level=level, family=family)
 
 
 def test_resolve_precedence_drops_colliding_title():
@@ -334,6 +334,56 @@ def test_duplicate_title_row_rejected(tmp_path):
     )
     with pytest.raises(InputError, match="duplicate title"):
         load_taxonomy(path)
+
+
+# Phrases that differ only by hyphens have one token form, so they are one phrase.
+
+
+def test_hyphen_twin_titles_in_one_family_are_a_duplicate(tmp_path):
+    path = write_taxonomy_csv(
+        tmp_path / "twins.csv",
+        [
+            ("Engineer", "rf design", ""),
+            ("Engineer", "rf design", "rf-engineer"),
+            ("Engineer", "rf design", "RF Engineer"),
+        ],
+    )
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:4: duplicate title 'rf engineer' in family 'rf design'$"):
+        load_taxonomy(path)
+
+
+def test_hyphen_twin_titles_in_two_families_are_claimed_by_both(tmp_path):
+    path = write_taxonomy_csv(
+        tmp_path / "twins.csv",
+        [
+            ("Engineer", "rf design", ""),
+            ("Engineer", "antenna design", ""),
+            ("Engineer", "rf design", "rf-engineer"),
+            ("Engineer", "antenna design", "RF Engineer"),
+        ],
+    )
+    with pytest.raises(InputError, match=re.escape(
+        "title phrase 'rf-engineer' claimed by multiple families (antenna design, rf design)"
+    )):
+        load_taxonomy(path)
+
+
+def test_title_twin_of_a_family_gives_way_to_it(tmp_path, capsys):
+    path = write_taxonomy_csv(
+        tmp_path / "twins.csv",
+        [("Engineer", "rf design", ""), ("Engineer", "layout", ""), ("Engineer", "layout", "RF-Design")],
+    )
+    t = load_taxonomy(path)
+    assert [(j.phrase, j.level) for j in t.jsts] == [("rf design", JstLevel.FAMILY), ("layout", JstLevel.FAMILY)]
+    assert capsys.readouterr().err == (
+        f"WARNING jobpulse.taxonomy: {path}: phrase 'rf-design' used as both family "
+        "and title: family takes precedence, removed as a title in family 'layout'\n"
+    )
+
+
+def test_lookup_finds_a_term_under_either_spelling(tmp_path):
+    t = load_taxonomy(write_taxonomy_csv(tmp_path / "t.csv", [("Engineer", "rf-engineer", "")]))
+    assert lookup(t, "rf-engineer") is lookup(t, "rf engineer") is lookup(t, "RF Engineer") is t.jsts[0]
 
 
 def test_comment_lines_skipped(tmp_path):
