@@ -6,12 +6,11 @@ counts) to the output directory. Stage outputs are files so each step of
 the funnel can be inspected on its own.
 
 Every subcommand but synth reads its posting files line by line and keeps
-no posting past its line: ingest, disambiguate and discover through
-``_stream_corpus``, match, dedup and report through the one match and
-filter pass of ``_run_match_stages``. For dedup and report that pass
-keeps one row per filtered posting, and the rows with matched terms are
-the demand ledger's units. No artifact is written before the whole input
-has been read.
+no posting past its line: ingest, match, disambiguate and discover
+through ``_stream_corpus``, dedup and report through the one match and
+filter pass of ``_dedup_stages``, which keeps one row per filtered posting
+and makes the rows with matched terms the demand ledger's units. No
+artifact is written before the whole input has been read.
 
 Each subcommand imports the modules it runs when it is called, and the
 run imports report, for its atomic writers, at its first write, so
@@ -259,31 +258,24 @@ def _record_scope(run: _Run, kept: int, out_of_scope: int, diagnostics: list[cor
     run.write_artifact("diagnostics.csv", csv_text(["source", "line", "reason"], rows))
 
 
-def _in_scope(
-    run: _Run, postings: Iterable[Posting], diagnostics: list[corpus_mod.Diagnostic]
-) -> Iterator[Posting]:
-    """Yield the postings of the run's regions, in turn.
+def _stream_corpus(run: _Run, inputs: list[str]) -> Iterator[Posting]:
+    """Record the inputs, then yield the postings of the run's regions in file order as each line is read.
 
-    Only once ``postings`` is used up does it record the rejects in
-    ``diagnostics`` and the counts and write diagnostics.csv, so an input
-    that fails midway leaves nothing written.
+    Only once the input is used up does it record the rejects and the
+    counts and write diagnostics.csv, so an input that fails midway leaves
+    nothing written.
     """
+    run.record_inputs(inputs)
     wanted = set(run.config.regions)
+    diagnostics: list[corpus_mod.Diagnostic] = []
     kept = out_of_scope = 0
-    for posting in postings:
+    for posting in corpus_mod.iter_postings(inputs, _window(run), diagnostics):
         if posting.region in wanted:
             kept += 1
             yield posting
         else:
             out_of_scope += 1
     _record_scope(run, kept, out_of_scope, diagnostics)
-
-
-def _stream_corpus(run: _Run, inputs: list[str]) -> Iterator[Posting]:
-    """Record the inputs, then stream their in-scope postings in file order as each line is read."""
-    run.record_inputs(inputs)
-    diagnostics: list[corpus_mod.Diagnostic] = []
-    return _in_scope(run, corpus_mod.iter_postings(inputs, _window(run), diagnostics), diagnostics)
 
 
 def _window(run: _Run) -> CollectionWindow:
@@ -298,10 +290,7 @@ def _industry_filter(run: _Run):
 
 
 class _PipelineData(NamedTuple):
-    in_scope: int  # the in-scope postings read
-    # In input order, the dedup_mod.Unit of each filtered posting, or, when
-    # asked for every match, the match record of each matched posting.
-    rows: list
+    rows: list  # the dedup_mod.Unit of each filtered posting, in input order
     cross: tuple[dedup_mod.CrossRegionGroup, ...]
     raw_observations: int
     filtered_observations: int
@@ -312,28 +301,29 @@ def _content_hash(title: str, job_description: str, employer_name: str) -> int:
     return hash((title, job_description, employer_name))
 
 
-def _run_match_stages(
-    run: _Run, taxonomy: Taxonomy, inputs: list[str], every_match: bool = False
-) -> _PipelineData:
-    """Record the inputs, then match, filter and count observations in one pass as each line is read.
+def _dedup_stages(
+    run: _Run, taxonomy: Taxonomy, inputs: list[str]
+) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
+    """The one match and filter pass, then the demand ledger; writes ledger.csv and cross_region.csv.
 
-    The pass keeps no posting, only what later stages read. With
-    ``every_match``, for ``match``, that is the match record of every
-    matched posting. Otherwise it is, of each filtered posting, one row
-    (``dedup_mod.Unit``: job_id, region, the index's shared tuple of its
-    matched terms from ``MatchIndex.terms``, employer name), its location
-    and the hash of its cross-region (title, job_description,
-    employer_name) key, the last two in arrays of 8-byte integers. Once the
-    input is read, a hash found twice makes its postings candidates, and
-    only the lines of candidates whose postings span regions are read again
-    (``corpus.reread_postings``) and grouped on their exact keys, so equal
-    hashes alone never make a group. Only then are the counts and
-    diagnostics.csv written, so neither an input that fails midway nor a
-    line that changed before its second read leaves anything written.
+    The pass records the inputs, then matches, filters and counts
+    observations as each line is read. It keeps no posting, only what later
+    stages read: of each filtered posting, one row (``dedup_mod.Unit``:
+    job_id, region, the index's shared tuple of its matched terms from
+    ``MatchIndex.terms``, employer name), its location and the hash of its
+    cross-region (title, job_description, employer_name) key, the last two
+    in arrays of 8-byte integers. Once the input is read, a hash found
+    twice makes its postings candidates, and only the lines of candidates
+    whose postings span regions are read again (``corpus.reread_postings``)
+    and grouped on their exact keys, so equal hashes alone never make a
+    group. Only then are the counts and diagnostics.csv written, so neither
+    an input that fails midway nor a line that changed before its second
+    read leaves anything written. The ledger's units are the rows with
+    terms, so it holds no copy of them.
 
     The input is read through ``corpus.load_postings``, whose Corpus then
-    holds each posting's kept row or record, or None: perfbench's traced run
-    counts the records read by wrapping that function.
+    holds each posting's row, or None: perfbench's traced run counts the
+    records read by wrapping that function.
     """
     from array import array
 
@@ -354,17 +344,11 @@ def _run_match_stages(
         if p.region not in wanted:
             return None
         in_scope += 1
-        if every_match:
-            record = matcher_mod.match_posting(p, index)
-            terms = record.matched_jsts if record else ()
-        else:
-            record, terms = None, index.terms(p)
+        terms = index.terms(p)
         raw_obs += len(terms)
         if not keep(p):
-            return record
+            return None
         filtered_obs += len(terms)
-        if every_match:
-            return record
         hashes.append(_content_hash(p.title, p.job_description, p.employer_name))
         locations.append(where[0])
         return (p.job_id, p.region, terms, p.employer_name)
@@ -373,9 +357,9 @@ def _run_match_stages(
     corpus, diagnostics = corpus_mod.load_postings(inputs, window, step, where)
     rows = [row for row in corpus if row is not None]
     out_of_scope = len(corpus) - in_scope
-    # Each table is freed once read, so that the second read and the ledger
-    # reuse its memory: without these, report on the 100k fixture peaks 1.2 MB higher.
-    del corpus
+    # Each table is freed once read, so that the second read and the ledger reuse its memory: on the 100k
+    # fixture, report peaks 1.2 MB higher without these dels, and 0.5 MB higher if only the index is kept.
+    del corpus, index
     repeated = {digest for digest, after in pairwise(sorted(hashes)) if digest == after}
     candidates: dict[int, list[tuple[int, tuple[str, Region]]]] = {}
     for row, digest, at in zip(rows, hashes, locations):
@@ -390,31 +374,13 @@ def _run_match_stages(
     _record_scope(run, in_scope, out_of_scope, diagnostics)
     run.count("raw_observations", raw_obs)
     run.count("filtered_observations", filtered_obs)
-    return _PipelineData(
-        in_scope=in_scope,
-        rows=rows,
-        cross=dedup_mod.cross_region_report(by_content),
-        raw_observations=raw_obs,
-        filtered_observations=filtered_obs,
-    )
-
-
-def _dedup_stages(
-    run: _Run, taxonomy: Taxonomy, inputs: list[str]
-) -> tuple[_PipelineData, dedup_mod.DemandLedger]:
-    """The match pass, then the demand ledger and its counts; writes ledger.csv and cross_region.csv.
-
-    The ledger's units are the pass's rows with terms, so it holds no copy of them.
-    """
-    from . import dedup as dedup_mod
-
-    data = _run_match_stages(run, taxonomy, inputs)
-    ledger = dedup_mod.weight_assignments(data.rows)
+    cross = dedup_mod.cross_region_report(by_content)
+    ledger = dedup_mod.weight_assignments(rows)
     run.count("demand_units", ledger.unit_count)
-    run.count("cross_region_groups", len(data.cross))
+    run.count("cross_region_groups", len(cross))
     run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
-    run.write_artifact("cross_region.csv", _render_cross_region_csv(data.cross))
-    return data, ledger
+    run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
+    return _PipelineData(rows, cross, raw_obs, filtered_obs), ledger
 
 
 def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]:
@@ -452,14 +418,27 @@ def cmd_ingest(run: _Run, args: argparse.Namespace) -> str:
 
 
 def cmd_match(run: _Run, args: argparse.Namespace) -> str:
+    from . import matcher as matcher_mod
     from . import taxonomy as taxonomy_mod
 
     taxonomy = taxonomy_mod.load_taxonomy(run.config.taxonomy)
-    data = _run_match_stages(run, taxonomy, args.input, every_match=True)
-    records = data.rows
+    index = matcher_mod.MatchIndex(taxonomy)
+    keep = _industry_filter(run)
+    records = []
+    in_scope = raw_obs = filtered_obs = 0
+    for posting in _stream_corpus(run, args.input):
+        in_scope += 1
+        record = matcher_mod.match_posting(posting, index)
+        if record:
+            records.append(record)
+            raw_obs += len(record.matched_jsts)
+            filtered_obs += len(record.matched_jsts) if keep(posting) else 0
+    del index  # its memo tables, 1.3 MB on the 100k fixture, are freed before the sort and the write
+    run.count("raw_observations", raw_obs)
+    run.count("filtered_observations", filtered_obs)
     run.count("matched_postings", len(records))
     run.write_chunks("matches.csv", _matches_csv_chunks(records))
-    return f"matched {len(records)} of {data.in_scope} postings"
+    return f"matched {len(records)} of {in_scope} postings"
 
 
 def cmd_dedup(run: _Run, args: argparse.Namespace) -> str:

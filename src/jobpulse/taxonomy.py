@@ -186,8 +186,9 @@ def load_taxonomy(path: str) -> Taxonomy:
             f"{path}:{header_no}: bad header {header!r}, expected {','.join(TAXONOMY_HEADER)}"
         )
 
-    families: dict[str, JobFamily] = {}
-    family_lines: dict[str, int] = {}
+    # Keyed on the family's term tokens, so hyphen twins name one family.
+    families: dict[tuple[str, ...], JobFamily] = {}
+    family_lines: dict[tuple[str, ...], int] = {}
     candidates: list[Jst] = []  # family terms first, then title terms, each in file order
     title_rows: list[tuple[int, JobFunction, str, str]] = []
     for line_no, row in rows[1:]:
@@ -201,16 +202,17 @@ def load_taxonomy(path: str) -> Taxonomy:
         if not family_tokens:
             raise InputError(f"{path}:{line_no}: empty family name")
         family_name = " ".join(family_tokens)
+        family_key = expanded_tokens(family_name)
         title_raw = row[2].strip()
         if not title_raw:
-            if family_name in families:
+            if family_key in families:
                 raise InputError(
                     f"{path}:{line_no}: family {family_name!r} already declared at line "
-                    f"{family_lines[family_name]}"
+                    f"{family_lines[family_key]}"
                 )
-            families[family_name] = family = JobFamily(name=family_name, function=function)
-            family_lines[family_name] = line_no
-            candidates.append(Jst(family_name, expanded_tokens(family_name), JstLevel.FAMILY, family))
+            families[family_key] = family = JobFamily(name=family_name, function=function)
+            family_lines[family_key] = line_no
+            candidates.append(Jst(family_name, family_key, JstLevel.FAMILY, family))
         else:
             title_rows.append((line_no, function, family_name, title_raw))
 
@@ -219,7 +221,7 @@ def load_taxonomy(path: str) -> Taxonomy:
 
     seen_titles: set[tuple[str, tuple[str, ...]]] = set()
     for line_no, function, family_name, title_raw in title_rows:
-        family = families.get(family_name)
+        family = families.get(expanded_tokens(family_name))
         if family is None:
             raise InputError(
                 f"{path}:{line_no}: title references undeclared family {family_name!r}"
@@ -233,9 +235,9 @@ def load_taxonomy(path: str) -> Taxonomy:
         if not title_name:
             raise InputError(f"{path}:{line_no}: title normalizes to nothing")
         title_tokens = expanded_tokens(title_name)
-        if (family_name, title_tokens) in seen_titles:
+        if (family.name, title_tokens) in seen_titles:
             raise InputError(f"{path}:{line_no}: duplicate title {title_name!r} in family {family_name!r}")
-        seen_titles.add((family_name, title_tokens))
+        seen_titles.add((family.name, title_tokens))
         candidates.append(Jst(title_name, title_tokens, JstLevel.TITLE, family))
 
     survivors, warnings = resolve_precedence(candidates)

@@ -908,19 +908,28 @@ def test_report_prints_each_warning_to_stderr(tmp_path):
     )
 
 
-def test_disambiguate_loads_neither_the_ledger_nor_the_taxonomy(tmp_path):
-    # employers and matcher name DemandLedger, Jst and Taxonomy only in annotations.
+@pytest.mark.parametrize(
+    ("subcommand", "summary", "first_line", "later"),
+    [
+        # employers and matcher name DemandLedger, Jst and Taxonomy only in annotations.
+        ("disambiguate", "disambiguated 2 raw employer names into 2",
+         ("cli", "corpus", "employers", "errors", "matcher", "report"), ()),
+        # The first line read is the taxonomy's; report is loaded at the first write.
+        ("match", "matched 0 of 2 postings", ("cli", "corpus", "errors", "matcher", "taxonomy"), ("report",)),
+    ],
+    ids=["disambiguate", "match"],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand, summary, first_line, later):
     path = tmp_path / "postings.jsonl"
     kept = {"employer_description": "a semiconductor maker"}
     write_jsonl(path, [make_record(job_id="J1", **kept), make_record(job_id="J2", employer_name="Beta Labs", **kept)])
     out = tmp_path / "out"
-    stdout, _ = _python_output(_SPIED_RUN, "disambiguate", "--input", str(path), "--out", str(out), cwd=tmp_path)
-    summary, result = stdout.splitlines()
+    stdout, _ = _python_output(_SPIED_RUN, subcommand, "--input", str(path), "--out", str(out), cwd=tmp_path)
+    printed, result = stdout.splitlines()
     rc, at_first_line, loaded = json.loads(result)
-    assert (rc, summary) == (0, "disambiguated 2 raw employer names into 2")
-    stages = [f"jobpulse.{name}" for name in ("cli", "corpus", "employers", "errors", "matcher", "report")]
-    assert at_first_line == stages
-    assert {name for name in loaded if name.startswith("jobpulse.")} == set(stages)
+    assert (rc, printed) == (0, summary)
+    assert at_first_line == [f"jobpulse.{name}" for name in first_line]
+    assert {name for name in loaded if name.startswith("jobpulse.")} == {f"jobpulse.{name}" for name in first_line + later}
 
 
 def test_no_subcommand_loads_openssl(tmp_path):
@@ -1543,9 +1552,9 @@ def test_streamed_ledger_and_mapping_equal_the_string_renderers(tmp_path, shippe
 
 
 def test_match_pinned_on_messy_input_and_a_seeded_fixture(tmp_path, monkeypatch, capsys):
-    # matches.csv, its counts and the summary, byte for byte, on the messy
-    # scope-limited input and on a fixture with plants, cross-region copies
-    # and non-default rates.
+    # matches.csv, diagnostics.csv, every count and the summary, byte for
+    # byte, on the messy scope-limited input and on a fixture with plants,
+    # cross-region copies and non-default rates, under both filter modes.
     monkeypatch.chdir(tmp_path)
     inputs = _messy_inputs(tmp_path)
     synth = ["synth", "--seed", "23", "--n-postings", "1000", "--off-industry-rate", "2/5",
@@ -1554,17 +1563,31 @@ def test_match_pinned_on_messy_input_and_a_seeded_fixture(tmp_path, monkeypatch,
     assert main(synth) == 0
     fixture = [f"fx/{r.value.lower()}.jsonl" for r in Region]
     capsys.readouterr()
+    runs = (
+        ("messy", [*inputs, "--regions", "LA,SB"], 2),
+        ("seed23", fixture, 0),
+        ("all_fields", [*fixture, "--filter-mode", "all_fields"], 0),
+    )
     pinned = {}
-    for name, argv, code in (("messy", [*inputs, "--regions", "LA,SB"], 2), ("seed23", fixture, 0)):
+    for name, argv, code in runs:
         assert main(["match", "--input", *argv, "--out", name]) == code
         manifest = _manifest(tmp_path / name / "manifest.txt")
-        digest = hashlib.sha256((tmp_path / name / "matches.csv").read_bytes()).hexdigest()[:16]
-        counts = {key: value for key, value in manifest.items() if key.startswith("count.")}
-        pinned[name] = (digest, counts["count.matched_postings"], counts["count.raw_observations"],
-                        capsys.readouterr().out)
+        digests = tuple(
+            hashlib.sha256((tmp_path / name / artifact).read_bytes()).hexdigest()[:16]
+            for artifact in ("matches.csv", "diagnostics.csv")
+        )
+        counts = {key[6:]: value for key, value in manifest.items() if key.startswith("count.")}
+        pinned[name] = (*digests, counts, capsys.readouterr().out)
+    names = ("filtered_observations", "matched_postings", "postings_ingested",
+             "postings_out_of_scope", "raw_observations", "records_rejected")
+    seed23 = ("42c01ef77e05ba52", "e4a4d6e9381a5631")
     assert pinned == {
-        "messy": ("cee3fc0f322bcf77", "8", "9", "matched 8 of 9 postings\n"),
-        "seed23": ("42c01ef77e05ba52", "1009", "2472", "matched 1009 of 1019 postings\n"),
+        "messy": ("cee3fc0f322bcf77", "8ccc262477d519a9", dict(zip(names, ("8", "8", "9", "2", "9", "7"))),
+                  "matched 8 of 9 postings\n"),
+        "seed23": (*seed23, dict(zip(names, ("1491", "1009", "1019", "0", "2472", "0"))),
+                   "matched 1009 of 1019 postings\n"),
+        "all_fields": (*seed23, dict(zip(names, ("560", "1009", "1019", "0", "2472", "0"))),
+                       "matched 1009 of 1019 postings\n"),
     }
 
 

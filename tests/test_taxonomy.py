@@ -381,6 +381,20 @@ def test_title_twin_of_a_family_gives_way_to_it(tmp_path, capsys):
     )
 
 
+def test_a_title_row_may_name_its_family_by_a_hyphen_twin(tmp_path):
+    rows = [("Engineer", "rf design", ""), ("Engineer", "rf-design", "rf engineer")]
+    path = write_taxonomy_csv(tmp_path / "twins.csv", rows)
+    family, title = load_taxonomy(path).jsts
+    assert (family.phrase, title.phrase, title.level) == ("rf design", "rf engineer", JstLevel.TITLE)
+    assert title.family is family.family
+
+
+def test_hyphen_twin_families_are_one_family(tmp_path):
+    path = write_taxonomy_csv(tmp_path / "twins.csv", [("Engineer", "rf design", ""), ("Engineer", "rf-design", "")])
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:3: family 'rf-design' already declared at line 2$"):
+        load_taxonomy(path)
+
+
 def test_lookup_finds_a_term_under_either_spelling(tmp_path):
     t = load_taxonomy(write_taxonomy_csv(tmp_path / "t.csv", [("Engineer", "rf-engineer", "")]))
     assert lookup(t, "rf-engineer") is lookup(t, "rf engineer") is lookup(t, "RF Engineer") is t.jsts[0]
