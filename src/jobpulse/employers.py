@@ -31,22 +31,26 @@ guarded prefix extensions, nothing else. The mapping is deterministic and
 input-order-invariant, key order included: groups in the order of their
 roots, each group's raw names sorted. The canonical name of a group is its
 root, which is its shortest member (the parent), ties broken lexicographically.
+
+Grouping and the mapping export load no ``fractions``, ``dataclasses`` or
+``jobpulse.report`` code: the records are named tuples, and
+``employer_stats`` and the employer table's labels and renderers import
+``Fraction`` and report's renderers when called.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import content_lines, csv_line, csv_text, joined_chunks, normalize_text
 from .errors import ContractError, InputError, warn
-from .report import render_decimal, render_pct
 
-if TYPE_CHECKING:  # disambiguate runs without the ledger and taxonomy modules
+if TYPE_CHECKING:  # disambiguate runs without the ledger, taxonomy and fractions modules
+    from fractions import Fraction
+
     from .dedup import DemandLedger
 
 LEGAL_SUFFIXES = frozenset({"inc", "llc", "corp", "co", "ltd"})
@@ -67,8 +71,7 @@ def load_dictionary(path: str) -> frozenset[str]:
     return frozenset(tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalEmployer:
+class CanonicalEmployer(NamedTuple):
     """A disambiguated employer identity, shared by the raw names of its group."""
 
     canonical_name: str
@@ -132,8 +135,7 @@ def canonicalize(
     return mapping, rejected
 
 
-@dataclass(frozen=True)
-class EmployerReport:
+class EmployerReport(NamedTuple):
     """Employer-base statistics over the demand ledger."""
 
     raw_name_count: int
@@ -147,13 +149,19 @@ class EmployerReport:
 
     @property
     def mean_label(self) -> str:
+        from .report import render_decimal
+
         return render_decimal(self.mean_units, 1)
 
     @property
     def top_share_label(self) -> str:
+        from .report import render_pct
+
         return render_pct(self.top_share, 1)
 
     def share(self, units: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(units, self.unit_total) if self.unit_total else Fraction(0)
 
 
@@ -169,6 +177,8 @@ def employer_stats(
     are skipped; every other name must appear in the mapping or the upstream
     contract was violated.
     """
+    from fractions import Fraction
+
     raw_units = Counter(name for _, _, _, name in ledger.units)
     skipped = set(rejected).intersection(raw_units)
     counts: dict[str, int] = {}
@@ -197,6 +207,8 @@ def employer_stats(
 
 def _count_labels(report: EmployerReport) -> dict[int, tuple[str, str]]:
     """Rendered (units, share) per distinct unit count: thousands of employers share a few counts."""
+    from .report import render_decimal, render_pct
+
     counts = {count for _, count in report.ranked}
     return {count: (render_decimal(count), render_pct(report.share(count))) for count in counts}
 
@@ -209,6 +221,8 @@ def render_employers_csv(report: EmployerReport) -> str:
 
 
 def render_employers_text(report: EmployerReport) -> str:
+    from .report import render_decimal
+
     lines = [
         f"canonical employers: {report.employer_count} (from {report.raw_name_count} raw names)",
         f"demand units: {render_decimal(report.unit_total)}",

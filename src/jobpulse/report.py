@@ -5,6 +5,11 @@ rendered output (round-half-away-from-zero, one decimal place), with the
 exact totals preserved in machine-readable columns. Reports are
 byte-identical across runs on identical inputs; files are written
 atomically (temp + rename).
+
+The module loads without ``fractions``: the functions that build a
+``Fraction`` import it when called, so a subcommand that only writes
+files through this module (``ingest``, ``match``, ``disambiguate``,
+``discover``) never loads it, nor the ``decimal`` module it imports.
 """
 
 from __future__ import annotations
@@ -12,14 +17,15 @@ from __future__ import annotations
 import contextlib
 import os
 from collections.abc import Iterable
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Region, csv_text, sha256
 from .errors import ContractError, InputError
 
-if TYPE_CHECKING:  # the writers load without the ledger and taxonomy modules
+if TYPE_CHECKING:  # the writers load without the ledger, taxonomy and fractions modules
+    from fractions import Fraction
+
     from .dedup import DemandLedger
     from .taxonomy import JobFunction, Taxonomy
 
@@ -48,7 +54,7 @@ def render_decimal(x: Fraction | int, places: int = 1) -> str:
 
 def render_pct(x: Fraction | int, places: int = 1) -> str:
     """Render a fraction in [0, 1] as a percentage string like '10.7%'."""
-    return render_decimal(Fraction(x) * 100, places) + "%"
+    return render_decimal(x * 100, places) + "%"
 
 
 class FunnelReport(NamedTuple):
@@ -64,6 +70,8 @@ def build_funnel(counts: list[int] | tuple[int, ...]) -> FunnelReport:
     Counts must be non-increasing; a later stage exceeding an earlier one
     means a stage produced data it should only filter.
     """
+    from fractions import Fraction
+
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(FUNNEL_LABELS):
         raise InputError(f"funnel needs {len(FUNNEL_LABELS)} stage counts, got {len(counts)}")
@@ -130,6 +138,8 @@ def demand_by(
     restricts rows to one job function. Rows are ordered by total
     descending, label ascending.
     """
+    from fractions import Fraction
+
     if level not in LEVELS:
         raise InputError(f"unknown level {level!r}: expected one of {LEVELS}")
     totals: dict[str, dict[Region, int]] = {label: {} for label in _labels_for(level, taxonomy, function)}
@@ -157,6 +167,8 @@ def demand_by(
 
 
 def _fractions(per_region: dict[Region, int], denominator: int) -> dict[Region, Fraction]:
+    from fractions import Fraction
+
     return {region: Fraction(units, denominator) for region, units in per_region.items()}
 
 
@@ -183,6 +195,8 @@ def ratio(a: Fraction | int, b: Fraction | int) -> RatioResult:
 
     Ties prefer the smaller denominator, then the smaller numerator.
     """
+    from fractions import Fraction
+
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         raise InputError("ratio denominator total is zero")

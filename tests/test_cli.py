@@ -844,6 +844,12 @@ def test_importing_the_cli_leaves_synth_unloaded():
     assert not loaded & {"fractions", "decimal", "dataclasses"}
 
 
+def test_the_employer_and_report_modules_load_no_fraction_or_dataclass_code():
+    # Fraction and report's renderers are imported by the functions that use them.
+    stdout, _ = _python_output("import json, sys, jobpulse.employers, jobpulse.report; print(json.dumps(list(sys.modules)))")
+    assert not set(json.loads(stdout)) & {"fractions", "decimal", "dataclasses", "inspect"}
+
+
 # Runs the CLI on argv with corpus.content_lines spied on, then prints the
 # exit code, the jobpulse modules loaded when the first input line was read,
 # and every module loaded at the end.
@@ -877,7 +883,8 @@ def test_ingest_reads_its_input_before_it_loads_the_writers(tmp_path):
     assert stderr == "WARNING jobpulse.corpus: rejected 1 of 3 input records\n"
     assert at_first_line == ["jobpulse.cli", "jobpulse.corpus", "jobpulse.errors"]
     stages = {f"jobpulse.{name}" for name in ("dedup", "employers", "matcher", "taxonomy")}
-    assert "jobpulse.report" in loaded and not set(loaded) & (stages | {"dataclasses", "inspect"})
+    assert "jobpulse.report" in loaded
+    assert not set(loaded) & (stages | {"fractions", "decimal", "dataclasses", "inspect"})
     assert (out / "diagnostics.csv").read_text(encoding="utf-8").count("\n") == 2
     assert _manifest(out / "manifest.txt")["count.postings_ingested"] == "2"
 
@@ -909,17 +916,20 @@ def test_report_prints_each_warning_to_stderr(tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("subcommand", "summary", "first_line", "later"),
+    ("subcommand", "summary", "first_line", "later", "unloaded"),
     [
-        # employers and matcher name DemandLedger, Jst and Taxonomy only in annotations.
+        # employers and matcher name DemandLedger, Jst, Taxonomy and Fraction only in
+        # annotations; report is loaded at the first write.
         ("disambiguate", "disambiguated 2 raw employer names into 2",
-         ("cli", "corpus", "employers", "errors", "matcher", "report"), ()),
-        # The first line read is the taxonomy's; report is loaded at the first write.
-        ("match", "matched 0 of 2 postings", ("cli", "corpus", "errors", "matcher", "taxonomy"), ("report",)),
+         ("cli", "corpus", "employers", "errors", "matcher"), ("report",),
+         ("fractions", "decimal", "dataclasses", "inspect")),
+        # The first line read is the taxonomy's, whose records are dataclasses.
+        ("match", "matched 0 of 2 postings", ("cli", "corpus", "errors", "matcher", "taxonomy"), ("report",),
+         ("fractions", "decimal")),
     ],
     ids=["disambiguate", "match"],
 )
-def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand, summary, first_line, later):
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand, summary, first_line, later, unloaded):
     path = tmp_path / "postings.jsonl"
     kept = {"employer_description": "a semiconductor maker"}
     write_jsonl(path, [make_record(job_id="J1", **kept), make_record(job_id="J2", employer_name="Beta Labs", **kept)])
@@ -930,6 +940,7 @@ def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand, summa
     assert (rc, printed) == (0, summary)
     assert at_first_line == [f"jobpulse.{name}" for name in first_line]
     assert {name for name in loaded if name.startswith("jobpulse.")} == {f"jobpulse.{name}" for name in first_line + later}
+    assert not set(loaded) & set(unloaded)
 
 
 def test_no_subcommand_loads_openssl(tmp_path):

@@ -9,6 +9,7 @@ from jobpulse.corpus import Region, csv_text
 from jobpulse.dedup import weight_assignments
 from jobpulse.employers import (
     CanonicalEmployer,
+    EmployerReport,
     canonicalize,
     employer_stats,
     load_dictionary,
@@ -365,6 +366,31 @@ def _ledger_units(shipped_taxonomy, names):
     """A ledger of one unit per name, J0, J1, ... in LA, each of one term and employed by its name."""
     jst = lookup(shipped_taxonomy, "design engineer")
     return weight_assignments([make_unit(f"J{i}", [jst], Region.LA, name) for i, name in enumerate(names)])
+
+
+def test_canonical_employer_is_an_immutable_value():
+    by_position, by_keyword = CanonicalEmployer("amazon"), CanonicalEmployer(canonical_name="amazon")
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    assert by_position != CanonicalEmployer("apple")
+    assert len({by_position, by_keyword, CanonicalEmployer("apple")}) == 2
+    with pytest.raises(AttributeError):
+        by_position.canonical_name = "apple"
+    assert by_position.canonical_name == "amazon"
+
+
+def test_employer_report_builds_by_keyword_and_renders_its_labels():
+    report = EmployerReport(
+        raw_name_count=4, employer_count=3, unit_total=7, mean_units=Fraction(7, 3),
+        ranked=(("apex labs", 4), ("zenith works", 2), ("solo systems", 1)),
+        top_k=2, top_total=6, top_share=Fraction(6, 7),
+    )
+    assert (report.mean_label, report.top_share_label) == ("2.3", "85.7%")
+    assert (report.share(4), report.share(0)) == (Fraction(4, 7), 0)
+    empty = EmployerReport(
+        raw_name_count=0, employer_count=0, unit_total=0, mean_units=Fraction(0),
+        ranked=(), top_k=3, top_total=0, top_share=Fraction(0),
+    )
+    assert (empty.mean_label, empty.top_share_label, empty.share(2)) == ("0.0", "0.0%", 0)
 
 
 def test_employer_stats_mean_and_top_share(shipped_taxonomy):

@@ -53,6 +53,7 @@ def test_render_pct():
     assert render_pct(Fraction(433, 4044)) == "10.7%"
     assert render_pct(Fraction(1)) == "100.0%"
     assert render_pct(Fraction(0)) == "0.0%"
+    assert (render_pct(0), render_pct(1), render_pct(Fraction(1, 3))) == ("0.0%", "100.0%", "33.3%")
 
 
 # -- funnel ------------------------------------------------------------------
