@@ -291,7 +291,6 @@ def _industry_filter(run: _Run):
 
 class _PipelineData(NamedTuple):
     rows: list  # the dedup_mod.Unit of each filtered posting, in input order
-    cross: tuple[dedup_mod.CrossRegionGroup, ...]
     raw_observations: int
     filtered_observations: int
 
@@ -380,7 +379,7 @@ def _dedup_stages(
     run.count("cross_region_groups", len(cross))
     run.write_chunks("ledger.csv", dedup_mod.ledger_csv_chunks(ledger))
     run.write_artifact("cross_region.csv", _render_cross_region_csv(cross))
-    return _PipelineData(rows, cross, raw_obs, filtered_obs), ledger
+    return _PipelineData(rows, raw_obs, filtered_obs), ledger
 
 
 def _matches_csv_chunks(records: list[matcher_mod.MatchRecord]) -> Iterator[str]:

@@ -1,8 +1,9 @@
 """Job-term hierarchy: titles grouped into families, families into functions.
 
-Loads the taxonomy from CSV, validates reference closure, and resolves the
-precedence rule for phrases that appear at both hierarchy levels: the family
-wins and the phrase is removed from consideration as a title anywhere else.
+Loads the taxonomy from CSV and validates reference closure. The precedence
+rule for phrases that appear at both hierarchy levels is applied as each
+title row is read: the family wins, and the title is dropped with a warning
+that names its line.
 
 Every family and every surviving title is one term (Jst): its phrase, its
 tokens, its level and its family. A title term's phrase is the title, so
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import content_lines, expanded_tokens, normalize_text
 from .errors import InputError, warn
@@ -94,63 +95,21 @@ class Jst:
 
 @dataclass(frozen=True, eq=False)
 class Taxonomy:
-    """Validated, immutable hierarchy with exact-phrase lookup."""
+    """Validated, immutable hierarchy with exact-phrase lookup.
+
+    ``by_tokens`` maps each term's tokens to the term, and ``jsts`` holds
+    its values in the same order: families, then titles, each in file order.
+    """
 
     families: tuple[JobFamily, ...]
     jsts: tuple[Jst, ...]
-    _index: dict[tuple[str, ...], Jst] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        index = {jst.tokens: jst for jst in self.jsts}
-        if len(index) != len(self.jsts):
-            raise InputError("duplicate phrases survived precedence resolution")
-        object.__setattr__(self, "_index", index)
+    by_tokens: dict[tuple[str, ...], Jst]
 
     def families_of(self, function: JobFunction) -> tuple[JobFamily, ...]:
         return tuple(f for f in self.families if f.function is function)
 
     def jsts_of(self, function: JobFunction) -> tuple[Jst, ...]:
         return tuple(j for j in self.jsts if j.family.function is function)
-
-
-def resolve_precedence(entries: list[Jst]) -> tuple[list[Jst], list[str]]:
-    """Apply the hierarchy-precedence rule to candidate terms.
-
-    When a phrase occurs both as a family and as a title, only the
-    family-level entry survives; every title-level occurrence is dropped
-    with a warning. A phrase declared as a family in two different families
-    is ambiguous and rejected, as is the same title phrase claimed by two
-    families with no family-level entry to arbitrate.
-
-    Idempotent: resolving an already-resolved list returns it unchanged.
-    """
-    by_tokens: dict[tuple[str, ...], list[Jst]] = {}
-    for entry in entries:
-        by_tokens.setdefault(entry.tokens, []).append(entry)
-
-    warnings: list[str] = []
-    dropped: set[Jst] = set()
-    for group in by_tokens.values():
-        family_entries = [e for e in group if e.level is JstLevel.FAMILY]
-        title_entries = [e for e in group if e.level is JstLevel.TITLE]
-        if len(family_entries) > 1:
-            names = sorted({e.family.name for e in family_entries})
-            raise InputError(
-                f"phrase {group[0].phrase!r} is declared as a family more than once ({', '.join(names)})"
-            )
-        if family_entries and title_entries:
-            for e in title_entries:
-                warnings.append(
-                    f"phrase {e.phrase!r} used as both family and title: family takes "
-                    f"precedence, removed as a title in family {e.family.name!r}"
-                )
-                dropped.add(e)
-        elif len(title_entries) > 1:
-            names = sorted({e.family.name for e in title_entries})
-            raise InputError(
-                f"title phrase {group[0].phrase!r} claimed by multiple families ({', '.join(names)})"
-            )
-    return [entry for entry in entries if entry not in dropped], warnings
 
 
 def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
@@ -160,7 +119,7 @@ def lookup(taxonomy: Taxonomy, phrase: str | tuple[str, ...]) -> Jst | None:
     tuple must already be in that form.
     """
     tokens = expanded_tokens(phrase) if isinstance(phrase, str) else tuple(phrase)
-    return taxonomy._index.get(tokens) if tokens else None
+    return taxonomy.by_tokens.get(tokens) if tokens else None
 
 
 def load_taxonomy(path: str) -> Taxonomy:
@@ -169,8 +128,8 @@ def load_taxonomy(path: str) -> Taxonomy:
     Schema: UTF-8, header ``function,family,title``, one CSV row per line
     of the file; a row with an empty title declares the family-level term;
     ``#`` starts a comment line. Every family must be declared by exactly
-    one empty-title row. Phrase collisions across levels resolve by family
-    precedence with a warning per collision.
+    one empty-title row. A title that twins a family gives way to it with a
+    warning naming its line; the warnings print, in file order, once the file has loaded.
     """
     rows = []
     for line_no, line in list(content_lines(path, "taxonomy")):
@@ -186,10 +145,9 @@ def load_taxonomy(path: str) -> Taxonomy:
             f"{path}:{header_no}: bad header {header!r}, expected {','.join(TAXONOMY_HEADER)}"
         )
 
-    # Keyed on the family's term tokens, so hyphen twins name one family.
-    families: dict[tuple[str, ...], JobFamily] = {}
-    family_lines: dict[tuple[str, ...], int] = {}
-    candidates: list[Jst] = []  # family terms first, then title terms, each in file order
+    # Each term by its tokens, so hyphen twins are one phrase, and the line that declared it.
+    by_tokens: dict[tuple[str, ...], Jst] = {}
+    lines: dict[tuple[str, ...], int] = {}
     title_rows: list[tuple[int, JobFunction, str, str]] = []
     for line_no, row in rows[1:]:
         if len(row) != 3:
@@ -204,28 +162,27 @@ def load_taxonomy(path: str) -> Taxonomy:
         family_name = " ".join(family_tokens)
         family_key = expanded_tokens(family_name)
         title_raw = row[2].strip()
-        if not title_raw:
-            if family_key in families:
-                raise InputError(
-                    f"{path}:{line_no}: family {family_name!r} already declared at line "
-                    f"{family_lines[family_key]}"
-                )
-            families[family_key] = family = JobFamily(name=family_name, function=function)
-            family_lines[family_key] = line_no
-            candidates.append(Jst(family_name, family_key, JstLevel.FAMILY, family))
-        else:
+        if title_raw:
             title_rows.append((line_no, function, family_name, title_raw))
+        elif family_key in by_tokens:
+            raise InputError(f"{path}:{line_no}: family {family_name!r} already declared at line {lines[family_key]}")
+        else:
+            by_tokens[family_key] = Jst(family_name, family_key, JstLevel.FAMILY, JobFamily(family_name, function))
+            lines[family_key] = line_no
 
+    families = tuple(jst.family for jst in by_tokens.values())
     if not families:
         raise InputError(f"{path}: taxonomy declares zero families")
 
-    seen_titles: set[tuple[str, tuple[str, ...]]] = set()
+    dropped: set[tuple[JobFamily, tuple[str, ...]]] = set()  # (family, tokens) of each title that twins a family
+    warnings: list[str] = []
     for line_no, function, family_name, title_raw in title_rows:
-        family = families.get(expanded_tokens(family_name))
-        if family is None:
+        family_term = by_tokens.get(expanded_tokens(family_name))
+        if family_term is None or family_term.level is JstLevel.TITLE:
             raise InputError(
                 f"{path}:{line_no}: title references undeclared family {family_name!r}"
             )
+        family = family_term.family
         if family.function is not function:
             raise InputError(
                 f"{path}:{line_no}: family {family_name!r} declared under "
@@ -235,12 +192,24 @@ def load_taxonomy(path: str) -> Taxonomy:
         if not title_name:
             raise InputError(f"{path}:{line_no}: title normalizes to nothing")
         title_tokens = expanded_tokens(title_name)
-        if (family.name, title_tokens) in seen_titles:
+        claimed = by_tokens.get(title_tokens)
+        if claimed is None:
+            by_tokens[title_tokens] = Jst(title_name, title_tokens, JstLevel.TITLE, family)
+            lines[title_tokens] = line_no
+        elif (family, title_tokens) in dropped or (claimed.level is JstLevel.TITLE and claimed.family is family):
             raise InputError(f"{path}:{line_no}: duplicate title {title_name!r} in family {family_name!r}")
-        seen_titles.add((family.name, title_tokens))
-        candidates.append(Jst(title_name, title_tokens, JstLevel.TITLE, family))
+        elif claimed.level is JstLevel.FAMILY:
+            dropped.add((family, title_tokens))
+            warnings.append(
+                f"{path}:{line_no}: phrase {title_name!r} used as both family and title: family takes "
+                f"precedence, removed as a title in family {family.name!r}"
+            )
+        else:
+            raise InputError(
+                f"{path}:{line_no}: title {title_name!r} already claimed by family "
+                f"{claimed.family.name!r} at line {lines[title_tokens]}"
+            )
 
-    survivors, warnings = resolve_precedence(candidates)
     for message in warnings:
-        warn("taxonomy", f"{path}: {message}")
-    return Taxonomy(families=tuple(families.values()), jsts=tuple(survivors))
+        warn("taxonomy", message)
+    return Taxonomy(families, tuple(by_tokens.values()), by_tokens)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import hashlib
@@ -394,6 +395,17 @@ def test_config_file_and_flag_override(tmp_path, fixture_corpus):
     manifest = _manifest(out / "manifest.txt")
     assert manifest["config.format"] == "csv"  # flag wins over file
     assert manifest["config.industry_token"] == "semiconductor"
+
+
+def test_the_readme_config_example_is_a_valid_config_file(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = tmp_path / "example.conf"
+    example.write_text(readme.split("### Configuration", 1)[1].split("```\n")[1], encoding="utf-8")
+    assert set(cli.parse_config_file(str(example))) == set(cli.SETTINGS)
+    config = cli.build_config(argparse.Namespace(config=str(example)), keys=())
+    assert (config.taxonomy, config.filter_mode, config.format, config.min_count, config.top_k) == (
+        "path/to/taxonomy.csv", "any_field", "csv", 3, 3
+    )
 
 
 def test_env_config_fallback(tmp_path, fixture_corpus, monkeypatch):
@@ -908,7 +920,7 @@ def test_report_prints_each_warning_to_stderr(tmp_path):
     stdout, stderr = _python_output(_SPIED_RUN, *argv, cwd=tmp_path)
     assert json.loads(stdout.splitlines()[-1])[0] == 2
     assert stderr == (
-        f"WARNING jobpulse.taxonomy: {taxonomy}: phrase 'packaging engineer' used as both family and title: "
+        f"WARNING jobpulse.taxonomy: {taxonomy}:4: phrase 'packaging engineer' used as both family and title: "
         "family takes precedence, removed as a title in family 'design engineer'\n"
         "WARNING jobpulse.corpus: rejected 1 of 3 input records\n"
         "WARNING jobpulse.employers: employer name '!!!' normalizes to nothing; excluded\n"

@@ -15,7 +15,6 @@ from jobpulse.taxonomy import (
     load_taxonomy,
     lookup,
     parse_function,
-    resolve_precedence,
 )
 
 from conftest import write_taxonomy_csv
@@ -74,91 +73,118 @@ def test_family_takes_precedence_over_title(tmp_path, capsys):
     assert surviving.level is JstLevel.FAMILY
     assert surviving.family.name == "semiconductor packaging engineer"
     assert capsys.readouterr().err == (
-        f"WARNING jobpulse.taxonomy: {path}: phrase 'semiconductor packaging engineer' used as both family "
+        f"WARNING jobpulse.taxonomy: {path}:4: phrase 'semiconductor packaging engineer' used as both family "
         "and title: family takes precedence, removed as a title in family 'design engineer'\n"
     )
     assert len(t.jsts) == 2
 
 
-def _jst(phrase: str, level: JstLevel, family: JobFamily) -> Jst:
-    return Jst(phrase=phrase, tokens=expanded_tokens(phrase), level=level, family=family)
-
-
-def test_resolve_precedence_drops_colliding_title():
-    packaging = JobFamily("packaging", JobFunction.ENGINEER)
-    design = JobFamily("design engineer", JobFunction.ENGINEER)
-    entries = [
-        _jst("packaging engineer", JstLevel.FAMILY, packaging),
-        _jst("packaging engineer", JstLevel.TITLE, design),
+def test_resolve_precedence_drops_colliding_title(tmp_path, capsys):
+    # The title row comes before the family it twins.
+    path = write_taxonomy_csv(
+        tmp_path / "collide.csv",
+        [
+            ("Engineer", "design engineer", ""),
+            ("Engineer", "design engineer", "packaging engineer"),
+            ("Engineer", "packaging engineer", ""),
+        ],
+    )
+    t = load_taxonomy(path)
+    assert [(j.phrase, j.level) for j in t.jsts] == [
+        ("design engineer", JstLevel.FAMILY), ("packaging engineer", JstLevel.FAMILY)
     ]
-    survivors, warnings = resolve_precedence(entries)
-    assert [ (s.phrase, s.level) for s in survivors ] == [("packaging engineer", JstLevel.FAMILY)]
-    assert len(warnings) == 1
+    assert capsys.readouterr().err.startswith(f"WARNING jobpulse.taxonomy: {path}:3: phrase 'packaging engineer'")
 
 
-def test_resolve_precedence_identity_when_no_collision():
-    fam_a = JobFamily("etch", JobFunction.ENGINEER)
-    fam_b = JobFamily("litho", JobFunction.ENGINEER)
-    entries = [
-        _jst("etch engineer", JstLevel.FAMILY, fam_a),
-        _jst("litho engineer", JstLevel.TITLE, fam_b),
+def test_resolve_precedence_identity_when_no_collision(tmp_path, capsys):
+    rows = [("Engineer", "etch", ""), ("Engineer", "litho", ""), ("Engineer", "litho", "litho engineer")]
+    t = load_taxonomy(write_taxonomy_csv(tmp_path / "plain.csv", rows))
+    assert [(j.phrase, j.level.value, j.family.name) for j in t.jsts] == [
+        ("etch", "Family", "etch"), ("litho", "Family", "litho"), ("litho engineer", "Title", "litho")
     ]
-    survivors, warnings = resolve_precedence(entries)
-    assert survivors == entries
-    assert warnings == []
+    assert capsys.readouterr().err == ""
 
 
-def test_resolve_precedence_matches_manual_grouping():
+def test_resolve_precedence_matches_manual_grouping(tmp_path, capsys):
     # Oracle: group the three phrases by hand; the colliding pair keeps only
-    # its family entry, so two entries survive.
-    fam_a = JobFamily("alpha", JobFunction.ENGINEER)
-    fam_b = JobFamily("beta", JobFunction.ENGINEER)
-    entries = [
-        _jst("shared phrase engineer", JstLevel.FAMILY, fam_a),
-        _jst("shared phrase engineer", JstLevel.TITLE, fam_b),
-        _jst("lonely phrase engineer", JstLevel.TITLE, fam_b),
+    # its family entry, so the other family and the lonely title survive with it.
+    rows = [
+        ("Engineer", "shared phrase engineer", ""),
+        ("Engineer", "beta", ""),
+        ("Engineer", "beta", "shared phrase engineer"),
+        ("Engineer", "beta", "lonely phrase engineer"),
     ]
-    survivors, warnings = resolve_precedence(entries)
-    expected_phrases = {("shared phrase engineer", JstLevel.FAMILY), ("lonely phrase engineer", JstLevel.TITLE)}
-    assert {(s.phrase, s.level) for s in survivors} == expected_phrases
-    assert len(survivors) == 2
-    assert len(warnings) == 1
+    t = load_taxonomy(write_taxonomy_csv(tmp_path / "grouped.csv", rows))
+    assert {(j.phrase, j.level) for j in t.jsts} == {
+        ("shared phrase engineer", JstLevel.FAMILY), ("beta", JstLevel.FAMILY), ("lonely phrase engineer", JstLevel.TITLE)
+    }
+    assert len(t.jsts) == 3
+    assert capsys.readouterr().err.count("\n") == 1
 
 
-def test_resolve_precedence_idempotent():
-    fam_a = JobFamily("alpha", JobFunction.ENGINEER)
-    fam_b = JobFamily("beta", JobFunction.ENGINEER)
-    entries = [
-        _jst("shared phrase", JstLevel.FAMILY, fam_a),
-        _jst("shared phrase", JstLevel.TITLE, fam_b),
-        _jst("other phrase", JstLevel.TITLE, fam_a),
+def test_resolve_precedence_idempotent(tmp_path, capsys):
+    # Writing a loaded taxonomy's terms back as rows and loading them again
+    # gives the same terms and no warning.
+    rows = [
+        ("Engineer", "shared phrase", ""),
+        ("Engineer", "other", ""),
+        ("Engineer", "other", "shared phrase"),
+        ("Engineer", "shared phrase", "other phrase"),
     ]
-    once, warnings_once = resolve_precedence(entries)
-    twice, warnings_twice = resolve_precedence(once)
-    assert once == twice
-    assert warnings_once and not warnings_twice
-
-
-def test_resolve_precedence_rejects_family_in_two_families():
-    fam_a = JobFamily("alpha", JobFunction.ENGINEER)
-    fam_b = JobFamily("beta", JobFunction.ENGINEER)
-    entries = [
-        _jst("twice a family", JstLevel.FAMILY, fam_a),
-        _jst("twice a family", JstLevel.FAMILY, fam_b),
+    once = load_taxonomy(write_taxonomy_csv(tmp_path / "once.csv", rows))
+    assert capsys.readouterr().err
+    terms = [(j.family.function.value, j.family.name, "" if j.level is JstLevel.FAMILY else j.phrase) for j in once.jsts]
+    twice = load_taxonomy(write_taxonomy_csv(tmp_path / "twice.csv", terms))
+    assert capsys.readouterr().err == ""
+    assert [(j.phrase, j.level, j.family.name) for j in twice.jsts] == [
+        (j.phrase, j.level, j.family.name) for j in once.jsts
     ]
-    with pytest.raises(InputError):
-        resolve_precedence(entries)
 
 
-def test_resolve_precedence_rejects_title_claimed_by_two_families():
-    fam_a = JobFamily("alpha", JobFunction.ENGINEER)
-    fam_b = JobFamily("beta", JobFunction.ENGINEER)
-    entries = [
-        _jst("contested title", JstLevel.TITLE, fam_a),
-        _jst("contested title", JstLevel.TITLE, fam_b),
+def test_resolve_precedence_rejects_family_in_two_families(tmp_path):
+    path = write_taxonomy_csv(
+        tmp_path / "twice.csv", [("Engineer", "twice a family", ""), ("Technician", "twice-a-family", "")]
+    )
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:3: family 'twice-a-family' already declared at line 2$"):
+        load_taxonomy(path)
+
+
+def test_resolve_precedence_rejects_title_claimed_by_two_families(tmp_path):
+    path = write_taxonomy_csv(
+        tmp_path / "contested.csv",
+        [
+            ("Engineer", "alpha", ""),
+            ("Engineer", "beta", ""),
+            ("Engineer", "alpha", "contested title"),
+            ("Engineer", "beta", "contested title"),
+        ],
+    )
+    with pytest.raises(
+        InputError, match=f"^{re.escape(path)}:5: title 'contested title' already claimed by family 'alpha' at line 4$"
+    ):
+        load_taxonomy(path)
+
+
+def test_precedence_warnings_name_their_lines_and_print_only_after_a_load(tmp_path, capsys):
+    rows = [
+        ("Engineer", "etch engineer", ""),
+        ("Engineer", "litho engineer", ""),
+        ("Engineer", "process engineer", ""),
+        ("Engineer", "process engineer", "litho engineer"),
+        ("Engineer", "process engineer", "etch engineer"),
     ]
-    with pytest.raises(InputError):
-        resolve_precedence(entries)
+    # A later fatal row: a repeat of a title dropped for twinning a family.
+    path = write_taxonomy_csv(tmp_path / "fatal.csv", [*rows, ("Engineer", "process engineer", "litho-engineer")])
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:7: duplicate title 'litho-engineer' in family"):
+        load_taxonomy(path)
+    assert capsys.readouterr().err == ""
+    path = write_taxonomy_csv(tmp_path / "ok.csv", rows)
+    load_taxonomy(path)
+    assert capsys.readouterr().err == "".join(
+        f"WARNING jobpulse.taxonomy: {path}:{line}: phrase '{title}' used as both family and title: family takes "
+        "precedence, removed as a title in family 'process engineer'\n"
+        for line, title in ((5, "litho engineer"), (6, "etch engineer"))
+    )
 
 
 def test_lookup_family_level_term(shipped_taxonomy):
@@ -176,29 +202,51 @@ def test_lookup_case_and_spacing(shipped_taxonomy):
     assert lookup(shipped_taxonomy, "  Fab   Technician ") is not None
 
 
-def test_lookup_equivalent_to_linear_scan(tmp_path):
-    # Oracle: linear scan of the source rows after applying precedence by hand.
-    rng = random.Random(11)
-    rows = []
-    phrases = []
-    for i in range(120):
-        family = f"family{i} engineer"
+def _rows_with_planted_twins(rng: random.Random, name: str, n_fam: int):
+    """Random rows whose titles twin another family, spell such a twin with a hyphen, or are used by no other row.
+
+    Each family row is followed by its titles, so a twin may come before the
+    family it twins. Returns the rows, the terms (phrase, level) that
+    precedence leaves, worked out by hand (families, then titles, each in
+    file order), and the number of twins, each dropped with one warning.
+    """
+    families = [f"{name}f{i} engineer" for i in range(n_fam)]
+    rows, titles, twins = [], [], 0
+    for i, family in enumerate(families):
         rows.append(("Engineer", family, ""))
-        phrases.append(family)
+        others = rng.sample([f for f in families if f != family], k=min(3, n_fam - 1))
         for j in range(rng.randint(0, 3)):
-            title = f"title{i}x{j} engineer"
+            kind = rng.choice(("own", "twin", "hyphen"))
+            if kind == "own" or not others:
+                title = f"{name}f{i}t{j} engineer"
+                titles.append(title)
+            else:
+                title = others.pop()
+                if kind == "hyphen":
+                    title = title.replace(" ", "-")
+                twins += 1
             rows.append(("Engineer", family, title))
-            phrases.append(title)
-    path = write_taxonomy_csv(tmp_path / "scan.csv", rows)
-    t = load_taxonomy(path)
-    present = set(phrases)
-    probes = phrases + [f"absent{i} engineer" for i in range(50)]
+    terms = [(f, JstLevel.FAMILY) for f in families] + [(t, JstLevel.TITLE) for t in titles]
+    return rows, terms, twins
+
+
+def test_lookup_equivalent_to_linear_scan(tmp_path, capsys):
+    # Oracle: linear scan of the terms left after applying precedence by hand.
+    rng = random.Random(11)
+    rows, terms, twins = _rows_with_planted_twins(rng, "family", 120)
+    titles = {title for *_, title in rows} - {""}
+    # All three kinds are planted.
+    assert titles & {family for _, family, _ in rows} and any("-" in title for title in titles)
+    assert any(level is JstLevel.TITLE for _, level in terms)
+    t = load_taxonomy(write_taxonomy_csv(tmp_path / "scan.csv", rows))
+    assert [(j.phrase, j.level) for j in t.jsts] == terms
+    assert capsys.readouterr().err.count("\n") == twins
+    probes = [title or family for _, family, title in rows] + [f"absent{i} engineer" for i in range(50)]
     rng.shuffle(probes)
     for probe in probes:
+        expected = next((term for term in terms if expanded_tokens(term[0]) == expanded_tokens(probe)), None)
         found = lookup(t, probe)
-        assert (found is not None) == (probe in present)
-        if found is not None:
-            assert found.phrase == probe
+        assert (found and (found.phrase, found.level)) == expected
 
 
 def test_lookup_absent_random_phrases(shipped_taxonomy):
@@ -210,20 +258,18 @@ def test_lookup_absent_random_phrases(shipped_taxonomy):
         assert (lookup(shipped_taxonomy, phrase) is not None) == (phrase in file_phrases)
 
 
-def test_term_count_invariant_random_files(tmp_path):
+def test_term_count_invariant_random_files(tmp_path, capsys):
+    # Every data row becomes one term, or is a twin dropped with one warning.
     rng = random.Random(23)
+    planted = 0
     for trial in range(5):
-        rows = []
-        n_fam = rng.randint(1, 8)
-        n_titles = 0
-        for i in range(n_fam):
-            rows.append(("Engineer", f"fam{trial}f{i} engineer", ""))
-            for j in range(rng.randint(0, 4)):
-                rows.append(("Engineer", f"fam{trial}f{i} engineer", f"t{trial}f{i}t{j} engineer"))
-                n_titles += 1
-        path = write_taxonomy_csv(tmp_path / f"inv{trial}.csv", rows)
-        t = load_taxonomy(path)
-        assert len(t.jsts) == n_fam + n_titles
+        rows, terms, twins = _rows_with_planted_twins(rng, f"fam{trial}", rng.randint(1, 8))
+        t = load_taxonomy(write_taxonomy_csv(tmp_path / f"inv{trial}.csv", rows))
+        assert [(j.phrase, j.level) for j in t.jsts] == terms
+        assert len(t.jsts) == len(rows) - twins
+        assert capsys.readouterr().err.count("\n") == twins
+        planted += twins
+    assert planted
 
 
 def test_malformed_row_reports_line_number(tmp_path):
@@ -259,6 +305,12 @@ _PREAMBLE = (
         ("Technician,etch engineer,rf title", "8: family 'etch engineer' declared under Engineer"),
         ("Engineer,etch engineer,---", "8: title normalizes to nothing"),
         ("Engineer,etch engineer,Dry Etch\nEngineer,etch engineer,dry etch", "9: duplicate title 'dry etch'"),
+        # A title declares no family.
+        ("Engineer,etch engineer,rf title\nEngineer,rf title,rf lead", "9: title references undeclared family 'rf title'"),
+        (
+            "Engineer,etch engineer,rf title\nEngineer,etch process engineer,RF Title",
+            "9: title 'rf title' already claimed by family 'etch engineer' at line 8",
+        ),
         # The csv module refuses a field over 131,072 characters.
         pytest.param("Engineer,etch engineer," + "x" * 140_000, "8: field larger than field limit", id="huge-field"),
     ],
@@ -362,9 +414,9 @@ def test_hyphen_twin_titles_in_two_families_are_claimed_by_both(tmp_path):
             ("Engineer", "antenna design", "RF Engineer"),
         ],
     )
-    with pytest.raises(InputError, match=re.escape(
-        "title phrase 'rf-engineer' claimed by multiple families (antenna design, rf design)"
-    )):
+    with pytest.raises(
+        InputError, match=f"^{re.escape(path)}:5: title 'rf engineer' already claimed by family 'rf design' at line 4$"
+    ):
         load_taxonomy(path)
 
 
@@ -376,7 +428,7 @@ def test_title_twin_of_a_family_gives_way_to_it(tmp_path, capsys):
     t = load_taxonomy(path)
     assert [(j.phrase, j.level) for j in t.jsts] == [("rf design", JstLevel.FAMILY), ("layout", JstLevel.FAMILY)]
     assert capsys.readouterr().err == (
-        f"WARNING jobpulse.taxonomy: {path}: phrase 'rf-design' used as both family "
+        f"WARNING jobpulse.taxonomy: {path}:4: phrase 'rf-design' used as both family "
         "and title: family takes precedence, removed as a title in family 'layout'\n"
     )
 
