@@ -89,8 +89,6 @@ class PipelineConfig(NamedTuple):
             raise InputError(f"dictionary file not found: {self.dictionary}")
         if "filter_mode" in keys and self.filter_mode not in corpus_mod.FILTER_MODES:
             raise InputError(f"filter_mode must be one of {corpus_mod.FILTER_MODES}")
-        if "regions" in keys and not self.regions:
-            raise InputError("regions must name at least one of LA, SB, SD")
         if "format" in keys and self.format not in ("csv", "text"):
             raise InputError(f"format must be csv or text, got {self.format!r}")
         if "min_count" in keys and self.min_count < 1:

@@ -3,8 +3,9 @@
 A posting matched by k terms contributes k assignments of weight 1/k, so
 every distinct (job_id, region) carries exactly one unit of demand no
 matter how many terms describe it. Weights are exact rationals; the ledger
-sums them once, as integers over the common denominator of all weights,
-and decimal rendering happens only at report time, confining rounding to
+is built with their sums per term and region, as integers over the common
+denominator of all weights, and checks that they conserve demand there.
+No ``Fraction`` is made until report time, which confines rounding to
 presentation.
 
 Content-identical postings listed in several regions under different job
@@ -16,15 +17,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import pairwise
 from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Region, csv_line, joined_chunks
 from .errors import ContractError
 from .taxonomy import Jst, JstLevel
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 LEDGER_HEADER = ("job_id", "region", "function", "family", "title", "weight_num", "weight_den")
@@ -34,8 +36,7 @@ LEDGER_HEADER = ("job_id", "region", "function", "family", "title", "weight_num"
 Unit = tuple[str, Region, tuple[Jst, ...], str]
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedAssignment:
+class WeightedAssignment(NamedTuple):
     """One term's fractional share of a demand unit."""
 
     job_id: str
@@ -43,28 +44,29 @@ class WeightedAssignment:
     jst: Jst
     weight: Fraction
 
-    def __post_init__(self) -> None:
-        if not (0 < self.weight.numerator <= self.weight.denominator):
-            raise ContractError(f"weight {self.weight} for {self.job_id} outside (0, 1]")
 
-
-@dataclass(frozen=True)
-class DemandLedger:
+class DemandLedger(NamedTuple):
     """The demand units, each with the terms that share it, in ledger order.
 
     A unit is a ``Unit`` with at least one term: its k terms each carry
     weight 1/k, so the k shares of every unit sum to exactly 1.
+    ``term_sums`` is (L, sums): the weights summed per term and region, in
+    units of 1/L. L is the least common multiple of the weight
+    denominators, so every sum is an exact integer numerator over L.
     """
 
     units: list[Unit]
+    term_sums: tuple[int, dict[Jst, dict[Region, int]]]
 
     @property
     def unit_count(self) -> int:
         return len(self.units)
 
-    @cached_property
+    @property
     def assignments(self) -> tuple[WeightedAssignment, ...]:
-        """Every term's share of every unit, in ledger order, built on first use."""
+        """Every term's share of every unit, in ledger order, built on each use."""
+        from fractions import Fraction
+
         shares = {k: Fraction(1, k) for k in {len(terms) for _, _, terms, _ in self.units}}
         return tuple(
             WeightedAssignment(job_id, region, jst, shares[len(terms)])
@@ -73,26 +75,10 @@ class DemandLedger:
         )
 
     def total_weight(self) -> Fraction:
+        from fractions import Fraction
+
         denominator, sums = self.term_sums
         return Fraction(sum(sum(per_region.values()) for per_region in sums.values()), denominator)
-
-    @cached_property
-    def term_sums(self) -> tuple[int, dict[Jst, dict[Region, int]]]:
-        """(L, sums): weights summed per term and region, in units of 1/L.
-
-        L is the least common multiple of the weight denominators, so every
-        sum is an exact integer numerator over L.
-        """
-        denominator = math.lcm(*{len(terms) for _, _, terms, _ in self.units})
-        sums: dict[Jst, dict[Region, int]] = {}
-        for _, region, terms, _ in self.units:
-            units = denominator // len(terms)
-            for jst in terms:
-                per_region = sums.get(jst)
-                if per_region is None:
-                    per_region = sums[jst] = {}
-                per_region[region] = per_region.get(region, 0) + units
-        return denominator, sums
 
 
 def weight_assignments(rows: list[Unit]) -> DemandLedger:
@@ -116,15 +102,22 @@ def weight_assignments(rows: list[Unit]) -> DemandLedger:
         keys = (row[:2] for row in rows if row[2])  # in input order
         job_id, region = next(key for key in keys if key in seen or seen.add(key))
         raise ContractError(f"two match records for (job_id, region) ({job_id}, {region})")
-    ledger = DemandLedger(units=units)
-    total = ledger.total_weight()
-    if total != ledger.unit_count:
-        raise ContractError(f"ledger total {total} != unit count {ledger.unit_count}")
+    denominator = math.lcm(*{len(terms) for _, _, terms, _ in units})
+    sums: dict[Jst, dict[Region, int]] = {}
+    for _, region, terms, _ in units:
+        share = denominator // len(terms)
+        for jst in terms:
+            per_region = sums.get(jst)
+            if per_region is None:
+                per_region = sums[jst] = {}
+            per_region[region] = per_region.get(region, 0) + share
+    ledger = DemandLedger(units, (denominator, sums))
+    if sum(sum(per_region.values()) for per_region in sums.values()) != denominator * len(units):
+        raise ContractError(f"ledger total {ledger.total_weight()} != unit count {ledger.unit_count}")
     return ledger
 
 
-@dataclass(frozen=True, slots=True)
-class CrossRegionGroup:
+class CrossRegionGroup(NamedTuple):
     """Content-identical postings listed under different job ids across regions."""
 
     title: str

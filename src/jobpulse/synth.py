@@ -31,7 +31,6 @@ import datetime as dt
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
@@ -151,11 +150,6 @@ _TOKEN_ABSENT = (False, False)
 _phrase = attrgetter("phrase")
 
 
-def _as_fraction(x) -> Fraction:
-    # Floats go through their decimal rendering so 0.15 means 3/20.
-    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-
-
 def _round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
@@ -185,9 +179,8 @@ def apportion(total: int, weights: dict) -> dict:
     return counts
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """The generator's settings; the mixes above are fixed."""
+class SynthConfig(NamedTuple):
+    """The generator's settings, checked before its first draw; the mixes above are fixed."""
 
     seed: int = 42
     n_postings: int = 5300
@@ -196,23 +189,6 @@ class SynthConfig:
     cross_region_repeat_count: int = 0
     unknown_title_plants: tuple[tuple[str, int], ...] = ()
     industry_token: str = "semiconductor"
-
-    def __post_init__(self) -> None:
-        if self.n_postings < 0:
-            raise InputError(f"n_postings must be >= 0, got {self.n_postings}")
-        if self.cross_region_repeat_count < 0:
-            raise InputError("cross_region_repeat_count must be >= 0")
-        for name in ("off_industry_rate", "division_rate"):
-            rate = _as_fraction(getattr(self, name))
-            if not (0 <= rate <= 1):
-                raise InputError(f"{name} must be within [0, 1], got {rate}")
-            object.__setattr__(self, name, rate)
-        object.__setattr__(self, "unknown_title_plants", tuple(self.unknown_title_plants))
-        for phrase, count in self.unknown_title_plants:
-            if not normalize_text(phrase):
-                raise InputError(f"unknown title plant {phrase!r} normalizes to nothing")
-            if count < 0:
-                raise InputError(f"plant count for {phrase!r} must be >= 0")
 
 
 class TruthRow(NamedTuple):
@@ -230,8 +206,7 @@ class TruthRow(NamedTuple):
     cross_region_group: int | None = None
 
 
-@dataclass(frozen=True)
-class EmployerIdentity:
+class EmployerIdentity(NamedTuple):
     """One true company: a parent display name plus any division display names."""
 
     key: str
@@ -242,8 +217,7 @@ class EmployerIdentity:
         return (self.parent_display,) + self.division_displays
 
 
-@dataclass(frozen=True)
-class EmployerStock:
+class EmployerStock(NamedTuple):
     identities: tuple[EmployerIdentity, ...]
 
     def all_names(self) -> list[tuple[str, str]]:
@@ -364,7 +338,7 @@ def build_employer_stock(
     for parent_idx in parent_order[:mergeable]:  # mergeable <= n_base: one division per parent
         n_ext = 1 if rng.random() < 0.7 else 2
         seq = invent(f"id{parent_idx}", _family(rng, base_seqs[parent_idx], (_DIVISION_EXTENSIONS,) * n_ext))
-        identities[parent_idx] = replace(identities[parent_idx], division_displays=(_display(seq),))
+        identities[parent_idx] = identities[parent_idx]._replace(division_displays=(_display(seq),))
 
     for o in range(orphans):
         ghost_id = f"ghost{o}"
@@ -404,6 +378,19 @@ def _safe_fillers(taxonomy: Taxonomy, industry_token: str) -> list[str]:
 
 class _Generator:
     def __init__(self, config: SynthConfig, taxonomy: Taxonomy) -> None:
+        if config.n_postings < 0:
+            raise InputError(f"n_postings must be >= 0, got {config.n_postings}")
+        if config.cross_region_repeat_count < 0:
+            raise InputError("cross_region_repeat_count must be >= 0")
+        for name in ("off_industry_rate", "division_rate"):
+            rate = getattr(config, name)
+            if not (0 <= rate <= 1):
+                raise InputError(f"{name} must be within [0, 1], got {rate}")
+        for phrase, count in config.unknown_title_plants:
+            if not normalize_text(phrase):
+                raise InputError(f"unknown title plant {phrase!r} normalizes to nothing")
+            if count < 0:
+                raise InputError(f"plant count for {phrase!r} must be >= 0")
         self.config = config
         self.rng = random.Random(config.seed)
         self.industry_token = validate_industry_token(config.industry_token)
@@ -617,8 +604,7 @@ def render_truth_csv(truth: tuple[TruthRow, ...]) -> Iterator[str]:
     return joined_chunks(map(csv_line, chain((TRUTH_HEADER,), rows)))
 
 
-@dataclass(frozen=True)
-class GenerateResult:
+class GenerateResult(NamedTuple):
     posting_count: int
     sha256: dict[str, str]  # file name -> sha256 of the bytes written, in write order
 

@@ -13,17 +13,16 @@ hyphenated one split into its parts (``corpus.expanded_tokens``), the form
 posting text is matched in. Precedence, duplicate checks and lookup all key
 on those tokens, so two phrases that differ only by hyphens are one phrase.
 
-A loaded Taxonomy is immutable and safe for concurrent reads. Its families
-and terms compare by identity: each equals only itself, and two loads of
-one file give distinct, unequal objects. Hashing one is then a C-level
-slot, however often matching and aggregation hash every term occurrence.
+A loaded Taxonomy is read-only by convention, safe for concurrent reads.
+Its slotted families and terms compare by identity: each equals only
+itself, and two loads of one file give distinct, unequal objects. Hashing
+one is then a C-level slot, however often matching and aggregation hash it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
 
 from .corpus import content_lines, expanded_tokens, normalize_text
 from .errors import InputError, warn
@@ -72,13 +71,13 @@ class JstLevel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class JobFamily:
-    name: str
-    function: JobFunction
+    __slots__ = ("name", "function")
+
+    def __init__(self, name: str, function: JobFunction) -> None:
+        self.name, self.function = name, function
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Jst:
     """One job-specific term: a family or title phrase used as a match keyword.
 
@@ -87,23 +86,23 @@ class Jst:
     compares: the phrase "rf-engineer" has the tokens ("rf", "engineer").
     """
 
-    phrase: str
-    tokens: tuple[str, ...]
-    level: JstLevel
-    family: JobFamily
+    __slots__ = ("phrase", "tokens", "level", "family")
+
+    def __init__(self, phrase: str, tokens: tuple[str, ...], level: JstLevel, family: JobFamily) -> None:
+        self.phrase, self.tokens, self.level, self.family = phrase, tokens, level, family
 
 
-@dataclass(frozen=True, eq=False)
 class Taxonomy:
-    """Validated, immutable hierarchy with exact-phrase lookup.
+    """Validated hierarchy with exact-phrase lookup.
 
     ``by_tokens`` maps each term's tokens to the term, and ``jsts`` holds
     its values in the same order: families, then titles, each in file order.
     """
 
-    families: tuple[JobFamily, ...]
-    jsts: tuple[Jst, ...]
-    by_tokens: dict[tuple[str, ...], Jst]
+    __slots__ = ("families", "jsts", "by_tokens")
+
+    def __init__(self, families: tuple[JobFamily, ...], by_tokens: dict[tuple[str, ...], Jst]) -> None:
+        self.families, self.jsts, self.by_tokens = families, tuple(by_tokens.values()), by_tokens
 
     def families_of(self, function: JobFunction) -> tuple[JobFamily, ...]:
         return tuple(f for f in self.families if f.function is function)
@@ -212,4 +211,4 @@ def load_taxonomy(path: str) -> Taxonomy:
 
     for message in warnings:
         warn("taxonomy", message)
-    return Taxonomy(families, tuple(by_tokens.values()), by_tokens)
+    return Taxonomy(families, by_tokens)

@@ -444,6 +444,16 @@ def test_bad_regions_flag_exits_1(tmp_path, fixture_corpus):
     assert rc == 1
 
 
+def test_an_empty_region_list_exits_1(tmp_path, fixture_corpus, capsys):
+    config = tmp_path / "jobpulse.conf"
+    config.write_text("regions =\n", encoding="utf-8")
+    out = tmp_path / "o"
+    for given in (["--regions", ","], ["--config", str(config)]):
+        assert main(["report", "--input", *fixture_corpus, *given, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: regions must name at least one of LA, SB, SD\n"
+        assert not out.exists()
+
+
 def test_hyphenated_industry_token_exits_1_before_writing(tmp_path, fixture_corpus, capsys):
     out = tmp_path / "o"
     rc = main(["report", "--input", *fixture_corpus, "--out", str(out), "--industry-token", "semi-conductor"])
@@ -858,7 +868,8 @@ def test_importing_the_cli_leaves_synth_unloaded():
 
 def test_the_employer_and_report_modules_load_no_fraction_or_dataclass_code():
     # Fraction and report's renderers are imported by the functions that use them.
-    stdout, _ = _python_output("import json, sys, jobpulse.employers, jobpulse.report; print(json.dumps(list(sys.modules)))")
+    modules = "jobpulse.employers, jobpulse.report, jobpulse.taxonomy, jobpulse.matcher, jobpulse.dedup"
+    stdout, _ = _python_output(f"import json, sys, {modules}; print(json.dumps(list(sys.modules)))")
     assert not set(json.loads(stdout)) & {"fractions", "decimal", "dataclasses", "inspect"}
 
 
@@ -935,21 +946,28 @@ def test_report_prints_each_warning_to_stderr(tmp_path):
         ("disambiguate", "disambiguated 2 raw employer names into 2",
          ("cli", "corpus", "employers", "errors", "matcher"), ("report",),
          ("fractions", "decimal", "dataclasses", "inspect")),
-        # The first line read is the taxonomy's, whose records are dataclasses.
-        ("match", "matched 0 of 2 postings", ("cli", "corpus", "errors", "matcher", "taxonomy"), ("report",),
-         ("fractions", "decimal")),
+        # The first line read is the taxonomy's; its records are slotted classes.
+        ("match", "matched 2 of 2 postings", ("cli", "corpus", "errors", "matcher", "taxonomy"), ("report",),
+         ("fractions", "decimal", "dataclasses", "inspect")),
+        ("discover", "0 candidate titles at min_count=3", ("cli", "corpus", "errors", "matcher", "taxonomy"),
+         ("report",), ("fractions", "decimal", "dataclasses", "inspect")),
+        # The ledger sums its weights as integers and makes no Fraction.
+        ("dedup", "2 demand units from 2 observations", ("cli", "corpus", "errors", "matcher", "taxonomy"),
+         ("dedup", "report"), ("fractions", "decimal", "dataclasses", "inspect")),
+        # The demand tables render Fractions; report imports its stage modules before it reads.
+        ("report", "artifacts written to out", ("cli", "corpus", "employers", "errors", "matcher", "report", "taxonomy"),
+         ("dedup",), ("dataclasses", "inspect")),
     ],
-    ids=["disambiguate", "match"],
+    ids=["disambiguate", "match", "discover", "dedup", "report"],
 )
 def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand, summary, first_line, later, unloaded):
     path = tmp_path / "postings.jsonl"
-    kept = {"employer_description": "a semiconductor maker"}
+    kept = {"title": "Design Engineer", "employer_description": "a semiconductor maker"}
     write_jsonl(path, [make_record(job_id="J1", **kept), make_record(job_id="J2", employer_name="Beta Labs", **kept)])
-    out = tmp_path / "out"
-    stdout, _ = _python_output(_SPIED_RUN, subcommand, "--input", str(path), "--out", str(out), cwd=tmp_path)
-    printed, result = stdout.splitlines()
+    stdout, _ = _python_output(_SPIED_RUN, subcommand, "--input", str(path), "--out", "out", cwd=tmp_path)
+    *printed, result = stdout.splitlines()
     rc, at_first_line, loaded = json.loads(result)
-    assert (rc, printed) == (0, summary)
+    assert (rc, printed[-1]) == (0, summary)
     assert at_first_line == [f"jobpulse.{name}" for name in first_line]
     assert {name for name in loaded if name.startswith("jobpulse.")} == {f"jobpulse.{name}" for name in first_line + later}
     assert not set(loaded) & set(unloaded)

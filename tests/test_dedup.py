@@ -122,14 +122,6 @@ def test_adding_a_term_leaves_other_records_untouched(shipped_taxonomy):
     assert before == after
 
 
-def test_weight_bounds_enforced(shipped_taxonomy):
-    jst = lookup(shipped_taxonomy, "design engineer")
-    with pytest.raises(ContractError):
-        WeightedAssignment(job_id="J1", region=Region.LA, jst=jst, weight=Fraction(0))
-    with pytest.raises(ContractError):
-        WeightedAssignment(job_id="J1", region=Region.LA, jst=jst, weight=Fraction(3, 2))
-
-
 def test_cross_region_pair_is_two_units_and_one_group(shipped_taxonomy):
     postings = [
         make_posting(job_id="J1", title="Etch Engineer", job_description="etch engineer work",

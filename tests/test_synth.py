@@ -71,25 +71,20 @@ def test_apportion_zero_weights():
 # -- config validation -------------------------------------------------------
 
 
-def test_config_rejects_bad_rates():
+def test_config_rejects_bad_rates(shipped_taxonomy):
     with pytest.raises(InputError):
-        SynthConfig(off_industry_rate=Fraction(3, 2))
+        build_corpus(SynthConfig(off_industry_rate=Fraction(3, 2)), shipped_taxonomy)
     with pytest.raises(InputError):
-        SynthConfig(division_rate=Fraction(-1, 10))
+        build_corpus(SynthConfig(division_rate=Fraction(-1, 10)), shipped_taxonomy)
     with pytest.raises(InputError):
-        SynthConfig(n_postings=-1)
+        build_corpus(SynthConfig(n_postings=-1), shipped_taxonomy)
 
 
-def test_config_rejects_bad_plants():
+def test_config_rejects_bad_plants(shipped_taxonomy):
     with pytest.raises(InputError):
-        SynthConfig(unknown_title_plants=(("!!!", 3),))
+        build_corpus(SynthConfig(unknown_title_plants=(("!!!", 3),)), shipped_taxonomy)
     with pytest.raises(InputError):
-        SynthConfig(unknown_title_plants=(("rf engineer", -1),))
-
-
-def test_config_coerces_floats_via_decimal_text():
-    config = SynthConfig(off_industry_rate=0.15)
-    assert config.off_industry_rate == Fraction(3, 20)
+        build_corpus(SynthConfig(unknown_title_plants=(("rf engineer", -1),)), shipped_taxonomy)
 
 
 # -- determinism -------------------------------------------------------------
